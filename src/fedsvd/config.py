@@ -105,6 +105,9 @@ class RunConfig:
             problems.append(f"clip_norm must be positive, got {self.clip_norm}")
         if self.noise_multiplier is not None and self.noise_multiplier < 0:
             problems.append(f"noise_multiplier must be >= 0, got {self.noise_multiplier}")
+        if self.epsilon is not None and self.noise_multiplier is not None:
+            problems.append("epsilon and noise_multiplier are mutually exclusive, got "
+                            f"epsilon={self.epsilon} and noise_multiplier={self.noise_multiplier}")
         if not self.seeds:
             problems.append("seeds must not be empty")
         if any(s < 0 for s in self.seeds):

@@ -141,14 +141,6 @@ def broadcast_layers(server: ServerState) -> list[LoraLayer]:
     ]
 
 
-class _Batch:
-    """Array-backed batch view accepted by the gradient routines."""
-
-    def __init__(self, features, labels):
-        self.features = features
-        self.labels = labels
-
-
 def local_train(
     client: ClientHandle,
     layers: list[LoraLayer],
@@ -157,13 +149,13 @@ def local_train(
 ) -> ClientUpdate:
     """Run the client's local steps of (DP-)SGD from the broadcast snapshot.
 
-    Each step Poisson-samples a batch at the client's sample rate, computes
-    per-example adapter gradients, and applies one dp_sgd_step. An empty
-    Poisson draw skips the update but still consumes an accountant step.
-    Frozen matrices are returned byte-identical.
+    Each step Poisson-samples a batch at the client's sample rate and applies
+    one dp_sgd_step_factored to the factored per-example adapter gradients.
+    An empty Poisson draw skips the update but still consumes an accountant
+    step. Frozen matrices are returned byte-identical.
     """
-    clf = Classifier(layers=list(layers), class_count=layers[-1].d_out)
-    trainable = model.trainable_params(clf)
+    trainable = model.trainable_params(Classifier(layers=list(layers), class_count=layers[-1].d_out))
+    params = model.adapter_params(layers)
     feats, labels = client.dataset.features, client.dataset.labels
     n = len(feats)
     q = client.sample_rate
@@ -173,23 +165,14 @@ def local_train(
         mask = rng.random(n) < q
         if not mask.any():
             continue
-        grads = model.per_sample_grads(clf, _Batch(feats[mask], labels[mask]), trainable)
-        params = {}
-        for idx, layer in enumerate(clf.layers):
-            params[(idx, "a")] = layer.a
-            params[(idx, "b")] = layer.b
-        new_params = privacy.dp_sgd_step(
-            params, grads, trainable, client.privacy_cfg, lr, rng
+        factors = model.grad_factors(layers, params, feats[mask], labels[mask], trainable)
+        params = privacy.dp_sgd_step_factored(
+            params, factors, trainable, client.privacy_cfg, lr, rng
         )
-        new_layers = [
-            layer.with_adapters(a=new_params[(idx, "a")], b=new_params[(idx, "b")])
-            for idx, layer in enumerate(clf.layers)
-        ]
-        clf = Classifier(layers=new_layers, class_count=clf.class_count)
     return ClientUpdate(
         client_id=client.client_id,
         n=n,
-        adapters={idx: (layer.a, layer.b) for idx, layer in enumerate(clf.layers)},
+        adapters={idx: (params[(idx, "a")], params[(idx, "b")]) for idx in range(len(layers))},
     )
 
 

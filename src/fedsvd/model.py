@@ -61,12 +61,26 @@ def trainable_params(model: Classifier) -> frozenset[GradKey]:
     return frozenset(keys)
 
 
+def adapter_params(layers: list[LoraLayer]) -> dict[GradKey, np.ndarray]:
+    """The adapter matrices of `layers`, keyed by (layer, "a"|"b")."""
+    return {(idx, name): getattr(layer, name) for idx, layer in enumerate(layers) for name in "ab"}
+
+
 def _as_batch(data) -> tuple[np.ndarray, np.ndarray]:
     if hasattr(data, "features"):
         return data.features, data.labels
     xs = np.stack([np.asarray(ex.x, dtype=np.float64) for ex in data])
     ys = np.array([ex.y for ex in data], dtype=np.int64)
     return xs, ys
+
+
+def _forward(weights: list[np.ndarray], x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Tanh stack over dense weights: (the input of every layer, the logits)."""
+    inputs = [x]
+    for w in weights[:-1]:
+        z = inputs[-1] @ w.T
+        inputs.append(np.tanh(z, out=z))
+    return inputs, inputs[-1] @ weights[-1].T
 
 
 def forward_batch(model: Classifier, x: np.ndarray) -> np.ndarray:
@@ -76,14 +90,7 @@ def forward_batch(model: Classifier, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"batch has shape {x.shape}, expected (n, {model.feature_dim})"
         )
-    h = x
-    z = h
-    last = len(model.layers) - 1
-    for idx, layer in enumerate(model.layers):
-        z = h @ effective_weight(layer).T
-        if idx < last:
-            h = np.tanh(z)
-    return z
+    return _forward([effective_weight(layer) for layer in model.layers], x)[1]
 
 
 def forward(model: Classifier, x) -> np.ndarray:
@@ -116,51 +123,56 @@ def _batch_losses(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return lse - logits[np.arange(len(y)), y]
 
 
+def grad_factors(
+    layers: list[LoraLayer], params: dict, x: np.ndarray, y: np.ndarray, trainable
+) -> dict[GradKey, tuple[np.ndarray, np.ndarray]]:
+    """Rank-one factors of the per-example cross-entropy adapter gradients.
+
+    One forward/backward pass. `layers` give w0 and the scale s, `params`
+    the current adapters (see adapter_params). For each trainable key,
+    example n's gradient is the outer product U[n] (x) V[n]: for b, U = s delta
+    and V = h a^T; for a, U = s delta b and V = h, with h the layer input and
+    delta the loss gradient at the layer output.
+    """
+    weights = [
+        layer.w0 + layer.scale * (params[(idx, "b")] @ params[(idx, "a")])
+        for idx, layer in enumerate(layers)
+    ]
+    inputs, logits = _forward(weights, x)
+    delta = softmax(logits)  # d loss / d logits, per sample
+    delta[np.arange(len(y)), y] -= 1.0
+
+    factors = {}
+    for idx in range(len(layers) - 1, -1, -1):
+        h_in = inputs[idx]
+        s = layers[idx].scale
+        if (idx, "b") in trainable:
+            factors[(idx, "b")] = (s * delta, h_in @ params[(idx, "a")].T)
+        if (idx, "a") in trainable:
+            factors[(idx, "a")] = (s * (delta @ params[(idx, "b")]), h_in)
+        if idx > 0:
+            delta = (delta @ weights[idx]) * (1.0 - h_in * h_in)  # back through tanh
+    return factors
+
+
 def per_sample_grads(
     model: Classifier, batch, trainable: frozenset[GradKey] | None = None
 ) -> dict[GradKey, np.ndarray]:
     """Exact per-example cross-entropy gradients for every adapter matrix.
 
-    Returns arrays of shape (n, *matrix.shape) keyed by (layer, "a"|"b").
-    Matrices outside the trainable set are frozen and get exact zeros.
+    Returns arrays of shape (n, *matrix.shape) keyed by (layer, "a"|"b"),
+    the outer products of grad_factors. Matrices outside the trainable set
+    are frozen and get exact zeros.
     """
     x, y = _as_batch(batch)
     if len(x) == 0:
         raise ValueError("empty batch")
     if trainable is None:
         trainable = trainable_params(model)
-
-    # forward pass, caching layer inputs
-    last = len(model.layers) - 1
-    inputs = [x]
-    h = x
-    for idx, layer in enumerate(model.layers):
-        z = h @ effective_weight(layer).T
-        if idx < last:
-            h = np.tanh(z)
-            inputs.append(h)
-    delta = softmax(z)  # d loss / d logits, per sample
-    delta[np.arange(len(y)), y] -= 1.0
-
-    grads: dict[GradKey, np.ndarray] = {}
-    n = len(x)
-    for idx in range(last, -1, -1):
-        layer = model.layers[idx]
-        h_in = inputs[idx]
-        s = layer.scale
-        if (idx, "b") in trainable:
-            ax = h_in @ layer.a.T
-            grads[(idx, "b")] = s * np.einsum("nc,nr->ncr", delta, ax)
-        else:
-            grads[(idx, "b")] = np.zeros((n,) + layer.b.shape)
-        if (idx, "a") in trainable:
-            btd = delta @ layer.b
-            grads[(idx, "a")] = s * np.einsum("nr,nd->nrd", btd, h_in)
-        else:
-            grads[(idx, "a")] = np.zeros((n,) + layer.a.shape)
-        if idx > 0:
-            upstream = delta @ effective_weight(layer)
-            delta = upstream * (1.0 - h_in * h_in)  # back through tanh
+    params = adapter_params(model.layers)
+    grads = {key: np.zeros((len(x),) + value.shape) for key, value in params.items()}
+    for key, (u, v) in grad_factors(model.layers, params, x, y, trainable).items():
+        grads[key] = u[:, :, None] * v[:, None, :]
     return grads
 
 
@@ -197,18 +209,11 @@ def fit_dense_weights(
         for i in range(len(dims))
     ]
     n = len(x)
-    last = len(weights) - 1
     for _ in range(steps):
-        inputs = [x]
-        h = x
-        for idx, w in enumerate(weights):
-            z = h @ w.T
-            if idx < last:
-                h = np.tanh(z)
-                inputs.append(h)
-        delta = softmax(z)
+        inputs, logits = _forward(weights, x)
+        delta = softmax(logits)
         delta[np.arange(n), y] -= 1.0
-        for idx in range(last, -1, -1):
+        for idx in range(len(weights) - 1, -1, -1):
             grad = delta.T @ inputs[idx] / n
             if idx > 0:
                 upstream = delta @ weights[idx]

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 # Integer Renyi orders; the low range covers small-sigma/large-q regimes and
 # the large tail covers strongly subsampled ones.
@@ -76,21 +76,27 @@ def rdp_subsampled_gaussian(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np
         raise ValueError("orders must be integers greater than 1")
     if q == 1.0:
         return alphas / (2.0 * sigma * sigma)
-    out = np.empty(len(alphas))
-    logq = math.log(q)
-    log1mq = math.log1p(-q)
-    for i, alpha in enumerate(alphas.astype(int)):
-        k = np.arange(alpha + 1)
-        log_terms = (
-            gammaln(alpha + 1)
-            - gammaln(k + 1)
-            - gammaln(alpha - k + 1)
-            + k * logq
-            + (alpha - k) * log1mq
-            + k * (k - 1) / (2.0 * sigma * sigma)
-        )
-        out[i] = logsumexp(log_terms) / (alpha - 1)
-    return out
+    # Ragged layout: order i owns the run k = 0..alpha_i of the flat arrays.
+    sizes = alphas.astype(np.int64) + 1
+    starts = np.cumsum(sizes) - sizes
+    alpha = np.repeat(alphas, sizes)
+    k = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+    log_terms = (
+        gammaln(alpha + 1)
+        - gammaln(k + 1)
+        - gammaln(alpha - k + 1)
+        + k * math.log(q)
+        + (alpha - k) * math.log1p(-q)
+        + k * (k - 1) / (2.0 * sigma * sigma)
+    )
+    # Per-run logsumexp formed as scipy's: the maximal terms leave the sum,
+    # which enters through log1p, so small RDP values keep their precision.
+    top = np.maximum.reduceat(log_terms, starts)
+    is_top = log_terms == np.repeat(top, sizes)
+    count = np.add.reduceat(is_top.astype(np.float64), starts)
+    shifted = np.where(is_top, -np.inf, log_terms) - np.repeat(top, sizes)
+    rest = np.add.reduceat(np.exp(shifted), starts) / count
+    return (np.log1p(rest) + np.log(count) + top) / (alphas - 1)
 
 
 @dataclass
@@ -198,15 +204,23 @@ def clip_gradient(grad, clip_norm: float):
     return factor * np.asarray(grad, dtype=np.float64)
 
 
-def _batch_clip_factors(grads: dict, clip_norm: float | None, m: int) -> np.ndarray:
-    if clip_norm is None:
-        return np.ones(m)
-    sq = np.zeros(m)
-    for g in grads.values():
-        sq += np.sum(g.reshape(m, -1) ** 2, axis=1)
-    norms = np.sqrt(sq)
-    with np.errstate(divide="ignore"):
-        return np.minimum(1.0, np.where(norms > 0.0, clip_norm / norms, 1.0))
+def _clip_factors(sq_norms: np.ndarray, cfg: PrivacyConfig | None) -> np.ndarray:
+    """Per-example scale C / max(||g_n||, C) = min(1, C / ||g_n||); 1 without privacy."""
+    if cfg is None:
+        return np.ones(len(sq_norms))
+    return cfg.clip_norm / np.maximum(np.sqrt(sq_norms), cfg.clip_norm)
+
+
+def _noisy_update(params: dict, sums: dict, cfg: PrivacyConfig | None, lr: float, m: int, rng) -> dict:
+    """Add N(0, sigma^2 C^2) to each clipped sum in sorted key order, average, step."""
+    sigma = cfg.sigma if cfg is not None else 0.0
+    new_params = dict(params)
+    for key in sorted(sums):
+        total = sums[key]
+        if sigma > 0.0:
+            total = total + rng.normal(0.0, sigma * cfg.clip_norm, size=total.shape)
+        new_params[key] = params[key] - lr * (total / m)
+    return new_params
 
 
 def dp_sgd_step(
@@ -233,16 +247,37 @@ def dp_sgd_step(
     m = per_sample_grads[keys[0]].shape[0]
     if m == 0:
         raise ValueError("empty batch")
-    clip_norm = cfg.clip_norm if cfg is not None else None
-    sigma = cfg.sigma if cfg is not None else 0.0
-    factors = _batch_clip_factors(
-        {k: per_sample_grads[k] for k in keys}, clip_norm, m
+    sq_norms = sum(np.sum(per_sample_grads[k].reshape(m, -1) ** 2, axis=1) for k in keys)
+    factors = _clip_factors(sq_norms, cfg)
+    sums = {k: np.einsum("n,n...->...", factors, per_sample_grads[k]) for k in keys}
+    return _noisy_update(params, sums, cfg, lr, m, rng)
+
+
+def dp_sgd_step_factored(
+    params: dict,
+    grad_factors: dict,
+    trainable,
+    cfg: PrivacyConfig | None,
+    lr: float,
+    rng: np.random.Generator,
+) -> dict:
+    """dp_sgd_step for per-example gradients given as rank-one factors.
+
+    grad_factors maps each trainable key to (U, V), example n's gradient being
+    U[n] (x) V[n]. Its squared norm is |U[n]|^2 |V[n]|^2 and the clipped sum
+    (f * U)^T V, so no per-example tensor is formed (Goodfellow 2015,
+    arXiv:1510.01799). Noise, averaging and the step are dp_sgd_step's.
+    """
+    keys = sorted(trainable)
+    if not keys:
+        return dict(params)
+    m = grad_factors[keys[0]][0].shape[0]
+    if m == 0:
+        raise ValueError("empty batch")
+    sq_norms = sum(
+        np.einsum("ij,ij->i", u, u) * np.einsum("ij,ij->i", v, v)
+        for u, v in (grad_factors[k] for k in keys)
     )
-    new_params = dict(params)
-    for key in keys:
-        g = per_sample_grads[key]
-        total = np.einsum("n,n...->...", factors, g)
-        if sigma > 0.0:
-            total = total + rng.normal(0.0, sigma * clip_norm, size=total.shape)
-        new_params[key] = params[key] - lr * (total / m)
-    return new_params
+    factors = _clip_factors(sq_norms, cfg)
+    sums = {k: (factors[:, None] * grad_factors[k][0]).T @ grad_factors[k][1] for k in keys}
+    return _noisy_update(params, sums, cfg, lr, m, rng)

@@ -128,6 +128,18 @@ def test_cmd_run_config_error_exit_code(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("sigma", ["0.5", "0"])
+def test_cmd_run_rejects_epsilon_with_noise_multiplier(tmp_path, capsys, sigma):
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "metrics.csv"
+    rc = cli.main(["--output", str(out), "run", cfg_path, "epsilon=6.0", f"noise_multiplier={sigma}"])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "epsilon" in err and "noise_multiplier" in err
+    assert "sigma must be positive" not in err
+    assert not out.exists()
+
+
 def test_cmd_run_missing_config(tmp_path):
     rc = cli.main(["run", str(tmp_path / "nope.ini")])
     assert rc == cli.EXIT_CONFIG

@@ -116,6 +116,70 @@ def test_local_train_loss_nonincreasing_convex_case():
     assert all(l1 <= l0 + 1e-12 for l0, l1 in zip(losses, losses[1:]))
 
 
+def reference_local_train(client, layers, lr, rng):
+    """local_train composed from the per-example oracle.
+
+    per_sample_grads -> clip each example -> sum -> one noise draw per
+    trainable key in sorted order -> divide by the realized batch size.
+    Returns the final layers and the number of empty Poisson draws.
+    """
+    clf = model.Classifier(list(layers), layers[-1].d_out)
+    trainable = model.trainable_params(clf)
+    cfg = client.privacy_cfg
+    ds = client.dataset
+    empty = 0
+    for _ in range(client.local_steps):
+        mask = rng.random(len(ds)) < client.sample_rate
+        if not mask.any():
+            empty += 1
+            continue
+        grads = model.per_sample_grads(clf, ds.subset(np.flatnonzero(mask)), trainable)
+        m = int(mask.sum())
+        total = {k: 0.0 for k in trainable}
+        for n in range(m):
+            clipped = privacy.clip_gradient({k: grads[k][n] for k in trainable}, cfg.clip_norm)
+            for k in trainable:
+                total[k] = total[k] + clipped[k]
+        new_layers = list(clf.layers)
+        for idx, name in sorted(trainable):
+            noisy = total[(idx, name)] + rng.normal(
+                0.0, cfg.sigma * cfg.clip_norm, size=total[(idx, name)].shape
+            )
+            old = getattr(new_layers[idx], name)
+            new_layers[idx] = new_layers[idx].with_adapters(**{name: old - lr * (noisy / m)})
+        clf = model.Classifier(new_layers, clf.class_count)
+    return clf.layers, empty
+
+
+@pytest.mark.parametrize("a_frozen", [False, True])
+def test_local_train_pinned_to_per_example_reference(a_frozen):
+    client = make_client(n=8, seed=2, tau=6, private=True, q=0.2)  # sigma = 1
+    rng = np.random.default_rng(4)
+    clf = model.build_classifier(
+        model.random_dense_weights([6, 4], 3, rng), 2, 2.0, rng, 3, a_frozen=a_frozen
+    )
+    layers = [l.with_adapters(b=0.5 * rng.standard_normal(l.b.shape)) for l in clf.layers]
+
+    ref_rng = np.random.default_rng(9)
+    want, empty = reference_local_train(client, layers, 0.5, ref_rng)
+    assert 0 < empty < client.local_steps  # the run covers empty and non-empty draws
+
+    run_rng = np.random.default_rng(9)
+    got = federation.local_train(client, layers, lr=0.5, rng=run_rng)
+    # the accountant advances on every draw, empty ones included
+    assert client.accountant.steps_accumulated == client.local_steps
+    # both consumed the same stream: no noise was drawn for the empty draws
+    assert run_rng.random() == ref_rng.random()
+    for idx, layer in enumerate(want):
+        a, b = got.adapters[idx]
+        assert np.linalg.norm(b - layer.b) <= 1e-12 * np.linalg.norm(layer.b)
+        assert np.linalg.norm(a - layer.a) <= 1e-12 * np.linalg.norm(layer.a)
+        if a_frozen:
+            assert a.tobytes() == layers[idx].a.tobytes()
+        else:
+            assert not np.array_equal(a, layers[idx].a)
+
+
 def server_for(kind, seed=0, period=1, **layer_kw):
     layers = make_layers(seed=seed, **layer_kw)
     return ServerState(

@@ -3,8 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
-from fedsvd import privacy
+from fedsvd import data, model, privacy
 
 
 def oracle_rdp_subsampled(q, sigma, alpha, prec=256):
@@ -21,6 +24,82 @@ def oracle_rdp_subsampled(q, sigma, alpha, prec=256):
                 * mpmath.e ** (k * (k - 1) / (2 * sigma**2))
             )
         return float(mpmath.log(total) / (alpha - 1))
+
+
+def loop_rdp_subsampled_gaussian(q, sigma, orders=privacy.DEFAULT_ORDERS):
+    """Per-order loop evaluation of the subsampled-Gaussian RDP.
+
+    The accountant's former implementation, kept as the reference for the
+    vectorized one: the same log-space binomial terms, one logsumexp per order.
+    """
+    alphas = np.asarray(orders, dtype=np.float64)
+    if q == 1.0:
+        return alphas / (2.0 * sigma * sigma)
+    out = np.empty(len(alphas))
+    logq = math.log(q)
+    log1mq = math.log1p(-q)
+    for i, alpha in enumerate(alphas.astype(int)):
+        k = np.arange(alpha + 1)
+        log_terms = (
+            gammaln(alpha + 1)
+            - gammaln(k + 1)
+            - gammaln(alpha - k + 1)
+            + k * logq
+            + (alpha - k) * log1mq
+            + k * (k - 1) / (2.0 * sigma * sigma)
+        )
+        out[i] = logsumexp(log_terms) / (alpha - 1)
+    return out
+
+
+ORDER_LISTS = (
+    privacy.DEFAULT_ORDERS,
+    (7,),
+    tuple(range(2, 513)),
+    (256, 3, 64, 2, 512, 17, 5),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.floats(0.005, 1.0, exclude_max=True),
+    sigma=st.floats(0.3, 4.0),
+    orders=st.sampled_from(ORDER_LISTS),
+)
+def test_rdp_vectorized_matches_per_order_loop(q, sigma, orders):
+    got = privacy.rdp_subsampled_gaussian(q, sigma, orders)
+    want = loop_rdp_subsampled_gaussian(q, sigma, orders)
+    assert got.shape == want.shape == (len(orders),)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.floats(1e-6, 1.0, exclude_max=True),
+    sigma=st.floats(*privacy.SIGMA_BRACKET),
+    orders=st.sampled_from(ORDER_LISTS),
+)
+def test_rdp_vectorized_matches_loop_across_calibration_bracket(q, sigma, orders):
+    # With small q and large sigma the RDP is a tiny difference of O(alpha q)
+    # log terms, so both evaluations carry roundoff on that scale rather than
+    # relative to the result; errors are taken against max(1, |RDP|) as in the
+    # extended-precision oracle tests.
+    got = privacy.rdp_subsampled_gaussian(q, sigma, orders)
+    want = loop_rdp_subsampled_gaussian(q, sigma, orders)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+# Client shard sizes of configs/headline.ini at seed 0; q = batch_size / n_k.
+HEADLINE_SHARDS = (897, 1059, 1655, 1368, 732, 289)
+
+
+def test_calibrate_sigma_identical_to_per_order_loop(monkeypatch):
+    grid = [(6.0, 32 / n, 1000) for n in HEADLINE_SHARDS]
+    grid += [(2.0, 0.005, 300), (2.0, 0.3, 300), (10.0, 0.9, 2000), (1.0, 0.05, 50)]
+    vectorized = [privacy.calibrate_sigma(eps, 1e-5, q, t) for eps, q, t in grid]
+    monkeypatch.setattr(privacy, "rdp_subsampled_gaussian", loop_rdp_subsampled_gaussian)
+    looped = [privacy.calibrate_sigma(eps, 1e-5, q, t) for eps, q, t in grid]
+    assert vectorized == looped
 
 
 def test_rdp_gaussian_closed_form():
@@ -266,6 +345,76 @@ def test_dp_sgd_step_clipped_sum_matches_per_example_clipping():
             manual[k] += clipped[k]
     for k in params:
         np.testing.assert_allclose(out[k], -manual[k] / m, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    layers=st.sampled_from([1, 2]),
+    rank=st.integers(1, 4),
+    a_frozen=st.booleans(),
+    batch=st.integers(1, 6),
+    clip_scale=st.sampled_from([1e-3, 0.5, 1e6]),  # all clipped, mixed, none clipped
+    zero_example=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_clipped_sum_matches_per_example_clipping(
+    layers, rank, a_frozen, batch, clip_scale, zero_example, seed
+):
+    rng = np.random.default_rng(seed)
+    d, classes = 6, 4
+    dims = [d] if layers == 1 else [d, 5]
+    clf = model.build_classifier(
+        model.random_dense_weights(dims, classes, rng), rank, 4.0, rng, classes, a_frozen=a_frozen
+    )
+    # non-zero b, so the gradients of a do not vanish
+    clf = model.Classifier(
+        [layer.with_adapters(b=rng.standard_normal(layer.b.shape)) for layer in clf.layers], classes
+    )
+    x = rng.standard_normal((batch, d))
+    if zero_example:
+        x[0] = 0.0  # every adapter gradient of this example is zero
+    y = rng.integers(0, classes, batch)
+    trainable = model.trainable_params(clf)
+
+    grads = model.per_sample_grads(clf, data.Dataset(x, y, classes), trainable)
+    examples = [{k: grads[k][n] for k in trainable} for n in range(batch)]
+    norms = [privacy.global_grad_norm(g) for g in examples]
+    if zero_example:
+        assert norms[0] == 0.0
+    clip = clip_scale * max(norms) if max(norms) > 0.0 else 1.0
+    want = {k: sum(privacy.clip_gradient(g, clip)[k] for g in examples) for k in trainable}
+
+    params = model.adapter_params(clf.layers)
+    factors = model.grad_factors(clf.layers, params, x, y, trainable)
+    assert set(factors) == set(trainable)
+    zeros = {k: np.zeros_like(v) for k, v in params.items()}
+    out = privacy.dp_sgd_step_factored(
+        zeros, factors, trainable, make_cfg(0.0, clip), 1.0, np.random.default_rng(0)
+    )
+    for k in trainable:
+        got = -batch * out[k]
+        assert np.linalg.norm(got - want[k]) <= 1e-12 * np.linalg.norm(want[k])
+
+
+def test_dp_sgd_step_factored_noise_matches_stacked_step():
+    # Same clipped sum, same noise stream: the factored step equals the
+    # stacked one on the outer products of its factors.
+    rng = np.random.default_rng(4)
+    factors = {
+        "a": (rng.standard_normal((5, 2)), rng.standard_normal((5, 3))),
+        "b": (rng.standard_normal((5, 4)), rng.standard_normal((5, 1))),
+    }
+    stacked = {k: u[:, :, None] * v[:, None, :] for k, (u, v) in factors.items()}
+    params = {"a": rng.standard_normal((2, 3)), "b": rng.standard_normal((4, 1))}
+    cfg = make_cfg(1.3, 1.5)
+    got = privacy.dp_sgd_step_factored(params, factors, ["b", "a"], cfg, 0.7, np.random.default_rng(9))
+    want = privacy.dp_sgd_step(params, stacked, ["b", "a"], cfg, 0.7, np.random.default_rng(9))
+    for k in params:
+        np.testing.assert_allclose(got[k], want[k], rtol=1e-12, atol=1e-15)
+    with pytest.raises(ValueError):
+        privacy.dp_sgd_step_factored(
+            params, {"a": (np.zeros((0, 2)), np.zeros((0, 3)))}, ["a"], cfg, 0.1, rng
+        )
 
 
 def test_dp_sgd_step_empty_batch_rejected():
