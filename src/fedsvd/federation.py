@@ -355,7 +355,12 @@ def build_clients(cfg: RunConfig, parts: list[data_mod.Dataset]) -> list[ClientH
             if cfg.noise_multiplier is not None:
                 sigma = cfg.noise_multiplier
             else:
-                sigma = _calibrated_sigma(cfg.epsilon, cfg.delta, q, total_steps)
+                try:
+                    sigma = _calibrated_sigma(cfg.epsilon, cfg.delta, q, total_steps)
+                except privacy.CalibrationError as exc:
+                    raise privacy.CalibrationError(
+                        f"client {k} (shard of {len(part)} examples, q={q}): {exc}"
+                    ) from exc
             pcfg = privacy.PrivacyConfig(
                 delta=cfg.delta,
                 clip_norm=cfg.clip_norm,

@@ -1,9 +1,12 @@
-"""Dense linear algebra kernel: Jacobi SVD, Householder QR, symmetric eigensolver.
+"""Dense linear algebra: thin SVD, QR and symmetric eigensolver on LAPACK.
 
-Everything operates on plain 2-D float64 ndarrays. The matrices handled here
-are small (a few hundred rows/columns at most), so the routines favour
-accuracy, determinism and simplicity over asymptotic speed. All functions are
-pure and safe to call concurrently.
+Everything operates on plain 2-D float64 ndarrays. The routines are thin
+wrappers over numpy.linalg that validate their input and fix what LAPACK
+leaves open: singular vectors follow a deterministic sign convention,
+singular values below the numerical rank are flushed to exactly zero, and
+eigenvalues come in nonincreasing order. LAPACK failures surface as
+numpy.linalg.LinAlgError, a ValueError. All functions are pure and safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -13,17 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Jacobi sweeps stop once every off-diagonal Gram entry is below this
-# relative threshold; the sweep count is hard-capped.
-JACOBI_TOL = 1e-12
-MAX_SWEEPS = 100
-
 # Singular values below rank_tol * sigma_max count as zero for rank decisions.
 DEFAULT_RANK_TOL = 1e-10
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi iteration failed to converge within the sweep cap."""
 
 
 class SvdResult(NamedTuple):
@@ -45,140 +39,42 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
-    """Thin Householder QR of an m x n matrix with m >= n.
+    """Thin QR of an m x n matrix with m >= n (LAPACK Householder QR).
 
     Returns (q, r) with q of shape m x n (orthonormal columns) and r of
     shape n x n upper triangular such that q @ r reconstructs the input.
+    The signs of r's diagonal are not part of the contract.
     """
     a = as_matrix(m)
     rows, cols = a.shape
     if rows < cols:
         raise ValueError(f"qr_thin requires rows >= cols, got {rows}x{cols}")
-    r = a.copy()
-    reflectors: list[np.ndarray | None] = []
-    for k in range(cols):
-        x = r[k:, k]
-        normx = math.sqrt(float(x @ x))
-        if normx == 0.0:
-            reflectors.append(None)
-            continue
-        alpha = -math.copysign(normx, x[0] if x[0] != 0.0 else 1.0)
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = math.sqrt(float(v @ v))
-        if vnorm == 0.0:
-            reflectors.append(None)
-            continue
-        v /= vnorm
-        r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
-        reflectors.append(v)
-    q = np.eye(rows, cols)
-    for k in reversed(range(cols)):
-        v = reflectors[k]
-        if v is None:
-            continue
-        q[k:, :] -= 2.0 * np.outer(v, v @ q[k:, :])
-    return q, np.triu(r[:cols, :])
+    return np.linalg.qr(a, mode="reduced")
 
 
 def _apply_sign_convention(u: np.ndarray, vt: np.ndarray) -> None:
     # Per singular triplet, flip signs so the largest-magnitude entry of the
     # right singular vector is positive (argmax breaks ties at lowest index).
-    for k in range(vt.shape[0]):
-        row = vt[k]
-        jmax = int(np.argmax(np.abs(row)))
-        if row[jmax] < 0.0:
-            vt[k] = -row
-            u[:, k] = -u[:, k]
-
-
-def _complete_orthonormal(u: np.ndarray, filled: int) -> None:
-    # Fill columns filled..k-1 of u with an orthonormal completion, chosen
-    # deterministically from re-orthogonalized identity candidates.
-    rows, k = u.shape
-    col = filled
-    cand = 0
-    while col < k and cand < rows:
-        e = np.zeros(rows)
-        e[cand] = 1.0
-        for _ in range(2):
-            e -= u[:, :col] @ (u[:, :col].T @ e)
-        nrm = math.sqrt(float(e @ e))
-        if nrm > 1e-3:
-            u[:, col] = e / nrm
-            col += 1
-        cand += 1
-    if col < k:
-        raise ConvergenceError(
-            f"failed to complete an orthonormal basis for a {rows}x{k} factor"
-        )
+    jmax = np.argmax(np.abs(vt), axis=1)
+    flip = vt[np.arange(vt.shape[0]), jmax] < 0.0
+    vt[flip] *= -1.0
+    u[:, flip] *= -1.0
 
 
 def svd(m) -> SvdResult:
-    """Thin SVD via one-sided Jacobi on the smaller Gram side.
+    """Thin SVD (LAPACK) with a deterministic sign convention and rank flush.
 
     Returns u (m x k), singular values (nonincreasing, length k = min(m, n))
-    and vt (k x n) with a deterministic sign convention: in each right
-    singular vector the entry of largest magnitude is made positive.
-    Singular values below max(m, n) * eps * sigma_max are flushed to zero and
-    the corresponding left singular vectors are orthonormal completions.
+    and vt (k x n). In each right singular vector the entry of largest
+    magnitude is positive. Singular values at or below
+    max(m, n) * eps * sigma_max are flushed to exactly zero; u keeps
+    orthonormal columns for them.
     """
     a = as_matrix(m)
-    transpose = a.shape[0] < a.shape[1]
-    w = np.array(a.T if transpose else a, dtype=np.float64, copy=True)
-    rows, cols = w.shape
-    v = np.eye(cols)
-
-    for _sweep in range(MAX_SWEEPS):
-        g = w.T @ w  # fresh Gram matrix each sweep; updated in place below
-        rotated = False
-        for i in range(cols - 1):
-            for j in range(i + 1, cols):
-                gii, gjj, gij = g[i, i], g[j, j], g[i, j]
-                if gii <= 0.0 or gjj <= 0.0:
-                    continue  # numerically zero column, nothing to rotate
-                if abs(gij) <= JACOBI_TOL * math.sqrt(gii * gjj):
-                    continue
-                rotated = True
-                zeta = (gjj - gii) / (2.0 * gij)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                rot = np.array([[c, s], [-s, c]])
-                w[:, [i, j]] = w[:, [i, j]] @ rot
-                v[:, [i, j]] = v[:, [i, j]] @ rot
-                g[:, [i, j]] = g[:, [i, j]] @ rot
-                g[[i, j], :] = rot.T @ g[[i, j], :]
-                g[i, j] = g[j, i] = 0.0
-        if not rotated:
-            break
-    else:
-        raise ConvergenceError(
-            f"one-sided Jacobi SVD did not converge within {MAX_SWEEPS} sweeps "
-            f"for a {a.shape[0]}x{a.shape[1]} matrix"
-        )
-
-    norms = np.sqrt(np.sum(w * w, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    w = w[:, order]
-    v = v[:, order]
-
-    k = cols
-    u = np.zeros((rows, k))
-    cutoff = max(a.shape) * np.finfo(np.float64).eps * (sigma[0] if k else 0.0)
-    rank = int(np.sum(sigma > cutoff))
-    if rank:
-        u[:, :rank] = w[:, :rank] / sigma[:rank]
-    sigma[rank:] = 0.0
-    _complete_orthonormal(u, rank)
-
-    if transpose:
-        u_out, vt_out = v, np.ascontiguousarray(u.T)
-    else:
-        u_out, vt_out = u, np.ascontiguousarray(v.T)
-    _apply_sign_convention(u_out, vt_out)
-    return SvdResult(u_out, sigma, vt_out)
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    sigma[sigma <= max(a.shape) * np.finfo(np.float64).eps * sigma[0]] = 0.0
+    _apply_sign_convention(u, vt)
+    return SvdResult(u, sigma, vt)
 
 
 def lowrank_svd(b, a) -> SvdResult:
@@ -230,32 +126,13 @@ def condition_number(m, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     return float(kept[0] / kept[-1])
 
 
-def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    # Tournament schedule: n-1 (or n) sub-steps of disjoint index pairs that
-    # together cover every unordered pair exactly once.
-    players = list(range(n)) + ([-1] if n % 2 else [])
-    m = len(players)
-    steps = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            p, q = players[i], players[m - 1 - i]
-            if p >= 0 and q >= 0:
-                ps.append(min(p, q))
-                qs.append(max(p, q))
-        steps.append((np.array(ps), np.array(qs)))
-        players = [players[0], players[m - 1]] + players[1 : m - 1]
-    return steps
-
-
 def eig_sym(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic two-sided Jacobi.
+    """Eigendecomposition of a symmetric matrix (LAPACK).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues nonincreasing and
     eigenvectors in matching columns. Input must be symmetric to within
-    1e-10 relative to its largest entry. Rotations are scheduled in disjoint
-    batches (round-robin ordering) so each batch is one pair of matrix
-    products; this is exactly equivalent to a sequential cyclic sweep.
+    1e-10 relative to its largest entry; it is symmetrized before solving.
+    The all-zero and 1 x 1 matrices return the identity as eigenvectors.
     """
     a = as_matrix(m)
     n, ncols = a.shape
@@ -265,52 +142,10 @@ def eig_sym(m) -> tuple[np.ndarray, np.ndarray]:
     if float(np.max(np.abs(a - a.T))) > 1e-10 * max(1.0, amax):
         raise ValueError("eig_sym requires a symmetric matrix")
     a = (a + a.T) / 2.0
-    vecs = np.eye(n)
-    scale = math.sqrt(float(np.sum(a * a)))
-    if scale == 0.0 or n == 1:
-        return np.diag(a).copy(), vecs
-    stop = JACOBI_TOL * scale
-
-    schedule = _round_robin_pairs(n)
-    iu, ju = np.triu_indices(n, 1)
-    for _sweep in range(MAX_SWEEPS):
-        if float(np.max(np.abs(a[iu, ju]))) <= stop:
-            break
-        for ps, qs in schedule:
-            apq = a[ps, qs]
-            active = np.abs(apq) > stop
-            if not active.any():
-                continue
-            app = a[ps, ps]
-            aqq = a[qs, qs]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                theta = np.where(active, (aqq - app) / (2.0 * apq), 1.0)
-            t = np.where(
-                active,
-                np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(1.0, theta)),
-                0.0,
-            )
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            jrot = np.eye(n)
-            jrot[ps, ps] = c
-            jrot[qs, qs] = c
-            jrot[ps, qs] = s
-            jrot[qs, ps] = -s
-            a = jrot.T @ a @ jrot
-            a[ps[active], qs[active]] = 0.0
-            a[qs[active], ps[active]] = 0.0
-            vecs = vecs @ jrot
-        a = (a + a.T) / 2.0
-    else:
-        raise ConvergenceError(
-            f"Jacobi eigensolver did not converge within {MAX_SWEEPS} sweeps "
-            f"for a {n}x{n} matrix"
-        )
-
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], vecs[:, order]
+    if amax == 0.0 or n == 1:
+        return np.diag(a).copy(), np.eye(n)
+    w, vecs = np.linalg.eigh(a)
+    return w[::-1], vecs[:, ::-1]
 
 
 def frobenius(m) -> float:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fedsvd import cli, config, metrics
@@ -137,6 +139,17 @@ def test_cmd_run_rejects_epsilon_with_noise_multiplier(tmp_path, capsys, sigma):
     err = capsys.readouterr().err
     assert "epsilon" in err and "noise_multiplier" in err
     assert "sigma must be positive" not in err
+    assert not out.exists()
+
+
+def test_cmd_run_unreachable_epsilon_names_client(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "metrics.csv"
+    rc = cli.main(["--output", str(out), "run", cfg_path, "epsilon=0.001"])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unreachable with sigma <= 256" in err
+    assert re.search(r"client 0 \(shard of \d+ examples, q=0\.\d+\)", err)
     assert not out.exists()
 
 

@@ -1,7 +1,11 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedsvd import linalg
+from fedsvd import linalg, lora
 
 
 def check_svd_invariants(m, res, recon_tol=1e-9):
@@ -259,3 +263,90 @@ def test_eig_sym_zero_matrix():
     w, v = linalg.eig_sym(np.zeros((3, 3)))
     assert np.all(w == 0.0)
     np.testing.assert_allclose(v, np.eye(3))
+
+
+# --- generated inputs ---
+
+
+@st.composite
+def matrices(draw, square=False, tall=False):
+    """Dense, rank-deficient (a product of thin factors) or all-zero matrices."""
+    rows = draw(st.integers(1, 40))
+    if square:
+        cols = rows
+    else:
+        cols = draw(st.integers(1, rows if tall else 40))
+    kind = draw(st.sampled_from(["dense", "low_rank", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    if kind == "zero":
+        return np.zeros((rows, cols)), 0
+    if kind == "low_rank":
+        r = draw(st.integers(1, min(rows, cols)))
+        return scale * (rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))), r
+    return scale * rng.standard_normal((rows, cols)), min(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=matrices())
+def test_svd_invariants_on_generated_matrices(case):
+    m, rank_bound = case
+    u, s, vt = linalg.svd(m)
+    k = min(m.shape)
+    assert u.shape == (m.shape[0], k) and s.shape == (k,) and vt.shape == (k, m.shape[1])
+    assert np.max(np.abs(u.T @ u - np.eye(k))) <= 1e-10
+    assert np.max(np.abs(vt @ vt.T - np.eye(k))) <= 1e-10
+    assert linalg.rel_frobenius_error((u * s) @ vt, m) <= 1e-12
+    assert np.all(np.diff(s) <= 0.0) and np.all(s >= 0.0)
+    # rank flush: nothing survives in (0, cutoff], and a product of thin
+    # factors keeps no more non-zero values than its inner dimension
+    cutoff = max(m.shape) * np.finfo(np.float64).eps * s[0]
+    assert np.all((s == 0.0) | (s > cutoff))
+    assert np.count_nonzero(s) <= rank_bound
+    # sign convention: the largest-magnitude entry of each row of vt is positive
+    assert np.all(vt[np.arange(k), np.argmax(np.abs(vt), axis=1)] > 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=matrices(tall=True))
+def test_qr_thin_invariants_on_generated_matrices(case):
+    m, _ = case
+    q, r = linalg.qr_thin(m)
+    cols = m.shape[1]
+    assert q.shape == m.shape and r.shape == (cols, cols)
+    assert np.max(np.abs(q.T @ q - np.eye(cols))) <= 1e-10
+    assert linalg.rel_frobenius_error(q @ r, m) <= 1e-12
+    assert np.array_equal(r, np.triu(r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=matrices(square=True))
+def test_eig_sym_matches_lapack_eigvalsh_on_generated_matrices(case):
+    g, _ = case
+    m = (g + g.T) / 2.0
+    w, v = linalg.eig_sym(m)
+    n = m.shape[0]
+    size = max(1.0, float(np.max(np.abs(m))))
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(m)[::-1], rtol=0.0, atol=1e-12 * n * size)
+    assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-10
+    assert np.max(np.abs(m @ v - v * w)) <= 1e-12 * n * size
+
+
+def test_svd_and_fedsvd_reparam_bitwise_deterministic():
+    rng = np.random.default_rng(2024)
+    inputs = [rng.standard_normal((32, 32)) for _ in range(4)]
+    pairs = [(rng.standard_normal((32, 8)), rng.standard_normal((8, 64))) for _ in range(4)]
+
+    def run_all():
+        out = []
+        for m in inputs:
+            out.extend(x.tobytes() for x in linalg.svd(m))
+        for b, a in pairs:
+            out.extend(x.tobytes() for x in lora.fedsvd_reparam(b, a))
+        return out
+
+    reference = run_all()
+    assert run_all() == reference
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(lambda _: run_all(), range(8)))
+    assert all(res == reference for res in results)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsvd import linalg, lora
 
@@ -180,3 +182,50 @@ def test_orthonormal_init():
     a, b = lora.orthonormal_init(5, 9, 3, seed=3)
     assert np.max(np.abs(a @ a.T - np.eye(3))) < 1e-12
     assert np.all(b == 0.0)
+
+
+@st.composite
+def reparam_inputs(draw):
+    """(b, a_prev) with b dense, rank-deficient, near-degenerate or zero."""
+    r = draw(st.integers(1, 8))
+    d_out = draw(st.integers(r, 24))
+    d_in = draw(st.integers(r, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a_prev = rng.standard_normal((r, d_in))
+    else:
+        a_prev, _ = lora.orthonormal_init(d_out, d_in, r, rng)
+    kind = draw(st.sampled_from(["dense", "rank_deficient", "repeated", "close", "tiny", "zero"]))
+    if kind == "zero":
+        return np.zeros((d_out, r)), a_prev
+    if kind == "rank_deficient":
+        inner = draw(st.integers(1, r))
+        return rng.standard_normal((d_out, inner)) @ rng.standard_normal((inner, r)), a_prev
+    if kind in ("repeated", "close"):
+        # singular values of b equal, or equal up to a relative 1e-12
+        q, _ = linalg.qr_thin(rng.standard_normal((d_out, r)))
+        sigma = np.full(r, 3.0)
+        if kind == "close":
+            sigma[1:] *= 1.0 - 1e-12 * np.arange(1, r)
+        return q * sigma[None, :], a_prev
+    scale = 10.0 ** draw(st.integers(-16, -9)) if kind == "tiny" else 1.0
+    return scale * rng.standard_normal((d_out, r)), a_prev
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=reparam_inputs(), orthonormal=st.booleans())
+def test_reparam_properties_on_generated_inputs(case, orthonormal):
+    b, a_prev = case
+    op = lora.fedsvd_reparam if orthonormal else lora.nonorthonormal_reparam
+    b_hat, a_hat = op(b, a_prev)
+    assert b_hat.shape == b.shape and a_hat.shape == a_prev.shape
+    target = b @ a_prev
+    if not b_hat.any():
+        # degenerate branch: previous basis kept, b reset to zero
+        assert np.array_equal(a_hat, a_prev)
+        sigma_max = np.linalg.norm(target, 2)
+        assert sigma_max <= 2 * lora.DEGENERATE_SIGMA_TOL * max(1.0, linalg.frobenius(b))
+        return
+    assert linalg.rel_frobenius_error(b_hat @ a_hat, target) <= 1e-10
+    if orthonormal:
+        assert np.max(np.abs(a_hat @ a_hat.T - np.eye(a_hat.shape[0]))) <= 1e-10
