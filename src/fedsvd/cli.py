@@ -52,7 +52,7 @@ def cmd_run(args) -> int:
         rows = federation.run_experiment(
             cfg, seed, threads=cfg.threads, record_timing=cfg.record_timing
         )
-        metrics.append_csv(cfg.metrics_path, rows, write_header=(i == 0))
+        metrics.write_csv(cfg.metrics_path, rows, append=i > 0)
         all_rows.append(rows)
         print(
             f"seed {seed}: final accuracy {rows[-1].eval_accuracy:.4f}, "
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale federated LoRA fine-tuning simulator with DP-SGD",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the seed list with one seed")
-    parser.add_argument("--threads", type=int, default=None, help="client worker threads")
+    parser.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")
     parser.add_argument("--output", type=str, default=None, help="output file path")
     sub = parser.add_subparsers(dest="command", required=True)
 

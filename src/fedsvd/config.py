@@ -12,17 +12,6 @@ import hashlib
 import io
 from dataclasses import dataclass, fields
 
-STRATEGY_CHOICES = (
-    "fedavg",
-    "ffa_lora",
-    "fedsvd",
-    "fedsvd_nonortho",
-    "ffa_orthonormal",
-    "ffa_pissa",
-    "flora",
-    "fedex_lora",
-)
-
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending keys."""
@@ -64,18 +53,16 @@ class RunConfig:
     # output / execution
     metrics_path: str = "metrics.csv"
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    threads: int = 1
+    threads: int = 1  # accepted and validated; clients train serially
     record_timing: bool = True
 
     def validate(self) -> None:
+        from .federation import STRATEGIES  # federation imports this module
+
         problems = []
-        if self.strategy not in STRATEGY_CHOICES:
-            problems.append(f"strategy must be one of {STRATEGY_CHOICES}, got {self.strategy!r}")
-        for key in (
-            "svd_period", "clients", "participants", "rounds", "local_steps",
-            "batch_size", "layers", "hidden_dim", "rank", "pretrain_steps",
-            "classes", "feature_dim", "train_size", "threads",
-        ):
+        if self.strategy not in STRATEGIES:
+            problems.append(f"strategy must be one of {tuple(STRATEGIES)}, got {self.strategy!r}")
+        for key in _INT_KEYS:
             if getattr(self, key) < (0 if key in ("rounds", "pretrain_steps") else 1):
                 problems.append(f"{key} must be positive, got {getattr(self, key)}")
         if self.participants > self.clients:
@@ -150,15 +137,16 @@ _SECTIONS = {
 }
 _KEY_SECTION = {key: sec for sec, keys in _SECTIONS.items() for key in keys}
 
-_INT_KEYS = {
-    "svd_period", "clients", "participants", "rounds", "local_steps",
-    "batch_size", "layers", "hidden_dim", "rank", "pretrain_steps",
-    "classes", "feature_dim", "train_size", "threads",
-}
-_FLOAT_KEYS = {"learning_rate", "lora_alpha", "pretrain_lr", "margin",
-               "dirichlet_alpha", "delta", "clip_norm"}
-_OPT_FLOAT_KEYS = {"epsilon", "noise_multiplier"}
-_BOOL_KEYS = {"transmit_a", "pretrain_backbone", "record_timing"}
+
+def _keys_of_type(annotation: str) -> tuple[str, ...]:
+    """RunConfig fields declared as `annotation`, in declaration order."""
+    return tuple(f.name for f in fields(RunConfig) if f.type == annotation)
+
+
+_INT_KEYS = _keys_of_type("int")
+_FLOAT_KEYS = _keys_of_type("float")
+_OPT_FLOAT_KEYS = _keys_of_type("float | None")
+_BOOL_KEYS = _keys_of_type("bool")
 
 
 def _parse_value(key: str, raw: str):

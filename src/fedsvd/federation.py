@@ -2,19 +2,20 @@
 
 Each round the server broadcasts its adapter state to a sampled subset of
 clients, clients run local DP-SGD steps on their private shards, and the
-server averages the returned matrices weighted by shard sizes. Strategy tags
-select what is trained and how the aggregate is post-processed (periodic SVD
-refactorization, base-weight absorption, residual correction, ...).
+server averages the returned matrices weighted by shard sizes. The strategy's
+entry in STRATEGIES selects what is trained, how the adapters start and how
+the aggregate is post-processed (periodic SVD refactorization, base-weight
+absorption, residual correction, ...).
 
 Clients are independent: every client derives its own RNG stream from
-(master_seed, round, client_id), so results do not depend on the execution
-schedule or the number of worker threads.
+(master_seed, round, client_id), so results do not depend on the order in
+which clients train.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -35,14 +36,79 @@ _TAG_CLIENT = 0xB3
 _TAG_FLORA = 0xB4
 _TAG_SPLIT = 0xB5
 
-_B_ONLY_KINDS = frozenset(
-    {"ffa_lora", "ffa_orthonormal", "ffa_pissa", "fedsvd", "fedsvd_nonortho"}
-)
-
 
 def stream(master_seed: int, *tags: int) -> np.random.Generator:
     """Independent generator for (master_seed, *tags)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(master_seed), *map(int, tags))))
+
+
+def _orthonormal_start(layer: LoraLayer, rng: np.random.Generator) -> LoraLayer:
+    a, b = lora.orthonormal_init(layer.d_out, layer.d_in, layer.rank, rng)
+    return layer.with_adapters(a=a, b=b)
+
+
+def _pissa_start(layer: LoraLayer, rng: np.random.Generator) -> LoraLayer:
+    a, b, residual = lora.pissa_init(layer.w0, layer.rank)
+    # keep residual + scale * b @ a equal to the original base weight
+    return replace(layer, w0=residual, a=a, b=b / layer.scale)
+
+
+def _average_b(layer: LoraLayer, weighted: list, server: ServerState, idx: int) -> LoraLayer:
+    return layer.with_adapters(b=sum(w * b for w, _, b in weighted))
+
+
+def _average_ab(layer: LoraLayer, weighted: list, server: ServerState, idx: int) -> LoraLayer:
+    return layer.with_adapters(
+        a=sum(w * a for w, a, _ in weighted), b=sum(w * b for w, _, b in weighted)
+    )
+
+
+def _fold_restart(layer: LoraLayer, weighted: list, server: ServerState, idx: int) -> LoraLayer:
+    """FLoRA: absorb the mean product into w0 and restart the adapters."""
+    w0 = layer.w0 + layer.scale * sum(w * (b @ a) for w, a, b in weighted)
+    rng = stream(server.master_seed, _TAG_FLORA, server.round_index, idx)
+    a_new, b_new = lora.init_adapter(layer.d_out, layer.d_in, layer.rank, rng)
+    return replace(layer, w0=w0, a=a_new, b=b_new)
+
+
+def _fold_residual(layer: LoraLayer, weighted: list, server: ServerState, idx: int) -> LoraLayer:
+    """FedEx-LoRA: average a and b, absorb what their product misses into w0."""
+    avg = _average_ab(layer, weighted, server, idx)
+    residual = sum(w * (b @ a) for w, a, b in weighted) - avg.b @ avg.a
+    return replace(avg, w0=layer.w0 + layer.scale * residual)
+
+
+@dataclass(frozen=True)
+class Rule:
+    """Everything that sets one strategy apart from the others.
+
+    trains_a: clients train a as well as b (otherwise a is frozen).
+    init: round-zero adapter initialization (layer, rng) -> layer, applied
+        after the default Kaiming a / zero b start; None keeps that start.
+    merge: (layer, [(w_k, a_k, b_k)] in client order, server, layer index)
+        -> the merged layer; its weighted sums keep that client order.
+    reparam: (b, a) -> (b_hat, a_hat) refactorization of the merged
+        product, run after rounds r with (r + 1) % period == 0.
+    ships_w0: the server broadcasts the refreshed base weights too.
+    """
+
+    trains_a: bool = False
+    init: Callable[[LoraLayer, np.random.Generator], LoraLayer] | None = None
+    merge: Callable[[LoraLayer, list, ServerState, int], LoraLayer] = _average_b
+    reparam: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    ships_w0: bool = False
+
+
+STRATEGIES: dict[str, Rule] = {
+    "fedavg": Rule(trains_a=True, merge=_average_ab),
+    "ffa_lora": Rule(),
+    "fedsvd": Rule(reparam=lora.fedsvd_reparam),
+    "fedsvd_nonortho": Rule(reparam=lora.nonorthonormal_reparam),
+    "ffa_orthonormal": Rule(init=_orthonormal_start),
+    "ffa_pissa": Rule(init=_pissa_start),
+    "flora": Rule(trains_a=True, merge=_fold_restart, ships_w0=True),
+    "fedex_lora": Rule(trains_a=True, merge=_fold_residual, ships_w0=True),
+}
 
 
 @dataclass(frozen=True)
@@ -51,37 +117,22 @@ class Strategy:
     period: int = 1
 
     def __post_init__(self):
-        from .config import STRATEGY_CHOICES
-
-        if self.kind not in STRATEGY_CHOICES:
+        if self.kind not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.kind!r}")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
 
     @property
+    def rule(self) -> Rule:
+        return STRATEGIES[self.kind]
+
+    @property
     def trains_a(self) -> bool:
-        return self.kind not in _B_ONLY_KINDS
-
-    @property
-    def reparam_kind(self) -> lora.ReparamKind:
-        if self.kind == "fedsvd":
-            return lora.ReparamKind.FEDSVD
-        if self.kind == "fedsvd_nonortho":
-            return lora.ReparamKind.NON_ORTHONORMAL
-        if self.kind == "ffa_pissa":
-            return lora.ReparamKind.PISSA
-        return lora.ReparamKind.NONE
-
-    @property
-    def uses_reparam(self) -> bool:
-        return self.reparam_kind in (
-            lora.ReparamKind.FEDSVD,
-            lora.ReparamKind.NON_ORTHONORMAL,
-        )
+        return self.rule.trains_a
 
     @property
     def label(self) -> str:
-        if self.uses_reparam:
+        if self.rule.reparam is not None:
             return f"{self.kind}_p{self.period}"
         return self.kind
 
@@ -94,10 +145,6 @@ class ClientHandle:
     privacy_cfg: privacy.PrivacyConfig | None
     accountant: privacy.RdpAccountant | None
     sample_rate: float
-
-    @property
-    def n(self) -> int:
-        return len(self.dataset)
 
 
 @dataclass
@@ -191,9 +238,8 @@ def aggregate(updates: list[ClientUpdate], server: ServerState) -> ServerState:
         raise ValueError("aggregation weights do not sum to 1")
     updates = sorted(updates, key=lambda u: u.client_id)
 
-    strategy = server.strategy
-    kind = strategy.kind
-    finished_round = server.round_index
+    rule = server.strategy.rule
+    reparam_now = rule.reparam is not None and (server.round_index + 1) % server.strategy.period == 0
     new_layers: list[LoraLayer] = []
     for idx, layer in enumerate(server.layers):
         for u in updates:
@@ -202,48 +248,13 @@ def aggregate(updates: list[ClientUpdate], server: ServerState) -> ServerState:
                 raise ValueError(
                     f"client {u.client_id} returned mismatched shapes for layer {idx}"
                 )
-        b_avg = sum(weights[u.client_id] * u.adapters[idx][1] for u in updates)
-        if kind == "fedavg":
-            a_avg = sum(weights[u.client_id] * u.adapters[idx][0] for u in updates)
-            new_layers.append(layer.with_adapters(a=a_avg, b=b_avg))
-        elif kind in ("ffa_lora", "ffa_orthonormal", "ffa_pissa"):
-            new_layers.append(layer.with_adapters(b=b_avg))
-        elif kind in ("fedsvd", "fedsvd_nonortho"):
-            if (finished_round + 1) % strategy.period == 0:
-                reparam = (
-                    lora.fedsvd_reparam
-                    if strategy.reparam_kind is lora.ReparamKind.FEDSVD
-                    else lora.nonorthonormal_reparam
-                )
-                b_hat, a_hat = reparam(b_avg, layer.a)
-                new_layers.append(layer.with_adapters(a=a_hat, b=b_hat))
-            else:
-                new_layers.append(layer.with_adapters(b=b_avg))
-        elif kind == "flora":
-            product = sum(
-                weights[u.client_id] * (u.adapters[idx][1] @ u.adapters[idx][0])
-                for u in updates
-            )
-            w0 = layer.w0 + layer.scale * product
-            a_new, b_new = lora.init_adapter(
-                layer.d_out,
-                layer.d_in,
-                layer.rank,
-                stream(server.master_seed, _TAG_FLORA, finished_round, idx),
-            )
-            new_layers.append(replace(layer, w0=w0, a=a_new, b=b_new))
-        elif kind == "fedex_lora":
-            a_avg = sum(weights[u.client_id] * u.adapters[idx][0] for u in updates)
-            product = sum(
-                weights[u.client_id] * (u.adapters[idx][1] @ u.adapters[idx][0])
-                for u in updates
-            )
-            residual = product - b_avg @ a_avg
-            w0 = layer.w0 + layer.scale * residual
-            new_layers.append(replace(layer, w0=w0, a=a_avg, b=b_avg))
-        else:  # pragma: no cover - Strategy validates kinds
-            raise ValueError(f"unknown strategy {kind!r}")
-    return replace(server, layers=new_layers, round_index=finished_round + 1)
+        weighted = [(weights[u.client_id], *u.adapters[idx]) for u in updates]
+        layer = rule.merge(layer, weighted, server, idx)
+        if reparam_now:
+            b_hat, a_hat = rule.reparam(layer.b, layer.a)
+            layer = layer.with_adapters(a=a_hat, b=b_hat)
+        new_layers.append(layer)
+    return replace(server, layers=new_layers, round_index=server.round_index + 1)
 
 
 def comm_params_per_round(strategy: Strategy, layers: list[LoraLayer], participants: int, transmit_a: bool) -> tuple[int, int]:
@@ -253,20 +264,12 @@ def comm_params_per_round(strategy: Strategy, layers: list[LoraLayer], participa
     ships per participant. FedSVD defaults to the decentralized-SVD mode in
     which only b travels and clients recompute the refactorization locally.
     """
+    rule = strategy.rule
     a_sz = sum(l.a.size for l in layers)
     b_sz = sum(l.b.size for l in layers)
     w_sz = sum(l.w0.size for l in layers)
-    kind = strategy.kind
-    if kind == "fedavg":
-        up, down = a_sz + b_sz, a_sz + b_sz
-    elif kind in ("ffa_lora", "ffa_orthonormal", "ffa_pissa"):
-        up, down = b_sz, b_sz
-    elif kind in ("fedsvd", "fedsvd_nonortho"):
-        up = b_sz
-        down = b_sz + (a_sz if transmit_a else 0)
-    else:  # flora / fedex_lora ship refreshed base weights too
-        up = a_sz + b_sz
-        down = a_sz + b_sz + w_sz
+    up = b_sz + a_sz * rule.trains_a
+    down = up + w_sz * rule.ships_w0 + a_sz * (rule.reparam is not None and transmit_a)
     return up * participants, down * participants
 
 
@@ -303,17 +306,8 @@ def init_server(cfg: RunConfig, strategy: Strategy, base_weights: list[np.ndarra
         a_frozen=not strategy.trains_a,
     )
     layers = clf.layers
-    if strategy.kind == "ffa_orthonormal":
-        layers = []
-        for layer in clf.layers:
-            a, b = lora.orthonormal_init(layer.d_out, layer.d_in, layer.rank, rng)
-            layers.append(layer.with_adapters(a=a, b=b))
-    elif strategy.kind == "ffa_pissa":
-        layers = []
-        for layer in clf.layers:
-            a, b, residual = lora.pissa_init(layer.w0, layer.rank)
-            # keep residual + scale * b @ a equal to the original base weight
-            layers.append(replace(layer, w0=residual, a=a, b=b / layer.scale))
+    if strategy.rule.init is not None:
+        layers = [strategy.rule.init(layer, rng) for layer in layers]
     return ServerState(
         layers=layers,
         round_index=0,
@@ -392,8 +386,9 @@ def run_experiment(
     """Execute one seeded federated run and return its per-round metrics.
 
     Row 0 evaluates the untouched global model; row i >= 1 evaluates the
-    state after round i's aggregation. Deterministic in (cfg, seed)
-    regardless of the number of worker threads.
+    state after round i's aggregation. Deterministic in (cfg, seed).
+    Clients train one after another; `threads` is accepted for
+    compatibility and has no effect.
     """
     cfg.validate()
     strategy = Strategy(cfg.strategy, cfg.svd_period)
@@ -445,32 +440,23 @@ def run_experiment(
     t0 = time.perf_counter()
     emit(0, 0, 0, t0)
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for rnd in range(cfg.rounds):
-            t0 = time.perf_counter()
-            sampled = sample_clients(
-                cfg.clients, cfg.participants, stream(seed, _TAG_SAMPLE, rnd)
+    for rnd in range(cfg.rounds):
+        t0 = time.perf_counter()
+        sampled = sample_clients(
+            cfg.clients, cfg.participants, stream(seed, _TAG_SAMPLE, rnd)
+        )
+        updates = [
+            local_train(
+                clients[cid],
+                broadcast_layers(server),
+                lr=cfg.learning_rate,
+                rng=stream(seed, _TAG_CLIENT, rnd, cid),
             )
-
-            def train_one(cid: int) -> ClientUpdate:
-                return local_train(
-                    clients[cid],
-                    broadcast_layers(server),
-                    lr=cfg.learning_rate,
-                    rng=stream(seed, _TAG_CLIENT, rnd, cid),
-                )
-
-            if pool is None:
-                updates = [train_one(cid) for cid in sampled]
-            else:
-                updates = list(pool.map(train_one, sampled))
-            server = aggregate(updates, server)
-            up, down = comm_params_per_round(
-                strategy, server.layers, len(sampled), cfg.transmit_a
-            )
-            emit(rnd + 1, up, down, t0)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            for cid in sampled
+        ]
+        server = aggregate(updates, server)
+        up, down = comm_params_per_round(
+            strategy, server.layers, len(sampled), cfg.transmit_a
+        )
+        emit(rnd + 1, up, down, t0)
     return rows

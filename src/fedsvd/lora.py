@@ -9,7 +9,6 @@ new `a` has orthonormal rows while the product value is preserved exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -18,13 +17,6 @@ from . import linalg
 # A product whose spectrum is entirely below this threshold (relative to the
 # size of b) is treated as zero: keep the previous basis, reset b to zero.
 DEGENERATE_SIGMA_TOL = 1e-12
-
-
-class ReparamKind(Enum):
-    FEDSVD = "fedsvd"
-    NON_ORTHONORMAL = "non_orthonormal"
-    PISSA = "pissa"
-    NONE = "none"
 
 
 @dataclass(frozen=True)

@@ -46,17 +46,10 @@ def format_row(row: MetricsRow) -> str:
     )
 
 
-def write_csv(path, rows: list[MetricsRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(format_row(row) + "\n")
-
-
-def append_csv(path, rows: list[MetricsRow], write_header: bool) -> None:
-    mode = "w" if write_header else "a"
-    with open(path, mode, encoding="utf-8", newline="\n") as fh:
-        if write_header:
+def write_csv(path, rows: list[MetricsRow], append: bool = False) -> None:
+    """Write the header and `rows` to `path`, or add `rows` to its end."""
+    with open(path, "a" if append else "w", encoding="utf-8", newline="\n") as fh:
+        if not append:
             fh.write(CSV_HEADER + "\n")
         for row in rows:
             fh.write(format_row(row) + "\n")

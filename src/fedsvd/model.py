@@ -123,6 +123,22 @@ def _batch_losses(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return lse - logits[np.arange(len(y)), y]
 
 
+def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], logits: np.ndarray, y: np.ndarray):
+    """Walk the tanh stack of _forward backwards, last layer first.
+
+    Yields (idx, delta, h_in): the per-example cross-entropy gradient at
+    layer idx's output and that layer's input. Keep weights unchanged until
+    the walk ends: the next delta is formed from them after each yield.
+    """
+    delta = softmax(logits)  # d loss / d logits, per sample
+    delta[np.arange(len(y)), y] -= 1.0
+    for idx in range(len(weights) - 1, -1, -1):
+        h_in = inputs[idx]
+        yield idx, delta, h_in
+        if idx > 0:
+            delta = (delta @ weights[idx]) * (1.0 - h_in * h_in)  # back through tanh
+
+
 def grad_factors(
     layers: list[LoraLayer], params: dict, x: np.ndarray, y: np.ndarray, trainable
 ) -> dict[GradKey, tuple[np.ndarray, np.ndarray]]:
@@ -139,19 +155,13 @@ def grad_factors(
         for idx, layer in enumerate(layers)
     ]
     inputs, logits = _forward(weights, x)
-    delta = softmax(logits)  # d loss / d logits, per sample
-    delta[np.arange(len(y)), y] -= 1.0
-
     factors = {}
-    for idx in range(len(layers) - 1, -1, -1):
-        h_in = inputs[idx]
+    for idx, delta, h_in in _backward(weights, inputs, logits, y):
         s = layers[idx].scale
         if (idx, "b") in trainable:
             factors[(idx, "b")] = (s * delta, h_in @ params[(idx, "a")].T)
         if (idx, "a") in trainable:
             factors[(idx, "a")] = (s * (delta @ params[(idx, "b")]), h_in)
-        if idx > 0:
-            delta = (delta @ weights[idx]) * (1.0 - h_in * h_in)  # back through tanh
     return factors
 
 
@@ -202,22 +212,13 @@ def fit_dense_weights(
     [d_x, hidden] for one tanh hidden layer; the final output is class_count
     wide. Used to produce the frozen backbone weights.
     """
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    sizes = dims + [class_count]
-    weights = [
-        rng.standard_normal((sizes[i + 1], sizes[i])) / np.sqrt(sizes[i])
-        for i in range(len(dims))
-    ]
+    weights = random_dense_weights(dims, class_count, seed)
     n = len(x)
     for _ in range(steps):
         inputs, logits = _forward(weights, x)
-        delta = softmax(logits)
-        delta[np.arange(n), y] -= 1.0
-        for idx in range(len(weights) - 1, -1, -1):
-            grad = delta.T @ inputs[idx] / n
-            if idx > 0:
-                upstream = delta @ weights[idx]
-                delta = upstream * (1.0 - inputs[idx] * inputs[idx])
+        walk = _backward(weights, inputs, logits, y)
+        grads = [(idx, delta.T @ h_in / n) for idx, delta, h_in in walk]
+        for idx, grad in grads:
             weights[idx] = weights[idx] - lr * grad
     return weights
 

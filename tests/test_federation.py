@@ -339,6 +339,21 @@ def test_comm_params_mirror_strategy_costs():
     assert down == 3 * (a_sz + b_sz)
     up, down = federation.comm_params_per_round(Strategy("flora"), layers, 3, False)
     assert down == 3 * (a_sz + b_sz + w_sz)
+    # every strategy, both basis-transmission modes: a = 12, b = 6, w0 = 18
+    # parameters per layer, 3 participants
+    expected = {
+        "fedavg": ((54, 54), (54, 54)),
+        "ffa_lora": ((18, 18), (18, 18)),
+        "fedsvd": ((18, 18), (18, 54)),
+        "fedsvd_nonortho": ((18, 18), (18, 54)),
+        "ffa_orthonormal": ((18, 18), (18, 18)),
+        "ffa_pissa": ((18, 18), (18, 18)),
+        "flora": ((54, 108), (54, 108)),
+        "fedex_lora": ((54, 108), (54, 108)),
+    }
+    for kind, (plain, with_a) in expected.items():
+        assert federation.comm_params_per_round(Strategy(kind), layers, 3, False) == plain, kind
+        assert federation.comm_params_per_round(Strategy(kind), layers, 3, True) == with_a, kind
 
 
 def test_run_experiment_zero_rounds_round0_only():
@@ -492,3 +507,27 @@ def test_strategy_validation_and_labels():
     assert Strategy("fedavg").label == "fedavg"
     assert not Strategy("fedsvd").trains_a
     assert Strategy("flora").trains_a
+
+
+def test_every_strategy_entry_flags_labels_and_round_zero_state():
+    # (trains_a, label at period 3) for each of the eight strategies; the
+    # round-zero server state must leave every effective weight at w0
+    expected = {
+        "fedavg": (True, "fedavg"),
+        "ffa_lora": (False, "ffa_lora"),
+        "fedsvd": (False, "fedsvd_p3"),
+        "fedsvd_nonortho": (False, "fedsvd_nonortho_p3"),
+        "ffa_orthonormal": (False, "ffa_orthonormal"),
+        "ffa_pissa": (False, "ffa_pissa"),
+        "flora": (True, "flora"),
+        "fedex_lora": (True, "fedex_lora"),
+    }
+    base = model.random_dense_weights([8, 5], 3, 0)
+    for kind, (trains_a, label) in expected.items():
+        strategy = Strategy(kind, 3)
+        assert strategy.trains_a is trains_a, kind
+        assert strategy.label == label, kind
+        server = federation.init_server(small_config(strategy=kind), strategy, base, 3, seed=4)
+        for layer, w0 in zip(server.layers, base):
+            assert layer.a_frozen is not trains_a, kind
+            assert linalg.rel_frobenius_error(lora.effective_weight(layer), w0) <= 1e-12, kind
