@@ -1,6 +1,8 @@
 """Command-line interface: run / verify / calibrate / partition-stats.
 
-Exit codes: 0 success, 1 invariant violation, 2 configuration error.
+Exit codes: 0 success, 1 invariant violation, 2 configuration error,
+3 training diverged (a non-finite model state; the rows of the seeds that
+finished before it stay in the metrics CSV).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .config import ConfigError
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
+EXIT_DIVERGED = 3
 
 
 def _confidence_interval(values: list[float]) -> tuple[float, float]:
@@ -168,6 +171,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except federation.DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except (ConfigError, FileNotFoundError, privacy.CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -201,7 +201,7 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
 
 
 def parse(text: str) -> RunConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal: "%" too
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -14,6 +14,8 @@ which clients train.
 
 from __future__ import annotations
 
+import hashlib
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -35,6 +37,10 @@ _TAG_SAMPLE = 0xB2
 _TAG_CLIENT = 0xB3
 _TAG_FLORA = 0xB4
 _TAG_SPLIT = 0xB5
+
+
+class DivergenceError(ArithmeticError):
+    """Training left a non-finite model state; the message names where."""
 
 
 def stream(master_seed: int, *tags: int) -> np.random.Generator:
@@ -278,6 +284,36 @@ def _calibrated_sigma(epsilon: float, delta: float, q: float, steps: int) -> flo
     return privacy.calibrate_sigma(epsilon, delta, q, steps)
 
 
+# Fitted backbones, keyed by everything the fit reads (see _backbone).
+_BACKBONES: dict[tuple, list[np.ndarray]] = {}
+
+
+def _backbone(cfg: RunConfig, pretrain: data_mod.Dataset, dims: list[int], class_count: int, seed: int) -> list[np.ndarray]:
+    """The pre-trained backbone of (data, seed), fitted once per process.
+
+    The key holds a sha256 digest of the pretrain split rather than the
+    config fields that made it, so a rewritten CSV source is refitted. The
+    cached weights are read-only and shared by every strategy of the seed.
+    """
+    digest = hashlib.sha256(np.ascontiguousarray(pretrain.features))
+    digest.update(np.ascontiguousarray(pretrain.labels))
+    key = (seed, tuple(dims), class_count, cfg.pretrain_steps, cfg.pretrain_lr, digest.hexdigest())
+    if key not in _BACKBONES:
+        weights = model.fit_dense_weights(
+            pretrain.features,
+            pretrain.labels,
+            dims,
+            class_count,
+            steps=cfg.pretrain_steps,
+            lr=cfg.pretrain_lr,
+            seed=stream(seed, _TAG_BACKBONE),
+        )
+        for w in weights:
+            w.flags.writeable = False
+        _BACKBONES[key] = weights
+    return list(_BACKBONES[key])
+
+
 def _split_csv_dataset(full: data_mod.Dataset, seed: int):
     # csv sources carry one table; deterministically split it
     # 1/4 pretrain, 1/2 finetune, 1/4 eval.
@@ -315,6 +351,23 @@ def init_server(cfg: RunConfig, strategy: Strategy, base_weights: list[np.ndarra
         master_seed=seed,
         class_count=class_count,
     )
+
+
+def _check_finite(strategy: Strategy, rnd: int, where: str, layers: list[tuple]) -> None:
+    """Raise DivergenceError unless every matrix has a finite squared norm.
+
+    `layers` holds one (a, b, w0) triple per layer; a None is not checked.
+    The squared norm also overflows when the entries are finite but the
+    norm exceeds about 1e154, which fedsvd's degeneracy test would read as
+    a zero product and answer by resetting b.
+    """
+    for idx, mats in enumerate(layers):
+        for name, m in zip(("a", "b", "w0"), mats):
+            if m is not None and not math.isfinite(np.vdot(m, m)):
+                raise DivergenceError(
+                    f"{strategy.label} diverged in round {rnd} ({where}): "
+                    f"layer {idx} {name} has a non-finite norm"
+                )
 
 
 def _budget_epsilon(clients: list[ClientHandle], rounds_done: int, delta: float) -> float | None:
@@ -389,6 +442,13 @@ def run_experiment(
     state after round i's aggregation. Deterministic in (cfg, seed).
     Clients train one after another; `threads` is accepted for
     compatibility and has no effect.
+
+    The pre-trained backbone depends on the data and the seed, not on the
+    strategy: a process fits each seed's backbone once and reuses it
+    across strategies (see _backbone). A client update or an aggregate
+    with a non-finite adapter (or shipped w0) raises DivergenceError
+    naming the strategy, the round, the client or "aggregate" and the
+    layer.
     """
     cfg.validate()
     strategy = Strategy(cfg.strategy, cfg.svd_period)
@@ -402,15 +462,7 @@ def run_experiment(
     )
     dims = [finetune.feature_dim] if cfg.layers == 1 else [finetune.feature_dim, cfg.hidden_dim]
     if cfg.pretrain_backbone:
-        base = model.fit_dense_weights(
-            pretrain.features,
-            pretrain.labels,
-            dims,
-            class_count,
-            steps=cfg.pretrain_steps,
-            lr=cfg.pretrain_lr,
-            seed=stream(seed, _TAG_BACKBONE),
-        )
+        base = _backbone(cfg, pretrain, dims, class_count, seed)
     else:
         base = model.random_dense_weights(dims, class_count, stream(seed, _TAG_BACKBONE))
 
@@ -445,16 +497,24 @@ def run_experiment(
         sampled = sample_clients(
             cfg.clients, cfg.participants, stream(seed, _TAG_SAMPLE, rnd)
         )
-        updates = [
-            local_train(
+        updates = []
+        for cid in sampled:
+            update = local_train(
                 clients[cid],
                 broadcast_layers(server),
                 lr=cfg.learning_rate,
                 rng=stream(seed, _TAG_CLIENT, rnd, cid),
             )
-            for cid in sampled
-        ]
+            _check_finite(
+                strategy, rnd + 1, f"client {cid}",
+                [(a, b, None) for a, b in update.adapters.values()],
+            )
+            updates.append(update)
         server = aggregate(updates, server)
+        _check_finite(
+            strategy, rnd + 1, "aggregate",
+            [(l.a, l.b, l.w0 if strategy.rule.ships_w0 else None) for l in server.layers],
+        )
         up, down = comm_params_per_round(
             strategy, server.layers, len(sampled), cfg.transmit_a
         )

@@ -1,8 +1,12 @@
 import re
+import string
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedsvd import cli, config, metrics
+from fedsvd import cli, config, federation, metrics
 from fedsvd.config import ConfigError, RunConfig
 
 
@@ -210,3 +214,89 @@ def test_metrics_header_stable():
         "run_id,seed,strategy,round,eval_accuracy,eval_loss,"
         "epsilon_spent,uploaded_params,downloaded_params,wall_ms"
     )
+
+
+@pytest.mark.parametrize("strategy, label", [("fedsvd", "fedsvd_p1"), ("fedavg", "fedavg")])
+def test_cmd_run_divergence_exit_code(tmp_path, capsys, strategy, label):
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "metrics.csv"
+    with np.errstate(all="ignore"):
+        rc = cli.main([
+            "--output", str(out), "run", cfg_path,
+            f"strategy={strategy}", "layers=1", "learning_rate=1e300", "rounds=3",
+        ])
+    assert rc == cli.EXIT_DIVERGED == 3
+    err = capsys.readouterr().err
+    assert re.search(rf"error: {label} diverged in round 1 \(client \d\): layer 0 [ab]", err)
+    assert not out.exists()  # seed 0 diverged: no finished seed to keep
+
+
+def test_cmd_run_divergence_keeps_finished_seeds(tmp_path, monkeypatch):
+    real = federation.run_experiment
+
+    def diverge_on_seed_1(cfg, seed, **kw):
+        if seed == 1:
+            raise federation.DivergenceError("fedsvd_p1 diverged in round 1 (aggregate): layer 0 b")
+        return real(cfg, seed, **kw)
+
+    monkeypatch.setattr(federation, "run_experiment", diverge_on_seed_1)
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "metrics.csv"
+    assert cli.main(["--output", str(out), "run", cfg_path]) == cli.EXIT_DIVERGED
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == metrics.CSV_HEADER
+    assert [line.split(",")[1] for line in lines[1:]] == ["0", "0"]  # seed 0, rounds 0 and 1
+
+
+_PATHS = st.text(alphabet=string.ascii_letters + string.digits + "/._-%;#", min_size=1, max_size=20)
+_POSITIVE = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    clients = draw(st.integers(1, 50))
+    epsilon = draw(st.none() | _POSITIVE)
+    source = draw(st.sampled_from(["synthetic", "csv"]))
+    cfg = RunConfig(
+        strategy=draw(st.sampled_from(tuple(federation.STRATEGIES))),
+        svd_period=draw(st.integers(1, 100)),
+        clients=clients,
+        participants=draw(st.integers(1, clients)),
+        rounds=draw(st.integers(0, 1000)),
+        local_steps=draw(st.integers(1, 100)),
+        learning_rate=draw(_POSITIVE),
+        batch_size=draw(st.integers(1, 512)),
+        transmit_a=draw(st.booleans()),
+        layers=draw(st.sampled_from([1, 2])),
+        hidden_dim=draw(st.integers(1, 256)),
+        rank=draw(st.integers(1, 64)),
+        lora_alpha=draw(_POSITIVE),
+        pretrain_backbone=draw(st.booleans()),
+        pretrain_steps=draw(st.integers(0, 1000)),
+        pretrain_lr=draw(_POSITIVE),
+        source=source,
+        classes=draw(st.integers(2, 20)),
+        feature_dim=draw(st.integers(1, 256)),
+        train_size=draw(st.integers(1, 10**6)),
+        margin=draw(st.floats(0.0, 100.0)),
+        dirichlet_alpha=draw(_POSITIVE),
+        csv_path=draw(_PATHS) if source == "csv" else draw(st.just("") | _PATHS),
+        epsilon=epsilon,
+        delta=draw(st.floats(1e-12, 0.999)),
+        clip_norm=draw(_POSITIVE),
+        noise_multiplier=None if epsilon is not None else draw(st.none() | st.floats(0.0, 100.0)),
+        metrics_path=draw(_PATHS),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=6))),
+        threads=draw(st.integers(1, 16)),
+        record_timing=draw(st.booleans()),
+    )
+    cfg.validate()
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_config_dump_parse_and_overrides_round_trip_generated_configs(cfg):
+    assert config.parse(config.dump(cfg)) == cfg
+    overrides = [f"{key}={config._format_value(key, getattr(cfg, key))}" for key in config._KEY_SECTION]
+    assert config.apply_overrides(RunConfig(), overrides) == cfg

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsvd import data, model
 from fedsvd.data import Dataset, PartitionSpec
@@ -97,6 +99,31 @@ def test_partition_disjoint_cover():
     key = np.lexsort(all_rows.T)
     key0 = np.lexsort(ds.features.T)
     np.testing.assert_array_equal(all_rows[key], ds.features[key0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    clients=st.integers(1, 12),
+    class_sizes=st.lists(st.integers(0, 40), min_size=2, max_size=6),
+    alpha=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_partition_cells_disjoint_and_covering_generated(clients, class_sizes, alpha, seed):
+    # every class holds at least `clients` examples; feature 0 is the row id
+    labels = np.repeat(np.arange(len(class_sizes)), [clients + s for s in class_sizes])
+    labels = np.random.default_rng(seed).permutation(labels)
+    ds = Dataset(
+        features=np.arange(len(labels), dtype=np.float64)[:, None],
+        labels=labels,
+        class_count=len(class_sizes),
+    )
+    parts = data.partition_dirichlet(ds, PartitionSpec(alpha=alpha, clients=clients, seed=seed))
+    assert len(parts) == clients
+    assert all(len(p) >= 1 for p in parts)
+    ids = np.concatenate([p.features[:, 0] for p in parts]).astype(np.int64)
+    np.testing.assert_array_equal(np.sort(ids), np.arange(len(ds)))  # disjoint and covering
+    for p in parts:
+        np.testing.assert_array_equal(p.labels, ds.labels[p.features[:, 0].astype(np.int64)])
 
 
 def test_partition_matches_drawn_proportions():

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from helpers import small_config
@@ -531,3 +534,131 @@ def test_every_strategy_entry_flags_labels_and_round_zero_state():
         for layer, w0 in zip(server.layers, base):
             assert layer.a_frozen is not trains_a, kind
             assert linalg.rel_frobenius_error(lora.effective_weight(layer), w0) <= 1e-12, kind
+
+
+# --- the per-process backbone memo ---
+
+
+@pytest.fixture(autouse=True)
+def empty_backbone_memo():
+    federation._BACKBONES.clear()
+    yield
+    federation._BACKBONES.clear()
+
+
+@pytest.fixture
+def count_fits(monkeypatch):
+    """Wrap model.fit_dense_weights; returns the list of its calls' dims."""
+    calls = []
+    real = model.fit_dense_weights
+
+    def counting(x, y, dims, *args, **kwargs):
+        calls.append(list(dims))
+        return real(x, y, dims, *args, **kwargs)
+
+    monkeypatch.setattr(model, "fit_dense_weights", counting)
+    return calls
+
+
+def test_memoized_backbone_rows_equal_a_direct_fit(monkeypatch):
+    cfg = small_config(strategy="fedsvd", rounds=2, epsilon=4.0, layers=2, hidden_dim=5)
+    cold = federation.run_experiment(cfg, seed=3, record_timing=False)
+    warm = federation.run_experiment(cfg, seed=3, record_timing=False)
+
+    def direct(cfg, pretrain, dims, class_count, seed):
+        return model.fit_dense_weights(
+            pretrain.features, pretrain.labels, dims, class_count,
+            steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=federation.stream(seed, 0xB0),
+        )
+
+    monkeypatch.setattr(federation, "_backbone", direct)
+    fresh = federation.run_experiment(cfg, seed=3, record_timing=False)
+    assert cold == warm == fresh
+
+
+def test_backbone_fitted_once_per_seed_across_strategies(count_fits):
+    for kind in ("fedsvd", "ffa_lora", "fedavg"):
+        federation.run_experiment(small_config(strategy=kind, rounds=1), seed=0, record_timing=False)
+    assert len(count_fits) == 1
+    # settings the fit does not read share it
+    federation.run_experiment(small_config(rounds=2, svd_period=2, epsilon=3.0), seed=0, record_timing=False)
+    assert len(count_fits) == 1
+    # each field the fit reads refits: the seed (here on the same data),
+    # pretrain_steps, pretrain_lr and hidden_dim
+    cfg = small_config()
+    pre, fine, _ = federation._build_datasets(cfg, seed=0)
+    federation._backbone(cfg, pre, [fine.feature_dim], fine.class_count, seed=0)
+    assert len(count_fits) == 1
+    federation._backbone(cfg, pre, [fine.feature_dim], fine.class_count, seed=1)
+    assert len(count_fits) == 2
+    federation.run_experiment(small_config(rounds=1, pretrain_steps=30), seed=0, record_timing=False)
+    assert len(count_fits) == 3
+    federation.run_experiment(small_config(rounds=1, pretrain_lr=0.2), seed=0, record_timing=False)
+    assert len(count_fits) == 4
+    federation.run_experiment(small_config(rounds=1, layers=2, hidden_dim=4), seed=0, record_timing=False)
+    federation.run_experiment(small_config(rounds=1, layers=2, hidden_dim=5), seed=0, record_timing=False)
+    assert count_fits[-2:] == [[8, 4], [8, 5]]
+
+
+def test_cached_backbone_is_read_only():
+    cfg = small_config()
+    pre, fine, _ = federation._build_datasets(cfg, seed=0)
+    weights = federation._backbone(cfg, pre, [fine.feature_dim], fine.class_count, seed=0)
+    again = federation._backbone(cfg, pre, [fine.feature_dim], fine.class_count, seed=0)
+    assert all(w is v for w, v in zip(weights, again))
+    with pytest.raises(ValueError):
+        weights[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        weights[0] += 1.0
+
+
+def test_rewritten_csv_source_is_refitted(tmp_path, count_fits):
+    path = tmp_path / "table.csv"
+    cfg = small_config(source="csv", csv_path=str(path), rounds=1)
+    first, _, _ = data.gen_synthetic(3, 8, 240, 3.0, seed=0)
+    data.save_csv(first, path)
+    rows1 = federation.run_experiment(cfg, seed=0, record_timing=False)
+    federation.run_experiment(cfg, seed=0, record_timing=False)
+    assert len(count_fits) == 1
+    second, _, _ = data.gen_synthetic(3, 8, 240, 3.0, seed=1)
+    data.save_csv(second, path)
+    rows2 = federation.run_experiment(cfg, seed=0, record_timing=False)
+    assert len(count_fits) == 2
+    assert rows1 != rows2
+
+
+# --- divergence is reported by name ---
+
+
+@pytest.mark.parametrize("kind, label", [("fedsvd", "fedsvd_p1"), ("fedavg", "fedavg")])
+def test_divergence_names_strategy_round_client_and_layer(kind, label):
+    # lr = 1e300: fedavg's adapters turn nan; fedsvd's b stays finite entry by
+    # entry but its norm overflows, which used to reset b to zero every round
+    cfg = small_config(strategy=kind, learning_rate=1e300, epsilon=6.0)
+    with np.errstate(all="ignore"), pytest.raises(federation.DivergenceError) as info:
+        federation.run_experiment(cfg, seed=0, record_timing=False)
+    assert re.fullmatch(
+        rf"{label} diverged in round 1 \(client \d\): layer 0 [ab] has a non-finite norm",
+        str(info.value),
+    )
+
+
+def test_divergence_in_the_aggregate_names_it(monkeypatch):
+    real = federation.aggregate
+
+    def overflowing(updates, server):
+        out = real(updates, server)
+        layer = out.layers[-1]
+        w0 = layer.w0.copy()
+        w0[0, 0] = np.inf
+        return dataclasses.replace(
+            out, layers=[*out.layers[:-1], dataclasses.replace(layer, w0=w0)]
+        )
+
+    monkeypatch.setattr(federation, "aggregate", overflowing)
+    cfg = small_config(strategy="flora", layers=2, hidden_dim=4)  # flora ships w0
+    with pytest.raises(
+        federation.DivergenceError,
+        match=r"^flora diverged in round 1 \(aggregate\): layer 1 w0 has a non-finite norm$",
+    ):
+        federation.run_experiment(cfg, seed=0, record_timing=False)
