@@ -101,15 +101,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"steps must be >= 1, got {args.steps}")
     sigma = privacy.calibrate_sigma(args.epsilon, args.delta, args.q, args.steps)
-    acct = privacy.RdpAccountant.for_mechanism(args.q, sigma)
-    acct.advance(args.steps)
-    eps, best = privacy.rdp_to_epsilon(acct, args.delta)
+    orders = np.asarray(privacy.DEFAULT_ORDERS, dtype=np.float64)
+    total = args.steps * privacy.rdp_subsampled_gaussian(args.q, sigma, orders)
+    eps, best = privacy.epsilon_from_rdp(orders, total, args.delta)
     print(f"sigma = {sigma:.6f}")
     print(f"spent epsilon = {eps:.6f} (target {args.epsilon}), best order = {best:g}")
     print("order,epsilon")
-    total = acct.total_rdp()
-    for order, rdp in zip(acct.orders, total):
+    for order, rdp in zip(orders, total):
         print(f"{order:g},{rdp + np.log(1.0 / args.delta) / (order - 1.0):.6f}")
     return EXIT_OK
 
@@ -127,7 +128,7 @@ def cmd_partition_stats(args) -> int:
     print("client,n,q," + ",".join(f"class_{c}" for c in range(finetune.class_count)))
     for k, part in enumerate(parts):
         hist = np.bincount(part.labels, minlength=finetune.class_count)
-        q = min(1.0, cfg.batch_size / len(part))
+        q = federation.sampling_rate(cfg, part)
         print(f"{k},{len(part)},{q:.4f}," + ",".join(str(int(h)) for h in hist))
     return EXIT_OK
 

@@ -77,6 +77,10 @@ class RunConfig:
             problems.append(f"source must be synthetic or csv, got {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             problems.append("csv_path required when source = csv")
+        for key in ("csv_path", "metrics_path"):
+            path = getattr(self, key)
+            if path != path.strip():
+                problems.append(f"{key} must not start or end with whitespace, got {path!r}")
         if self.source == "synthetic":
             if self.classes < 2:
                 problems.append(f"classes must be >= 2, got {self.classes}")

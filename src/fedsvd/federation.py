@@ -143,13 +143,16 @@ class Strategy:
         return self.kind
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientHandle:
+    """One client's shard, schedule and Gaussian mechanism; with privacy,
+    `steps` steps spend steps * rdp_per_step (at privacy.DEFAULT_ORDERS)."""
+
     client_id: int
     dataset: data_mod.Dataset
     local_steps: int
     privacy_cfg: privacy.PrivacyConfig | None
-    accountant: privacy.RdpAccountant | None
+    rdp_per_step: np.ndarray | None
     sample_rate: float
 
 
@@ -204,8 +207,9 @@ def local_train(
 
     Each step Poisson-samples a batch at the client's sample rate and applies
     one dp_sgd_step_factored to the factored per-example adapter gradients.
-    An empty Poisson draw skips the update but still consumes an accountant
-    step. Frozen matrices are returned byte-identical.
+    An empty Poisson draw skips the update; the privacy spend counts every
+    scheduled step all the same (see _budget_epsilon). Frozen matrices are
+    returned byte-identical, and the client is not modified.
     """
     trainable = model.trainable_params(Classifier(layers=list(layers), class_count=layers[-1].d_out))
     params = model.adapter_params(layers)
@@ -213,8 +217,6 @@ def local_train(
     n = len(feats)
     q = client.sample_rate
     for _step in range(client.local_steps):
-        if client.accountant is not None:
-            client.accountant.advance(1)
         mask = rng.random(n) < q
         if not mask.any():
             continue
@@ -358,8 +360,7 @@ def _check_finite(strategy: Strategy, rnd: int, where: str, layers: list[tuple])
 
     `layers` holds one (a, b, w0) triple per layer; a None is not checked.
     The squared norm also overflows when the entries are finite but the
-    norm exceeds about 1e154, which fedsvd's degeneracy test would read as
-    a zero product and answer by resetting b.
+    norm exceeds about 1e154; such a state counts as diverged too.
     """
     for idx, mats in enumerate(layers):
         for name, m in zip(("a", "b", "w0"), mats):
@@ -380,24 +381,27 @@ def _budget_epsilon(clients: list[ClientHandle], rounds_done: int, delta: float)
     private = [c for c in clients if c.privacy_cfg is not None]
     if not private:
         return None
-    worst = 0.0
-    for c in private:
-        steps = rounds_done * c.local_steps
-        if steps == 0:
-            continue
-        rdp = steps * c.accountant.rdp_per_step
-        eps, _ = privacy.epsilon_from_rdp(c.accountant.orders, rdp, delta)
-        worst = max(worst, eps)
-    return worst
+    if rounds_done == 0:
+        return 0.0
+    return max(
+        privacy.epsilon_from_rdp(
+            privacy.DEFAULT_ORDERS, rounds_done * c.local_steps * c.rdp_per_step, delta
+        )[0]
+        for c in private
+    )
+
+
+def sampling_rate(cfg: RunConfig, shard: data_mod.Dataset) -> float:
+    """Poisson sampling rate q = batch_size / n_k of a client's shard, at most 1."""
+    return min(1.0, cfg.batch_size / len(shard))
 
 
 def build_clients(cfg: RunConfig, parts: list[data_mod.Dataset]) -> list[ClientHandle]:
     total_steps = max(1, cfg.rounds * cfg.local_steps)
     clients = []
     for k, part in enumerate(parts):
-        q = min(1.0, cfg.batch_size / len(part))
-        pcfg = None
-        acct = None
+        q = sampling_rate(cfg, part)
+        pcfg = rdp = None
         if cfg.private:
             if cfg.noise_multiplier is not None:
                 sigma = cfg.noise_multiplier
@@ -408,25 +412,12 @@ def build_clients(cfg: RunConfig, parts: list[data_mod.Dataset]) -> list[ClientH
                     raise privacy.CalibrationError(
                         f"client {k} (shard of {len(part)} examples, q={q}): {exc}"
                     ) from exc
-            pcfg = privacy.PrivacyConfig(
-                delta=cfg.delta,
-                clip_norm=cfg.clip_norm,
-                sigma=sigma,
-                sample_rate=q,
-                total_steps=total_steps,
-                epsilon_target=cfg.epsilon,
-            )
-            acct = privacy.RdpAccountant.for_mechanism(q, sigma)
-        clients.append(
-            ClientHandle(
-                client_id=k,
-                dataset=part,
-                local_steps=cfg.local_steps,
-                privacy_cfg=pcfg,
-                accountant=acct,
-                sample_rate=q,
-            )
-        )
+            pcfg = privacy.PrivacyConfig(clip_norm=cfg.clip_norm, sigma=sigma)
+            rdp = privacy.rdp_subsampled_gaussian(q, sigma)
+        clients.append(ClientHandle(
+            client_id=k, dataset=part, local_steps=cfg.local_steps,
+            privacy_cfg=pcfg, rdp_per_step=rdp, sample_rate=q,
+        ))
     return clients
 
 

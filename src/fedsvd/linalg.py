@@ -149,8 +149,14 @@ def eig_sym(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def frobenius(m) -> float:
+    """Frobenius norm, rescaled by the largest entry if the squares overflow."""
     a = np.asarray(m, dtype=np.float64)
-    return math.sqrt(float(np.sum(a * a)))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(a * a))
+    if total == math.inf and np.isfinite(a).all():
+        scale = float(np.max(np.abs(a)))
+        return scale * math.sqrt(float(np.sum((a / scale) ** 2)))
+    return math.sqrt(total)
 
 
 def rel_frobenius_error(actual, expected) -> float:

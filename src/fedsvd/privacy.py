@@ -1,11 +1,12 @@
-"""DP-SGD primitive (clip + noise + step) and Renyi-DP accountant.
+"""DP-SGD primitive (clip + noise + step) and Renyi-DP accounting.
 
 Privacy is applied client-side: each per-example gradient is clipped to a
 global norm bound C across all of that example's trainable matrices, the
 clipped gradients are summed, a single Gaussian draw N(0, sigma^2 C^2) per
-parameter tensor is added, and the result is averaged over the batch. The
-accountant composes the RDP of the Poisson-subsampled Gaussian mechanism at
-integer orders and converts to (epsilon, delta) at the end.
+parameter tensor is added, and the result is averaged over the batch. One
+step of this Poisson-subsampled Gaussian mechanism has a fixed RDP at each
+integer order, so `steps` steps spend `steps * rdp_per_step`, converted to
+(epsilon, delta) by epsilon_from_rdp.
 """
 
 from __future__ import annotations
@@ -30,33 +31,17 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PrivacyConfig:
-    """Privacy parameters of one client's local optimizer.
+    """The Gaussian mechanism of one client's local optimizer: clip norm C and
+    noise multiplier sigma."""
 
-    epsilon_target is None when sigma was given explicitly instead of being
-    calibrated. total_steps is the full per-client schedule R * tau used for
-    calibration, independent of how many rounds the client is sampled into.
-    """
-
-    delta: float
     clip_norm: float
     sigma: float
-    sample_rate: float
-    total_steps: int
-    epsilon_target: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.clip_norm <= 0.0:
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if not (0.0 < self.sample_rate <= 1.0):
-            raise ValueError(f"sample_rate must be in (0, 1], got {self.sample_rate}")
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
-        if self.epsilon_target is not None and self.epsilon_target <= 0.0:
-            raise ValueError(f"epsilon_target must be positive, got {self.epsilon_target}")
 
 
 def rdp_subsampled_gaussian(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
@@ -99,28 +84,6 @@ def rdp_subsampled_gaussian(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np
     return (np.log1p(rest) + np.log(count) + top) / (alphas - 1)
 
 
-@dataclass
-class RdpAccountant:
-    """Additive RDP ledger for repeated subsampled-Gaussian steps."""
-
-    orders: np.ndarray
-    rdp_per_step: np.ndarray
-    steps_accumulated: int = 0
-
-    @classmethod
-    def for_mechanism(cls, q: float, sigma: float, orders=DEFAULT_ORDERS) -> "RdpAccountant":
-        orders_arr = np.asarray(orders, dtype=np.float64)
-        return cls(orders=orders_arr, rdp_per_step=rdp_subsampled_gaussian(q, sigma, orders))
-
-    def advance(self, steps: int = 1) -> None:
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
-        self.steps_accumulated += steps
-
-    def total_rdp(self) -> np.ndarray:
-        return self.steps_accumulated * self.rdp_per_step
-
-
 def epsilon_from_rdp(orders, rdp_total, delta: float) -> tuple[float, float]:
     """Optimal (epsilon, order) for the standard RDP -> (eps, delta) conversion."""
     if not (0.0 < delta < 1.0):
@@ -130,13 +93,6 @@ def epsilon_from_rdp(orders, rdp_total, delta: float) -> tuple[float, float]:
     eps = rdp_total + math.log(1.0 / delta) / (orders - 1.0)
     best = int(np.argmin(eps))
     return float(eps[best]), float(orders[best])
-
-
-def rdp_to_epsilon(accountant: RdpAccountant, delta: float) -> tuple[float, float]:
-    """Spent epsilon of the accountant's composed steps, with the best order."""
-    if accountant.steps_accumulated < 1:
-        raise ValueError("accountant has no accumulated steps")
-    return epsilon_from_rdp(accountant.orders, accountant.total_rdp(), delta)
 
 
 def spent_epsilon(q: float, sigma: float, steps: int, delta: float, orders=DEFAULT_ORDERS) -> float:

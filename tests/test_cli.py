@@ -186,6 +186,87 @@ def test_cmd_calibrate(capsys):
     assert "sigma" in out and "spent epsilon" in out
 
 
+# `calibrate --epsilon 6 --delta 1e-5 --q 0.02 --steps 200`, pinned byte for byte
+CALIBRATE_GOLDEN = """\
+sigma = 0.732110
+spent epsilon = 5.979292 (target 6.0), best order = 4
+order,epsilon
+2,11.949297
+3,6.609907
+4,5.979292
+5,23.271543
+6,184.407496
+7,395.278537
+8,600.069968
+9,800.387896
+10,997.663905
+11,1192.801155
+12,1386.381448
+13,1578.793783
+14,1770.307653
+15,1961.115579
+16,2151.358750
+17,2341.143057
+18,2530.549475
+19,2719.640987
+20,2908.467315
+21,3097.068235
+22,3285.475950
+23,3473.716804
+24,3661.812564
+25,3849.781365
+26,4037.638442
+27,4225.396688
+28,4413.067082
+29,4600.659038
+30,4788.180670
+31,4975.639011
+32,5163.040185
+33,5350.389551
+34,5537.691820
+35,5724.951148
+36,5912.171214
+37,6099.355291
+38,6286.506296
+39,6473.626842
+40,6660.719269
+41,6847.785689
+42,7034.828003
+43,7221.847933
+44,7408.847042
+45,7595.826748
+46,7782.788345
+47,7969.733015
+48,8156.661837
+49,8343.575802
+50,8530.475820
+51,8717.362728
+52,8904.237297
+53,9091.100238
+54,9277.952210
+55,9464.793822
+56,9651.625640
+57,9838.448188
+58,10025.261953
+59,10212.067391
+60,10398.864924
+61,10585.654948
+62,10772.437832
+63,10959.213922
+64,11145.983541
+128,23092.774422
+256,46977.070366
+"""
+
+
+def test_cmd_calibrate_stdout_pinned(capsys):
+    rc = cli.main([
+        "calibrate", "--epsilon", "6", "--delta", "1e-5", "--q", "0.02", "--steps", "200",
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out == CALIBRATE_GOLDEN
+
+
 def test_cmd_calibrate_monotone_in_epsilon(capsys):
     def sigma_for(eps):
         cli.main(["calibrate", "--epsilon", str(eps), "--delta", "1e-5", "--q", "0.05", "--steps", "1000"])
@@ -198,6 +279,36 @@ def test_cmd_calibrate_monotone_in_epsilon(capsys):
 def test_cmd_calibrate_rejects_bad_delta():
     rc = cli.main(["calibrate", "--epsilon", "6", "--delta", "0", "--q", "0.02", "--steps", "100"])
     assert rc == cli.EXIT_CONFIG
+
+
+def test_config_rejects_paths_with_outer_whitespace():
+    # configparser strips values, so such a path would not survive dump -> parse
+    for key in ("csv_path", "metrics_path"):
+        for path in (" x.csv", "x.csv ", "\tx.csv", "x.csv\n"):
+            cfg = config.parse(SMALL_INI)
+            setattr(cfg, key, path)
+            with pytest.raises(ConfigError, match=key):
+                cfg.validate()
+        cfg = config.parse(SMALL_INI)
+        setattr(cfg, key, "my runs/x.csv")  # interior whitespace is kept
+        cfg.validate()
+        assert getattr(config.parse(config.dump(cfg)), key) == "my runs/x.csv"
+
+
+def test_cmd_run_rejects_output_with_outer_whitespace(tmp_path, capsys, monkeypatch):
+    cfg_path = write_cfg(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["--output", " x.csv", "run", cfg_path])
+    assert rc == cli.EXIT_CONFIG
+    assert "metrics_path" in capsys.readouterr().err
+    assert not (tmp_path / " x.csv").exists() and not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_cmd_calibrate_rejects_nonpositive_steps(capsys, steps):
+    rc = cli.main(["calibrate", "--epsilon", "6", "--delta", "1e-5", "--q", "0.02", "--steps", steps])
+    assert rc == cli.EXIT_CONFIG
+    assert "steps must be >= 1" in capsys.readouterr().err
 
 
 def test_cmd_partition_stats(tmp_path, capsys):
@@ -248,7 +359,9 @@ def test_cmd_run_divergence_keeps_finished_seeds(tmp_path, monkeypatch):
     assert [line.split(",")[1] for line in lines[1:]] == ["0", "0"]  # seed 0, rounds 0 and 1
 
 
-_PATHS = st.text(alphabet=string.ascii_letters + string.digits + "/._-%;#", min_size=1, max_size=20)
+_PATHS = st.text(
+    alphabet=string.ascii_letters + string.digits + "/._-%;# ", min_size=1, max_size=20
+).filter(lambda p: p == p.strip())  # outer whitespace is a config error
 _POSITIVE = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 

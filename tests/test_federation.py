@@ -16,16 +16,11 @@ def make_client(n=40, seed=0, tau=2, private=False, q=0.5):
         labels=rng.permutation(np.arange(n) % 3),
         class_count=3,
     )
-    pcfg = None
-    acct = None
-    if private:
-        pcfg = privacy.PrivacyConfig(
-            delta=1e-5, clip_norm=2.0, sigma=1.0, sample_rate=q, total_steps=max(1, tau)
-        )
-        acct = privacy.RdpAccountant.for_mechanism(q, 1.0)
+    pcfg = privacy.PrivacyConfig(clip_norm=2.0, sigma=1.0) if private else None
+    rdp = privacy.rdp_subsampled_gaussian(q, 1.0) if private else None
     return ClientHandle(
         client_id=0, dataset=ds, local_steps=tau, privacy_cfg=pcfg,
-        accountant=acct, sample_rate=q,
+        rdp_per_step=rdp, sample_rate=q,
     )
 
 
@@ -64,20 +59,61 @@ def test_local_train_zero_steps_changes_nothing():
     layers = make_layers(a_frozen=True)
     before = [(l.a.tobytes(), l.b.tobytes()) for l in layers]
     update = federation.local_train(client, layers, lr=0.5, rng=np.random.default_rng(0))
-    assert client.accountant.steps_accumulated == 0
     a, b = update.adapters[0]
     assert a.tobytes() == before[0][0]
     assert b.tobytes() == before[0][1]
 
 
-def test_local_train_advances_accountant_even_on_empty_draws():
+def test_local_train_empty_draws_leave_adapters_unchanged():
     client = make_client(tau=5, private=True, q=1e-12)  # batches will be empty
     update = federation.local_train(
         client, make_layers(a_frozen=True), lr=0.5, rng=np.random.default_rng(0)
     )
-    assert client.accountant.steps_accumulated == 5
     a, b = update.adapters[0]
     assert b.tobytes() == make_layers(a_frozen=True)[0].b.tobytes()
+
+
+def client_state(client):
+    return (
+        client.client_id, client.local_steps, client.privacy_cfg, client.sample_rate,
+        client.rdp_per_step.tobytes(), client.dataset.features.tobytes(),
+        client.dataset.labels.tobytes(), client.dataset.class_count,
+    )
+
+
+def test_local_train_leaves_client_unchanged():
+    client = make_client(tau=6, private=True, q=0.3)
+    before = client_state(client)
+    federation.local_train(client, make_layers(), lr=0.5, rng=np.random.default_rng(1))
+    assert client_state(client) == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        client.local_steps = 7
+
+
+@pytest.mark.parametrize("privacy_kw", [{"epsilon": 6.0}, {"noise_multiplier": 1.3}])
+def test_epsilon_spent_is_worst_client_schedule_every_round(privacy_kw):
+    cfg = small_config(strategy="fedsvd", rounds=3, **privacy_kw)
+    rows = federation.run_experiment(cfg, 0, record_timing=False)
+    _, finetune, _ = federation._build_datasets(cfg, 0)
+    parts = data.partition_dirichlet(
+        finetune, data.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=0)
+    )
+    qs = [min(1.0, cfg.batch_size / len(part)) for part in parts]
+    if cfg.epsilon is None:
+        sigmas = [cfg.noise_multiplier] * len(qs)
+    else:
+        sigmas = [
+            privacy.calibrate_sigma(cfg.epsilon, cfg.delta, q, cfg.rounds * cfg.local_steps)
+            for q in qs
+        ]
+    assert rows[0].epsilon_spent == 0.0
+    for r, row in enumerate(rows[1:], start=1):
+        steps = r * cfg.local_steps
+        assert row.epsilon_spent == max(
+            privacy.spent_epsilon(q, sigma, steps, cfg.delta) for q, sigma in zip(qs, sigmas)
+        )
+    if cfg.epsilon is not None:
+        assert 0.99 * cfg.epsilon < rows[-1].epsilon_spent <= cfg.epsilon
 
 
 def test_local_train_frozen_a_returned_byte_identical():
@@ -103,7 +139,7 @@ def test_local_train_loss_nonincreasing_convex_case():
     )
     client = ClientHandle(
         client_id=0, dataset=ds, local_steps=1, privacy_cfg=None,
-        accountant=None, sample_rate=1.0,
+        rdp_per_step=None, sample_rate=1.0,
     )
     layers = make_layers(seed=1, d=3, c=3, r=2, a_frozen=True)
     losses = []
@@ -169,8 +205,6 @@ def test_local_train_pinned_to_per_example_reference(a_frozen):
 
     run_rng = np.random.default_rng(9)
     got = federation.local_train(client, layers, lr=0.5, rng=run_rng)
-    # the accountant advances on every draw, empty ones included
-    assert client.accountant.steps_accumulated == client.local_steps
     # both consumed the same stream: no noise was drawn for the empty draws
     assert run_rng.random() == ref_rng.random()
     for idx, layer in enumerate(want):

@@ -1,3 +1,4 @@
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -214,6 +215,16 @@ def test_condition_number_scale_invariance():
 
 
 # --- eig_sym ---
+
+
+def test_frobenius_scales_only_when_squares_overflow():
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((5, 4))
+    assert linalg.frobenius(m) == math.sqrt(float(np.sum(m * m)))  # bit for bit
+    for scale in (1e155, 1e160, 1e300):
+        assert abs(linalg.frobenius(scale * m) / scale - linalg.frobenius(m)) <= 1e-14 * linalg.frobenius(m)
+    assert linalg.frobenius(np.array([[np.inf, 1.0]])) == math.inf
+    assert math.isnan(linalg.frobenius(np.array([[np.nan, 1e200]])))
 
 
 def test_eig_sym_identity():

@@ -46,6 +46,20 @@ def test_fedsvd_reparam_zero_b_keeps_basis():
     np.testing.assert_array_equal(a_hat, a_prev)
 
 
+def test_fedsvd_reparam_huge_b_is_not_degenerate():
+    # |b|_F is about 1e161: its plain sum of squares overflows, which must not
+    # read as a zero product and reset b
+    rng = np.random.default_rng(3)
+    b = 1e160 * rng.standard_normal((6, 3))
+    a_prev, _ = lora.orthonormal_init(6, 9, 3, rng)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.sum(b * b))
+    assert np.isfinite(linalg.frobenius(b))
+    b_hat, a_hat = lora.fedsvd_reparam(b, a_prev)
+    assert linalg.rel_frobenius_error((b_hat @ a_hat) / 1e160, (b / 1e160) @ a_prev) < 1e-12
+    assert np.max(np.abs(a_hat @ a_hat.T - np.eye(3))) < 1e-10
+
+
 def test_fedsvd_reparam_idempotent_up_to_sign():
     rng = np.random.default_rng(4)
     q_u, _ = linalg.qr_thin(rng.standard_normal((7, 3)))

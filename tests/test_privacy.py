@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -29,8 +30,8 @@ def oracle_rdp_subsampled(q, sigma, alpha, prec=256):
 def loop_rdp_subsampled_gaussian(q, sigma, orders=privacy.DEFAULT_ORDERS):
     """Per-order loop evaluation of the subsampled-Gaussian RDP.
 
-    The accountant's former implementation, kept as the reference for the
-    vectorized one: the same log-space binomial terms, one logsumexp per order.
+    The former implementation of rdp_subsampled_gaussian, kept as the
+    reference for the vectorized one: the same log-space binomial terms, one logsumexp per order.
     """
     alphas = np.asarray(orders, dtype=np.float64)
     if q == 1.0:
@@ -156,17 +157,12 @@ def test_rdp_sigma_zero_signalled():
         privacy.rdp_subsampled_gaussian(0.5, 1.0, [1])
 
 
-def test_rdp_to_epsilon_requires_steps():
-    acct = privacy.RdpAccountant.for_mechanism(0.1, 1.0)
-    with pytest.raises(ValueError):
-        privacy.rdp_to_epsilon(acct, 1e-5)
-
-
-def test_rdp_to_epsilon_single_gaussian_step_exhaustive_scan():
+def test_epsilon_from_rdp_single_gaussian_step_exhaustive_scan():
     # eps = min_alpha(alpha / 50 + log(1e5) / (alpha - 1)) for q=1, sigma=5.
-    acct = privacy.RdpAccountant.for_mechanism(1.0, 5.0, orders=range(2, 513))
-    acct.advance(1)
-    eps, best = privacy.rdp_to_epsilon(acct, 1e-5)
+    orders = range(2, 513)
+    eps, best = privacy.epsilon_from_rdp(
+        orders, privacy.rdp_subsampled_gaussian(1.0, 5.0, orders), 1e-5
+    )
     alphas = np.arange(2, 513, dtype=float)
     scan = alphas / 50.0 + math.log(1e5) / (alphas - 1.0)
     assert abs(eps - scan.min()) < 1e-12
@@ -174,11 +170,8 @@ def test_rdp_to_epsilon_single_gaussian_step_exhaustive_scan():
 
 
 def test_epsilon_monotone_in_steps():
-    acct = privacy.RdpAccountant.for_mechanism(0.05, 1.0)
-    acct.advance(100)
-    e1, _ = privacy.rdp_to_epsilon(acct, 1e-5)
-    acct.advance(100)
-    e2, _ = privacy.rdp_to_epsilon(acct, 1e-5)
+    e1 = privacy.spent_epsilon(0.05, 1.0, 100, 1e-5)
+    e2 = privacy.spent_epsilon(0.05, 1.0, 200, 1e-5)
     assert e2 > e1
 
 
@@ -272,10 +265,8 @@ def test_clip_gradient_global_across_matrices():
     np.testing.assert_allclose(out["a"], [[0.6]])
 
 
-def make_cfg(sigma, clip, q=0.1, steps=10):
-    return privacy.PrivacyConfig(
-        delta=1e-5, clip_norm=clip, sigma=sigma, sample_rate=q, total_steps=steps
-    )
+def make_cfg(sigma, clip):
+    return privacy.PrivacyConfig(clip_norm=clip, sigma=sigma)
 
 
 def test_dp_sgd_step_degenerate_equals_vanilla_sgd():
@@ -428,6 +419,5 @@ def test_privacy_config_validation():
     with pytest.raises(ValueError):
         make_cfg(-1.0, 2.0)
     with pytest.raises(ValueError):
-        privacy.PrivacyConfig(delta=0.0, clip_norm=1.0, sigma=1.0, sample_rate=0.5, total_steps=1)
-    with pytest.raises(ValueError):
-        privacy.PrivacyConfig(delta=1e-5, clip_norm=1.0, sigma=1.0, sample_rate=1.5, total_steps=1)
+        make_cfg(1.0, 0.0)
+    assert [f.name for f in dataclasses.fields(privacy.PrivacyConfig)] == ["clip_norm", "sigma"]
