@@ -7,9 +7,10 @@ entry in STRATEGIES selects what is trained, how the adapters start and how
 the aggregate is post-processed (periodic SVD refactorization, base-weight
 absorption, residual correction, ...).
 
-Clients are independent: every client derives its own RNG stream from
-(master_seed, round, client_id), so results do not depend on the order in
-which clients train.
+The sampled clients of a round train together on a stacked client axis
+(train_clients), each on its own RNG stream from (master_seed, round,
+client_id), so results do not depend, beyond rounding, on how clients are
+grouped or ordered.
 """
 
 from __future__ import annotations
@@ -183,17 +184,56 @@ def sample_clients(total: int, count: int, rng: np.random.Generator) -> list[int
 
 
 def broadcast_layers(server: ServerState) -> list[LoraLayer]:
-    """Fresh per-client copy of the global layers with freeze flags applied."""
+    """Fresh copy of the global adapters with freeze flags applied; w0 is
+    shared, as training never writes it and every merge builds a new one."""
     a_frozen = not server.strategy.trains_a
     return [
-        replace(
-            layer,
-            w0=layer.w0.copy(),
-            a=layer.a.copy(),
-            b=layer.b.copy(),
-            a_frozen=a_frozen,
-        )
+        replace(layer, a=layer.a.copy(), b=layer.b.copy(), a_frozen=a_frozen)
         for layer in server.layers
+    ]
+
+
+def train_clients(
+    clients: list[ClientHandle], layers: list[LoraLayer], lr: float, rngs: list[np.random.Generator]
+) -> list[ClientUpdate]:
+    """Run each client's local steps of (DP-)SGD from the same broadcast layers.
+
+    Each step runs one grad_factors and one dp_sgd_step_factored for all
+    clients, on (K, ...) adapters and Poisson batches padded to the largest.
+    Client k draws its batch, then its noise, from rngs[k] alone: its update
+    is its local_train result up to rounding. An empty draw (or finished
+    steps) skips the step and draws no noise; the privacy spend counts it
+    all the same (see _budget_epsilon). A frozen a is returned as is.
+    """
+    count = len(clients)
+    trainable = model.trainable_params(Classifier(layers=list(layers), class_count=layers[-1].d_out))
+    params = {
+        key: np.stack([value] * count) if key in trainable else value
+        for key, value in model.adapter_params(layers).items()
+    }
+    cfgs = [c.privacy_cfg for c in clients]
+    for step in range(max(c.local_steps for c in clients)):
+        picks = [
+            (rng.random(len(c.dataset)) < c.sample_rate).nonzero()[0]
+            if step < c.local_steps else np.empty(0, dtype=np.intp)
+            for c, rng in zip(clients, rngs)
+        ]
+        sizes = np.array([len(p) for p in picks])
+        if not sizes.any():
+            continue
+        x = np.zeros((count, sizes.max(), layers[0].d_in))
+        y = np.zeros(x.shape[:2], dtype=np.int64)
+        for k, (c, p) in enumerate(zip(clients, picks)):
+            c.dataset.features.take(p, axis=0, out=x[k, : len(p)])
+            c.dataset.labels.take(p, out=y[k, : len(p)])
+        factors = model.grad_factors(layers, params, x, y, trainable)
+        params = privacy.dp_sgd_step_factored(params, factors, trainable, cfgs, lr, rngs, sizes)
+    return [
+        ClientUpdate(c.client_id, len(c.dataset), {
+            idx: tuple(params[idx, m][k] if (idx, m) in trainable else params[idx, m] for m in "ab")
+            for idx in range(len(layers))
+        })
+        for k, c in enumerate(clients)
     ]
 
 
@@ -203,32 +243,13 @@ def local_train(
     lr: float,
     rng: np.random.Generator,
 ) -> ClientUpdate:
-    """Run the client's local steps of (DP-)SGD from the broadcast snapshot.
+    """Run one client's local steps of (DP-)SGD: train_clients on a stack of one.
 
     Each step Poisson-samples a batch at the client's sample rate and applies
-    one dp_sgd_step_factored to the factored per-example adapter gradients.
-    An empty Poisson draw skips the update; the privacy spend counts every
-    scheduled step all the same (see _budget_epsilon). Frozen matrices are
-    returned byte-identical, and the client is not modified.
+    one dp_sgd_step_factored to its factored per-example adapter gradients;
+    an empty draw skips the step. A frozen `a` comes back byte-identical.
     """
-    trainable = model.trainable_params(Classifier(layers=list(layers), class_count=layers[-1].d_out))
-    params = model.adapter_params(layers)
-    feats, labels = client.dataset.features, client.dataset.labels
-    n = len(feats)
-    q = client.sample_rate
-    for _step in range(client.local_steps):
-        mask = rng.random(n) < q
-        if not mask.any():
-            continue
-        factors = model.grad_factors(layers, params, feats[mask], labels[mask], trainable)
-        params = privacy.dp_sgd_step_factored(
-            params, factors, trainable, client.privacy_cfg, lr, rng
-        )
-    return ClientUpdate(
-        client_id=client.client_id,
-        n=n,
-        adapters={idx: (params[(idx, "a")], params[(idx, "b")]) for idx in range(len(layers))},
-    )
+    return train_clients([client], layers, lr, [rng])[0]
 
 
 def aggregate(updates: list[ClientUpdate], server: ServerState) -> ServerState:
@@ -431,8 +452,8 @@ def run_experiment(
 
     Row 0 evaluates the untouched global model; row i >= 1 evaluates the
     state after round i's aggregation. Deterministic in (cfg, seed).
-    Clients train one after another; `threads` is accepted for
-    compatibility and has no effect.
+    Participants train on one stacked client axis (train_clients);
+    `threads` is accepted for compatibility and has no effect.
 
     The pre-trained backbone depends on the data and the seed, not on the
     strategy: a process fits each seed's backbone once and reuses it
@@ -488,19 +509,17 @@ def run_experiment(
         sampled = sample_clients(
             cfg.clients, cfg.participants, stream(seed, _TAG_SAMPLE, rnd)
         )
-        updates = []
-        for cid in sampled:
-            update = local_train(
-                clients[cid],
-                broadcast_layers(server),
-                lr=cfg.learning_rate,
-                rng=stream(seed, _TAG_CLIENT, rnd, cid),
-            )
+        updates = train_clients(
+            [clients[cid] for cid in sampled],
+            broadcast_layers(server),
+            cfg.learning_rate,
+            [stream(seed, _TAG_CLIENT, rnd, cid) for cid in sampled],
+        )
+        for update in updates:  # sorted, so the first diverged client is named
             _check_finite(
-                strategy, rnd + 1, f"client {cid}",
+                strategy, rnd + 1, f"client {update.client_id}",
                 [(a, b, None) for a, b in update.adapters.values()],
             )
-            updates.append(update)
         server = aggregate(updates, server)
         _check_finite(
             strategy, rnd + 1, "aggregate",

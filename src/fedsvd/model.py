@@ -75,12 +75,13 @@ def _as_batch(data) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _forward(weights: list[np.ndarray], x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Tanh stack over dense weights: (the input of every layer, the logits)."""
+    """Tanh stack over dense weights: (the input of every layer, the logits).
+    (K, d_out, d_in) weights and (K, n, d_in) inputs run K stacks at once."""
     inputs = [x]
     for w in weights[:-1]:
-        z = inputs[-1] @ w.T
+        z = inputs[-1] @ w.mT
         inputs.append(np.tanh(z, out=z))
-    return inputs, inputs[-1] @ weights[-1].T
+    return inputs, inputs[-1] @ weights[-1].mT
 
 
 def forward_batch(model: Classifier, x: np.ndarray) -> np.ndarray:
@@ -129,9 +130,11 @@ def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], logits: np.nd
     Yields (idx, delta, h_in): the per-example cross-entropy gradient at
     layer idx's output and that layer's input. Keep weights unchanged until
     the walk ends: the next delta is formed from them after each yield.
+    Leading axes broadcast as in _forward; y has the shape of logits[..., 0].
     """
     delta = softmax(logits)  # d loss / d logits, per sample
-    delta[np.arange(len(y)), y] -= 1.0
+    rows = delta.reshape(-1, delta.shape[-1])
+    rows[np.arange(len(rows)), y.ravel()] -= 1.0
     for idx in range(len(weights) - 1, -1, -1):
         h_in = inputs[idx]
         yield idx, delta, h_in
@@ -149,6 +152,8 @@ def grad_factors(
     example n's gradient is the outer product U[n] (x) V[n]: for b, U = s delta
     and V = h a^T; for a, U = s delta b and V = h, with h the layer input and
     delta the loss gradient at the layer output.
+    With (K, ...) adapters (a frozen a may stay 2-D), (K, M, d) inputs and
+    (K, M) labels, the factors are (K, M, .), one slice per client.
     """
     weights = [
         layer.w0 + layer.scale * (params[(idx, "b")] @ params[(idx, "a")])
@@ -159,7 +164,7 @@ def grad_factors(
     for idx, delta, h_in in _backward(weights, inputs, logits, y):
         s = layers[idx].scale
         if (idx, "b") in trainable:
-            factors[(idx, "b")] = (s * delta, h_in @ params[(idx, "a")].T)
+            factors[(idx, "b")] = (s * delta, h_in @ params[(idx, "a")].mT)
         if (idx, "a") in trainable:
             factors[(idx, "a")] = (s * (delta @ params[(idx, "b")]), h_in)
     return factors

@@ -160,25 +160,6 @@ def clip_gradient(grad, clip_norm: float):
     return factor * np.asarray(grad, dtype=np.float64)
 
 
-def _clip_factors(sq_norms: np.ndarray, cfg: PrivacyConfig | None) -> np.ndarray:
-    """Per-example scale C / max(||g_n||, C) = min(1, C / ||g_n||); 1 without privacy."""
-    if cfg is None:
-        return np.ones(len(sq_norms))
-    return cfg.clip_norm / np.maximum(np.sqrt(sq_norms), cfg.clip_norm)
-
-
-def _noisy_update(params: dict, sums: dict, cfg: PrivacyConfig | None, lr: float, m: int, rng) -> dict:
-    """Add N(0, sigma^2 C^2) to each clipped sum in sorted key order, average, step."""
-    sigma = cfg.sigma if cfg is not None else 0.0
-    new_params = dict(params)
-    for key in sorted(sums):
-        total = sums[key]
-        if sigma > 0.0:
-            total = total + rng.normal(0.0, sigma * cfg.clip_norm, size=total.shape)
-        new_params[key] = params[key] - lr * (total / m)
-    return new_params
-
-
 def dp_sgd_step(
     params: dict,
     per_sample_grads: dict,
@@ -194,46 +175,52 @@ def dp_sgd_step(
     global norm bound, the clipped gradients are summed, one Gaussian draw
     N(0, sigma^2 C^2) per trainable tensor is added, and the total is divided
     by the batch size m. Only keys in `trainable` are updated; with sigma = 0
-    and no clipping active this reduces exactly to averaged SGD. Keys are
-    processed in sorted order so the noise stream is reproducible.
+    and no clipping active this reduces exactly to averaged SGD. Runs as
+    dp_sgd_step_factored, example n's gradient being g_n (flattened) (x) [1].
     """
     keys = sorted(trainable)
-    if not keys:
-        return dict(params)
-    m = per_sample_grads[keys[0]].shape[0]
-    if m == 0:
-        raise ValueError("empty batch")
-    sq_norms = sum(np.sum(per_sample_grads[k].reshape(m, -1) ** 2, axis=1) for k in keys)
-    factors = _clip_factors(sq_norms, cfg)
-    sums = {k: np.einsum("n,n...->...", factors, per_sample_grads[k]) for k in keys}
-    return _noisy_update(params, sums, cfg, lr, m, rng)
+    flat = {k: params[k].reshape(-1, 1) for k in keys}
+    factors = {k: (g.reshape(-1, flat[k].size), np.ones((len(g), 1))) for k, g in per_sample_grads.items() if k in flat}
+    new = dp_sgd_step_factored({**params, **flat}, factors, trainable, cfg, lr, rng)
+    return {**new, **{k: new[k].reshape(params[k].shape) for k in keys}}
 
 
-def dp_sgd_step_factored(
-    params: dict,
-    grad_factors: dict,
-    trainable,
-    cfg: PrivacyConfig | None,
-    lr: float,
-    rng: np.random.Generator,
-) -> dict:
+def dp_sgd_step_factored(params: dict, grad_factors: dict, trainable, cfg, lr: float, rng, sizes=None) -> dict:
     """dp_sgd_step for per-example gradients given as rank-one factors.
 
     grad_factors maps each trainable key to (U, V), example n's gradient being
     U[n] (x) V[n]. Its squared norm is |U[n]|^2 |V[n]|^2 and the clipped sum
     (f * U)^T V, so no per-example tensor is formed (Goodfellow 2015,
-    arXiv:1510.01799). Noise, averaging and the step are dp_sgd_step's.
+    arXiv:1510.01799); f = min(1, C / ||g_n||), or 1 without privacy. The
+    noise is one standard-normal block over the keys in sorted order times
+    sigma C: the values and generator state of one rng.normal per key.
+
+    With a leading client axis (factors (K, M, .), trainable params (K, ...)),
+    cfg and rng are sequences of K mechanisms and generators, and client
+    k's rows from sizes[k] on are padding with clip factor 0. A client with
+    an empty batch draws no noise and is left as it was.
     """
     keys = sorted(trainable)
     if not keys:
         return dict(params)
-    m = grad_factors[keys[0]][0].shape[0]
-    if m == 0:
+    u0 = grad_factors[keys[0]][0]
+    if u0.ndim == 2:  # one client, no client axis
+        cfg, rng, sizes = [cfg], [rng], [len(u0)]
+    sizes = np.asarray(sizes)
+    if not sizes.any():
         raise ValueError("empty batch")
-    sq_norms = sum(
-        np.einsum("ij,ij->i", u, u) * np.einsum("ij,ij->i", v, v)
-        for u, v in (grad_factors[k] for k in keys)
-    )
-    factors = _clip_factors(sq_norms, cfg)
-    sums = {k: (factors[:, None] * grad_factors[k][0]).T @ grad_factors[k][1] for k in keys}
-    return _noisy_update(params, sums, cfg, lr, m, rng)
+    sq_norms = sum(np.vecdot(u, u) * np.vecdot(v, v) for u, v in (grad_factors[k] for k in keys))
+    clip = np.array([np.inf if c is None else c.clip_norm for c in cfg])[:, None]
+    valid = np.arange(u0.shape[-2]) < sizes[:, None]
+    factors = (valid / np.maximum(1.0, np.sqrt(sq_norms.reshape(valid.shape)) / clip)).reshape(sq_norms.shape)
+    sums = [(factors[..., None] * grad_factors[k][0]).mT @ grad_factors[k][1] for k in keys]
+    total = np.concatenate([s.reshape(len(cfg), -1) for s in sums], axis=1)
+    for row, c, g, m in zip(total, cfg, rng, sizes):
+        if m and c is not None and c.sigma > 0.0:
+            row += c.sigma * c.clip_norm * g.standard_normal(len(row))
+    step = lr * (total / np.maximum(sizes, 1)[:, None])
+    new_params, end = dict(params), 0
+    for k in keys:
+        start, end = end, end + params[k].size // len(cfg)
+        new_params[k] = params[k] - step[:, start:end].reshape(params[k].shape)
+    return new_params

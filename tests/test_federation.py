@@ -1,11 +1,14 @@
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import small_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedsvd import data, federation, linalg, lora, model, privacy
+from fedsvd import config, data, federation, linalg, lora, model, privacy
 from fedsvd.federation import ClientHandle, ServerState, Strategy
 
 
@@ -696,3 +699,194 @@ def test_divergence_in_the_aggregate_names_it(monkeypatch):
         match=r"^flora diverged in round 1 \(aggregate\): layer 1 w0 has a non-finite norm$",
     ):
         federation.run_experiment(cfg, seed=0, record_timing=False)
+
+
+# --- the stacked client axis ---
+
+
+def stack_client(cid, n, q, tau, sigma, seed, d=5, scale=1.0):
+    """A client with an n-example shard; sigma None trains without privacy."""
+    rng = np.random.default_rng(seed)
+    ds = data.Dataset(
+        features=scale * rng.standard_normal((n, d)), labels=rng.integers(0, 3, n), class_count=3
+    )
+    pcfg = rdp = None
+    if sigma is not None:
+        pcfg = privacy.PrivacyConfig(clip_norm=1.5, sigma=sigma)
+        rdp = privacy.rdp_subsampled_gaussian(q, sigma) if sigma > 0.0 else None
+    return ClientHandle(
+        client_id=cid, dataset=ds, local_steps=tau, privacy_cfg=pcfg, rdp_per_step=rdp, sample_rate=q
+    )
+
+
+def stack_layers(layers, rank, a_frozen, seed, d=5):
+    rng = np.random.default_rng(seed)
+    dims = [d] if layers == 1 else [d, 4]
+    clf = model.build_classifier(
+        model.random_dense_weights(dims, 3, rng), rank, 2.0, rng, 3, a_frozen=a_frozen
+    )
+    # non-zero b, so the gradients of a do not vanish
+    return [l.with_adapters(b=0.5 * rng.standard_normal(l.b.shape)) for l in clf.layers]
+
+
+def close(got, want, rel=1e-12):
+    return np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+def assert_stacked_equals_solo(clients, layers, seed, lr=0.4, exact=False):
+    """train_clients against one local_train per client, on equal streams.
+
+    Returns the stacked updates. Each update is within 1e-12 relative of the
+    client's own call (byte-identical if `exact`), every generator ends in
+    the same state, and a frozen a is the broadcast array itself.
+    """
+    stacked_rngs = [np.random.default_rng([seed, c.client_id]) for c in clients]
+    solo_rngs = [np.random.default_rng([seed, c.client_id]) for c in clients]
+    got = federation.train_clients(clients, layers, lr, stacked_rngs)
+    assert [u.client_id for u in got] == [c.client_id for c in clients]
+    for client, update, s_rng, o_rng in zip(clients, got, stacked_rngs, solo_rngs):
+        want = federation.local_train(client, layers, lr, o_rng)
+        assert s_rng.random() == o_rng.random()
+        assert update.n == want.n == len(client.dataset)
+        for idx, layer in enumerate(layers):
+            for mat, ref in zip(update.adapters[idx], want.adapters[idx]):
+                assert mat.tobytes() == ref.tobytes() if exact else close(mat, ref)
+            if layer.a_frozen:
+                assert update.adapters[idx][0] is layer.a
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shards=st.lists(
+        st.tuples(
+            st.integers(1, 80),  # shard size
+            st.sampled_from([1e-12, 0.05, 0.3, 1.0]),  # sample rate; 1e-12 draws nothing
+            st.integers(0, 4),  # local steps
+            st.sampled_from([None, 0.0, 0.7, 2.5]),  # sigma; None trains without privacy
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    layers=st.sampled_from([1, 2]),
+    rank=st.integers(1, 3),
+    a_frozen=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_train_clients_stacked_equals_solo(shards, layers, rank, a_frozen, seed):
+    clients = [
+        stack_client(cid, n, q, tau, sigma, seed + cid)
+        for cid, (n, q, tau, sigma) in enumerate(shards)
+    ]
+    assert_stacked_equals_solo(clients, stack_layers(layers, rank, a_frozen, seed), seed)
+
+
+@pytest.mark.parametrize("a_frozen", [False, True])
+def test_train_clients_ragged_and_empty_batches(a_frozen):
+    # One step's largest batch is 200 rows next to one of 3 and a client that
+    # never draws: padding and skipped steps leave each client's result its own.
+    clients = [
+        stack_client(0, 200, 1.0, 3, 1.1, 1),
+        stack_client(1, 3, 1.0, 3, 0.4, 2),
+        stack_client(2, 50, 1e-12, 3, 1.1, 3),
+        stack_client(3, 60, 0.1, 5, 0.9, 4),
+    ]
+    layers = stack_layers(2, 3, a_frozen, 5)
+    got = assert_stacked_equals_solo(clients, layers, 6)
+    never = got[2].adapters
+    for idx, layer in enumerate(layers):
+        assert never[idx][1].tobytes() == layer.b.tobytes()
+        assert got[1].adapters[idx][1].tobytes() != layer.b.tobytes()
+
+
+@pytest.mark.parametrize("q, exact", [(1.0, True), (0.3, False)])
+def test_train_clients_diverged_client_leaves_the_others_alone(q, exact):
+    # client 1's features near 1e300 overflow its unclipped state; the other
+    # clients' updates match their solo runs. With full batches of equal
+    # shards the stack has no padding, and they are byte-identical (with
+    # padding, BLAS may round a row differently at another row count).
+    clients = [
+        stack_client(0, 40, q, 4, 1.2, 7),
+        stack_client(1, 40, q, 4, None, 8, scale=1e300),
+        stack_client(2, 40, q, 4, 0.8, 9),
+    ]
+    layers = stack_layers(1, 2, False, 10)  # a tanh layer would saturate instead
+    rngs = [np.random.default_rng([11, c.client_id]) for c in clients]
+    with np.errstate(all="ignore"):
+        got = federation.train_clients(clients, layers, 0.4, rngs)
+        a, b = got[1].adapters[0]
+        assert not (np.isfinite(np.vdot(a, a)) and np.isfinite(np.vdot(b, b)))
+        for k in (0, 2):
+            want = federation.local_train(clients[k], layers, 0.4, np.random.default_rng([11, k]))
+            for idx in range(len(layers)):
+                for mat, ref in zip(got[k].adapters[idx], want.adapters[idx]):
+                    assert np.isfinite(mat).all()
+                    assert mat.tobytes() == ref.tobytes() if exact else close(mat, ref)
+
+
+def test_run_experiment_names_the_first_diverged_client_in_sorted_order(monkeypatch):
+    cfg = small_config(strategy="fedavg", clients=4, participants=3, rounds=2)
+    sampled = federation.sample_clients(4, 3, federation.stream(0, 0xB2, 0))
+    real = federation.build_clients
+
+    def blow_up_all_but_the_first(cfg, parts):
+        clients = real(cfg, parts)
+        for cid in sampled[1:]:
+            ds = clients[cid].dataset
+            huge = data.Dataset(1e300 * ds.features, ds.labels, ds.class_count)
+            clients[cid] = dataclasses.replace(clients[cid], dataset=huge)
+        return clients
+
+    monkeypatch.setattr(federation, "build_clients", blow_up_all_but_the_first)
+    with np.errstate(all="ignore"), pytest.raises(federation.DivergenceError) as info:
+        federation.run_experiment(cfg, seed=0, record_timing=False)
+    assert re.fullmatch(
+        rf"fedavg diverged in round 1 \(client {sampled[1]}\): layer 0 [ab] has a non-finite norm",
+        str(info.value),
+    )
+
+
+def serial_reference(cfg, seed):
+    """run_experiment's rows from one local_train per sampled client, in turn:
+    (eval_accuracy, eval_loss, epsilon_spent, uploaded, downloaded) per round."""
+    strategy = Strategy(cfg.strategy, cfg.svd_period)
+    pre, fine, heldout = federation._build_datasets(cfg, seed)
+    parts = data.partition_dirichlet(
+        fine, data.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=seed)
+    )
+    dims = [fine.feature_dim] if cfg.layers == 1 else [fine.feature_dim, cfg.hidden_dim]
+    base = federation._backbone(cfg, pre, dims, fine.class_count, seed)
+    server = federation.init_server(cfg, strategy, base, fine.class_count, seed)
+    clients = federation.build_clients(cfg, parts)
+    rows = [(*model.evaluate(server.classifier(), heldout), federation._budget_epsilon(clients, 0, cfg.delta), 0, 0)]
+    for rnd in range(cfg.rounds):
+        sampled = federation.sample_clients(cfg.clients, cfg.participants, federation.stream(seed, 0xB2, rnd))
+        updates = [
+            federation.local_train(
+                clients[cid], federation.broadcast_layers(server),
+                lr=cfg.learning_rate, rng=federation.stream(seed, 0xB3, rnd, cid),
+            )
+            for cid in sampled
+        ]
+        server = federation.aggregate(updates, server)
+        comm = federation.comm_params_per_round(strategy, server.layers, len(sampled), cfg.transmit_a)
+        rows.append((
+            *model.evaluate(server.classifier(), heldout),
+            federation._budget_epsilon(clients, rnd + 1, cfg.delta), *comm,
+        ))
+    return rows
+
+
+def test_run_experiment_pinned_to_serial_reference():
+    # all eight strategies in one test, so the memo fits the backbone once
+    path = Path(__file__).resolve().parent.parent / "configs" / "headline.ini"
+    for kind in sorted(federation.STRATEGIES):
+        cfg = config.load(path, [f"strategy={kind}", "rounds=4", "record_timing=false"])
+        got = federation.run_experiment(cfg, 0, record_timing=False)
+        want = serial_reference(cfg, 0)
+        assert len(got) == len(want) == 5, kind
+        for row, (acc, loss, eps, up, down) in zip(got, want):
+            assert (row.eval_accuracy, row.epsilon_spent, row.uploaded_params, row.downloaded_params) == (
+                acc, eps, up, down
+            ), kind
+            assert abs(row.eval_loss - loss) <= 1e-12 * abs(loss), kind
