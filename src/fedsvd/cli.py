@@ -110,8 +110,8 @@ def cmd_calibrate(args) -> int:
     print(f"sigma = {sigma:.6f}")
     print(f"spent epsilon = {eps:.6f} (target {args.epsilon}), best order = {best:g}")
     print("order,epsilon")
-    for order, rdp in zip(orders, total):
-        print(f"{order:g},{rdp + np.log(1.0 / args.delta) / (order - 1.0):.6f}")
+    for order, eps_at in zip(orders, privacy.epsilon_from_rdp(orders[:, None], total[:, None], args.delta)[0]):
+        print(f"{order:g},{eps_at:.6f}")
     return EXIT_OK
 
 

@@ -53,7 +53,7 @@ class RunConfig:
     # output / execution
     metrics_path: str = "metrics.csv"
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    threads: int = 1  # accepted and validated; clients train serially
+    threads: int = 1  # accepted and validated; no effect: clients train on one stacked axis
     record_timing: bool = True
 
     def validate(self) -> None:

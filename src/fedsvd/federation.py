@@ -20,7 +20,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -156,6 +156,11 @@ class ClientHandle:
     rdp_per_step: np.ndarray | None
     sample_rate: float
 
+    @cached_property
+    def onehot(self) -> np.ndarray:
+        """The shard's labels as one-hot rows, (n_k, classes), built once."""
+        return np.eye(self.dataset.class_count)[self.dataset.labels]
+
 
 @dataclass
 class ServerState:
@@ -198,36 +203,37 @@ def train_clients(
 ) -> list[ClientUpdate]:
     """Run each client's local steps of (DP-)SGD from the same broadcast layers.
 
-    Each step runs one grad_factors and one dp_sgd_step_factored for all
-    clients, on (K, ...) adapters and Poisson batches padded to the largest.
-    Client k draws its batch, then its noise, from rngs[k] alone: its update
-    is its local_train result up to rounding. An empty draw (or finished
-    steps) skips the step and draws no noise; the privacy spend counts it
-    all the same (see _budget_epsilon). A frozen a is returned as is.
+    All K clients' trainable adapters live in one privacy.flat_buffer; each
+    step runs one grad_factors and one dp_sgd_step_flat for all of them, on
+    Poisson batches and one-hot targets padded to the largest. Client k
+    draws its batch, then its noise, from rngs[k] alone: its update is its
+    local_train result up to rounding. An empty draw (or finished steps)
+    skips the step and draws no noise; the privacy spend counts it all the
+    same (see _epsilon_column). A frozen a is returned as is.
     """
-    count = len(clients)
-    trainable = model.trainable_params(Classifier(layers=list(layers), class_count=layers[-1].d_out))
-    params = {
-        key: np.stack([value] * count) if key in trainable else value
-        for key, value in model.adapter_params(layers).items()
-    }
-    cfgs = [c.privacy_cfg for c in clients]
+    count, d_in, classes = len(clients), layers[0].d_in, layers[-1].d_out
+    trainable = model.trainable_params(Classifier(layers=list(layers), class_count=classes))
+    adapters = model.adapter_params(layers)
+    theta, views = privacy.flat_buffer({key: adapters[key] for key in trainable}, count)
+    params = {**adapters, **views}
+    clip, noise = privacy.stacked_mechanisms([c.privacy_cfg for c in clients])
+    shards = [(c.dataset.features, c.onehot, c.sample_rate, c.local_steps) for c in clients]
+    idle = np.empty(0, dtype=np.intp)
     for step in range(max(c.local_steps for c in clients)):
         picks = [
-            (rng.random(len(c.dataset)) < c.sample_rate).nonzero()[0]
-            if step < c.local_steps else np.empty(0, dtype=np.intp)
-            for c, rng in zip(clients, rngs)
+            (rng.random(len(xs)) < q).nonzero()[0] if step < tau else idle
+            for (xs, _, q, tau), rng in zip(shards, rngs)
         ]
-        sizes = np.array([len(p) for p in picks])
-        if not sizes.any():
+        sizes = [len(p) for p in picks]
+        if not any(sizes):
             continue
-        x = np.zeros((count, sizes.max(), layers[0].d_in))
-        y = np.zeros(x.shape[:2], dtype=np.int64)
-        for k, (c, p) in enumerate(zip(clients, picks)):
-            c.dataset.features.take(p, axis=0, out=x[k, : len(p)])
-            c.dataset.labels.take(p, out=y[k, : len(p)])
-        factors = model.grad_factors(layers, params, x, y, trainable)
-        params = privacy.dp_sgd_step_factored(params, factors, trainable, cfgs, lr, rngs, sizes)
+        x = np.zeros((count, max(sizes), d_in))
+        targets = np.zeros(x.shape[:2] + (classes,))
+        for k, ((xs, onehot, _, _), p) in enumerate(zip(shards, picks)):
+            xs.take(p, axis=0, out=x[k, : len(p)])
+            onehot.take(p, axis=0, out=targets[k, : len(p)])
+        factors = model.grad_factors(layers, params, x, targets, trainable)
+        privacy.dp_sgd_step_flat(theta, views, factors, clip, noise, lr, rngs, np.array(sizes))
     return [
         ClientUpdate(c.client_id, len(c.dataset), {
             idx: tuple(params[idx, m][k] if (idx, m) in trainable else params[idx, m] for m in "ab")
@@ -243,12 +249,8 @@ def local_train(
     lr: float,
     rng: np.random.Generator,
 ) -> ClientUpdate:
-    """Run one client's local steps of (DP-)SGD: train_clients on a stack of one.
-
-    Each step Poisson-samples a batch at the client's sample rate and applies
-    one dp_sgd_step_factored to its factored per-example adapter gradients;
-    an empty draw skips the step. A frozen `a` comes back byte-identical.
-    """
+    """Run one client's local steps of (DP-)SGD: train_clients on a stack of
+    one. An empty draw skips the step; a frozen `a` comes back byte-identical."""
     return train_clients([client], layers, lr, [rng])[0]
 
 
@@ -392,24 +394,20 @@ def _check_finite(strategy: Strategy, rnd: int, where: str, layers: list[tuple])
                 )
 
 
-def _budget_epsilon(clients: list[ClientHandle], rounds_done: int, delta: float) -> float | None:
-    """Worst-case spent epsilon after `rounds_done` rounds.
+def _epsilon_column(clients: list[ClientHandle], rounds: int, delta: float) -> list[float | None]:
+    """Worst-case spent epsilon after each of rounds 0..rounds.
 
     Every client is accounted for the full per-round schedule (as if sampled
     into every round), which upper-bounds the actual spend of any
-    participation pattern; the reported value is the max over clients.
+    participation pattern. The value is the max over clients of
+    privacy.epsilon_from_rdp, converted for all rounds at once.
     """
     private = [c for c in clients if c.privacy_cfg is not None]
     if not private:
-        return None
-    if rounds_done == 0:
-        return 0.0
-    return max(
-        privacy.epsilon_from_rdp(
-            privacy.DEFAULT_ORDERS, rounds_done * c.local_steps * c.rdp_per_step, delta
-        )[0]
-        for c in private
-    )
+        return [None] * (rounds + 1)
+    done = np.arange(rounds + 1)[:, None]
+    eps = [privacy.epsilon_from_rdp(privacy.DEFAULT_ORDERS, done * c.local_steps * c.rdp_per_step, delta)[0] for c in private]
+    return [0.0, *np.max(eps, axis=0)[1:].tolist()]
 
 
 def sampling_rate(cfg: RunConfig, shard: data_mod.Dataset) -> float:
@@ -482,6 +480,7 @@ def run_experiment(
     clients = build_clients(cfg, parts)
 
     rows: list[MetricsRow] = []
+    epsilons = _epsilon_column(clients, cfg.rounds, cfg.delta)
 
     def emit(round_idx: int, uploaded: int, downloaded: int, t0: float) -> None:
         acc, mean_loss = model.evaluate(server.classifier(), heldout)
@@ -494,7 +493,7 @@ def run_experiment(
                 round=round_idx,
                 eval_accuracy=acc,
                 eval_loss=mean_loss,
-                epsilon_spent=_budget_epsilon(clients, round_idx, cfg.delta),
+                epsilon_spent=epsilons[round_idx],
                 uploaded_params=uploaded,
                 downloaded_params=downloaded,
                 wall_ms=wall,

@@ -102,11 +102,23 @@ def forward(model: Classifier, x) -> np.ndarray:
     return forward_batch(model, x[None, :])[0]
 
 
+def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(z - max over the last axis), that max), both over the reversed
+    axes (z.T): a copy with the classes first, so a reduction over them is
+    one call over whole rows, left to right, not a loop per example."""
+    zt = z.T.copy()
+    m = np.maximum.reduce(zt)
+    zt -= m
+    return np.exp(zt, out=zt), m
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, with max subtraction. Its sum adds the
+    classes left to right (_shifted_exp): NumPy's per-row sum bit for bit
+    below 8 classes; from 8 on NumPy sums pairwise, and rounding may differ."""
+    e, _ = _shifted_exp(np.asarray(logits, dtype=np.float64))
+    e /= np.add.reduce(e)
+    return e.T.copy()
 
 
 def loss(logits, y: int) -> float:
@@ -119,22 +131,21 @@ def loss(logits, y: int) -> float:
 
 
 def _batch_losses(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1)
-    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-    return lse - logits[np.arange(len(y)), y]
+    e, m = _shifted_exp(logits)
+    return m + np.log(np.add.reduce(e)) - logits[np.arange(len(y)), y]
 
 
-def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], logits: np.ndarray, y: np.ndarray):
+def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], logits: np.ndarray, targets: np.ndarray):
     """Walk the tanh stack of _forward backwards, last layer first.
 
     Yields (idx, delta, h_in): the per-example cross-entropy gradient at
     layer idx's output and that layer's input. Keep weights unchanged until
     the walk ends: the next delta is formed from them after each yield.
-    Leading axes broadcast as in _forward; y has the shape of logits[..., 0].
+    targets are one-hot rows of the shape of logits (leading axes broadcast
+    as in _forward); a zero row gives that example softmax as its delta.
     """
     delta = softmax(logits)  # d loss / d logits, per sample
-    rows = delta.reshape(-1, delta.shape[-1])
-    rows[np.arange(len(rows)), y.ravel()] -= 1.0
+    delta -= targets
     for idx in range(len(weights) - 1, -1, -1):
         h_in = inputs[idx]
         yield idx, delta, h_in
@@ -143,7 +154,7 @@ def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], logits: np.nd
 
 
 def grad_factors(
-    layers: list[LoraLayer], params: dict, x: np.ndarray, y: np.ndarray, trainable
+    layers: list[LoraLayer], params: dict, x: np.ndarray, targets: np.ndarray, trainable
 ) -> dict[GradKey, tuple[np.ndarray, np.ndarray]]:
     """Rank-one factors of the per-example cross-entropy adapter gradients.
 
@@ -152,8 +163,9 @@ def grad_factors(
     example n's gradient is the outer product U[n] (x) V[n]: for b, U = s delta
     and V = h a^T; for a, U = s delta b and V = h, with h the layer input and
     delta the loss gradient at the layer output.
-    With (K, ...) adapters (a frozen a may stay 2-D), (K, M, d) inputs and
-    (K, M) labels, the factors are (K, M, .), one slice per client.
+    targets are the one-hot labels, (n, c). With (K, ...) adapters (a frozen
+    a may stay 2-D), (K, M, d) inputs and (K, M, c) targets, the factors are
+    (K, M, .), one slice per client.
     """
     weights = [
         layer.w0 + layer.scale * (params[(idx, "b")] @ params[(idx, "a")])
@@ -161,7 +173,7 @@ def grad_factors(
     ]
     inputs, logits = _forward(weights, x)
     factors = {}
-    for idx, delta, h_in in _backward(weights, inputs, logits, y):
+    for idx, delta, h_in in _backward(weights, inputs, logits, targets):
         s = layers[idx].scale
         if (idx, "b") in trainable:
             factors[(idx, "b")] = (s * delta, h_in @ params[(idx, "a")].mT)
@@ -186,7 +198,8 @@ def per_sample_grads(
         trainable = trainable_params(model)
     params = adapter_params(model.layers)
     grads = {key: np.zeros((len(x),) + value.shape) for key, value in params.items()}
-    for key, (u, v) in grad_factors(model.layers, params, x, y, trainable).items():
+    targets = np.eye(model.class_count)[y]
+    for key, (u, v) in grad_factors(model.layers, params, x, targets, trainable).items():
         grads[key] = u[:, :, None] * v[:, None, :]
     return grads
 
@@ -197,8 +210,7 @@ def evaluate(model: Classifier, data) -> tuple[float, float]:
     if len(x) == 0:
         raise ValueError("empty dataset")
     logits = forward_batch(model, x)
-    preds = np.argmax(logits, axis=1)
-    accuracy = float(np.mean(preds == y))
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == y))
     return accuracy, float(np.mean(_batch_losses(logits, y)))
 
 
@@ -218,10 +230,10 @@ def fit_dense_weights(
     wide. Used to produce the frozen backbone weights.
     """
     weights = random_dense_weights(dims, class_count, seed)
-    n = len(x)
+    n, targets = len(x), np.eye(class_count)[y]
     for _ in range(steps):
         inputs, logits = _forward(weights, x)
-        walk = _backward(weights, inputs, logits, y)
+        walk = _backward(weights, inputs, logits, targets)
         grads = [(idx, delta.T @ h_in / n) for idx, delta, h_in in walk]
         for idx, grad in grads:
             weights[idx] = weights[idx] - lr * grad

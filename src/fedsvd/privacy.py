@@ -84,21 +84,20 @@ def rdp_subsampled_gaussian(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np
     return (np.log1p(rest) + np.log(count) + top) / (alphas - 1)
 
 
-def epsilon_from_rdp(orders, rdp_total, delta: float) -> tuple[float, float]:
-    """Optimal (epsilon, order) for the standard RDP -> (eps, delta) conversion."""
+def epsilon_from_rdp(orders, rdp_total, delta: float):
+    """Optimal (epsilon, order) for the standard RDP -> (eps, delta) conversion,
+    per index of rdp_total's leading axes (its last axis runs over the orders)."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     orders = np.asarray(orders, dtype=np.float64)
-    rdp_total = np.asarray(rdp_total, dtype=np.float64)
-    eps = rdp_total + math.log(1.0 / delta) / (orders - 1.0)
-    best = int(np.argmin(eps))
-    return float(eps[best]), float(orders[best])
+    eps = np.asarray(rdp_total, dtype=np.float64) + math.log(1.0 / delta) / (orders - 1.0)
+    return eps.min(axis=-1), orders[eps.argmin(axis=-1)]
 
 
 def spent_epsilon(q: float, sigma: float, steps: int, delta: float, orders=DEFAULT_ORDERS) -> float:
     """Epsilon after `steps` subsampled-Gaussian steps at (q, sigma)."""
     rdp = steps * rdp_subsampled_gaussian(q, sigma, orders)
-    return epsilon_from_rdp(orders, rdp, delta)[0]
+    return float(epsilon_from_rdp(orders, rdp, delta)[0])
 
 
 def calibrate_sigma(
@@ -160,14 +159,7 @@ def clip_gradient(grad, clip_norm: float):
     return factor * np.asarray(grad, dtype=np.float64)
 
 
-def dp_sgd_step(
-    params: dict,
-    per_sample_grads: dict,
-    trainable,
-    cfg: PrivacyConfig | None,
-    lr: float,
-    rng: np.random.Generator,
-) -> dict:
+def dp_sgd_step(params: dict, per_sample_grads: dict, trainable, cfg: PrivacyConfig | None, lr: float, rng) -> dict:
     """One DP-SGD update over a sampled batch.
 
     params maps keys to current matrices; per_sample_grads maps the same keys
@@ -178,49 +170,68 @@ def dp_sgd_step(
     and no clipping active this reduces exactly to averaged SGD. Runs as
     dp_sgd_step_factored, example n's gradient being g_n (flattened) (x) [1].
     """
-    keys = sorted(trainable)
-    flat = {k: params[k].reshape(-1, 1) for k in keys}
-    factors = {k: (g.reshape(-1, flat[k].size), np.ones((len(g), 1))) for k, g in per_sample_grads.items() if k in flat}
-    new = dp_sgd_step_factored({**params, **flat}, factors, trainable, cfg, lr, rng)
-    return {**new, **{k: new[k].reshape(params[k].shape) for k in keys}}
+    factors = {k: (g.reshape(len(g), params[k].size), np.ones((len(g), 1))) for k, g in per_sample_grads.items() if k in trainable}
+    return dp_sgd_step_factored(params, factors, trainable, cfg, lr, rng)
 
 
-def dp_sgd_step_factored(params: dict, grad_factors: dict, trainable, cfg, lr: float, rng, sizes=None) -> dict:
-    """dp_sgd_step for per-example gradients given as rank-one factors.
-
-    grad_factors maps each trainable key to (U, V), example n's gradient being
-    U[n] (x) V[n]. Its squared norm is |U[n]|^2 |V[n]|^2 and the clipped sum
-    (f * U)^T V, so no per-example tensor is formed (Goodfellow 2015,
-    arXiv:1510.01799); f = min(1, C / ||g_n||), or 1 without privacy. The
-    noise is one standard-normal block over the keys in sorted order times
-    sigma C: the values and generator state of one rng.normal per key.
-
-    With a leading client axis (factors (K, M, .), trainable params (K, ...)),
-    cfg and rng are sequences of K mechanisms and generators, and client
-    k's rows from sizes[k] on are padding with clip factor 0. A client with
-    an empty batch draws no noise and is left as it was.
-    """
+def dp_sgd_step_factored(params: dict, grad_factors: dict, trainable, cfg, lr: float, rng) -> dict:
+    """dp_sgd_step for one client's per-example gradients as rank-one factors
+    (U, V), (m, .) per trainable key, example n's being U[n] (x) V[n]
+    (reshaped in C order to the key's shape): dp_sgd_step_flat on one row."""
     keys = sorted(trainable)
     if not keys:
         return dict(params)
-    u0 = grad_factors[keys[0]][0]
-    if u0.ndim == 2:  # one client, no client axis
-        cfg, rng, sizes = [cfg], [rng], [len(u0)]
-    sizes = np.asarray(sizes)
-    if not sizes.any():
+    m = len(grad_factors[keys[0]][0])
+    if not m:
         raise ValueError("empty batch")
-    sq_norms = sum(np.vecdot(u, u) * np.vecdot(v, v) for u, v in (grad_factors[k] for k in keys))
-    clip = np.array([np.inf if c is None else c.clip_norm for c in cfg])[:, None]
-    valid = np.arange(u0.shape[-2]) < sizes[:, None]
-    factors = (valid / np.maximum(1.0, np.sqrt(sq_norms.reshape(valid.shape)) / clip)).reshape(sq_norms.shape)
-    sums = [(factors[..., None] * grad_factors[k][0]).mT @ grad_factors[k][1] for k in keys]
-    total = np.concatenate([s.reshape(len(cfg), -1) for s in sums], axis=1)
-    for row, c, g, m in zip(total, cfg, rng, sizes):
-        if m and c is not None and c.sigma > 0.0:
-            row += c.sigma * c.clip_norm * g.standard_normal(len(row))
-    step = lr * (total / np.maximum(sizes, 1)[:, None])
-    new_params, end = dict(params), 0
+    factors = {k: (grad_factors[k][0][None], grad_factors[k][1][None]) for k in keys}
+    theta, views = flat_buffer({k: params[k].reshape(u.shape[-1], v.shape[-1]) for k, (u, v) in factors.items()}, 1)
+    dp_sgd_step_flat(theta, views, factors, *stacked_mechanisms([cfg]), lr, [rng], np.array([m]))
+    return {**params, **{k: views[k][0].reshape(params[k].shape) for k in keys}}
+
+
+def flat_buffer(arrays: dict, count: int) -> tuple[np.ndarray, dict]:
+    """count copies of the matrices of `arrays`, flattened and laid end to end
+    in sorted key order: a (count, P) array and its (count, *shape) views."""
+    keys = sorted(arrays)
+    buf = np.empty((count, sum(arrays[k].size for k in keys)))
+    buf[:] = np.concatenate([arrays[k].ravel() for k in keys])
+    views, end = {}, 0
+    for key in keys:
+        start, end = end, end + arrays[key].size
+        views[key] = buf[:, start:end].reshape(count, *arrays[key].shape)
+    return buf, views
+
+
+def stacked_mechanisms(cfgs) -> tuple[np.ndarray, list]:
+    """dp_sgd_step_flat's clip column (inf: no clipping) and per-client
+    noise scale sigma C (None: no noise) for K mechanisms (None: no privacy)."""
+    clip = np.array([[np.inf if c is None else c.clip_norm] for c in cfgs])
+    return clip, [c.sigma * c.clip_norm if c is not None and c.sigma > 0.0 else None for c in cfgs]
+
+
+def dp_sgd_step_flat(theta, views: dict, grad_factors: dict, clip, noise, lr: float, rngs, sizes) -> None:
+    """One DP-SGD step of K clients, in place on their flat_buffer (theta, views).
+
+    grad_factors maps each key to (U, V), (K, M, .) each, example n of client
+    k having the gradient U[k, n] (x) V[k, n]: its squared norm is |U|^2 |V|^2
+    and the clipped sum (f U)^T V, so no per-example tensor is formed
+    (Goodfellow 2015, arXiv:1510.01799); f = min(1, clip[k] / ||g||) on the
+    first sizes[k] rows, 0 on the padding after them. The sums land in a
+    (K, P) total of theta's layout; row k of it gains noise[k] times one
+    standard-normal block from rngs[k] (the values and generator state of
+    one rng.normal per key in sorted order); then theta -= lr * total /
+    sizes. An empty batch draws no noise and keeps its parameters.
+    """
+    keys = sorted(views)
+    sq_norms = sum(np.vecdot(u, u) * np.vecdot(v, v) for u, v in map(grad_factors.get, keys))
+    f = (np.arange(sq_norms.shape[-1]) < sizes[:, None]) / np.maximum(1.0, np.sqrt(sq_norms) / clip)
+    total, end = np.empty_like(theta), 0
     for k in keys:
-        start, end = end, end + params[k].size // len(cfg)
-        new_params[k] = params[k] - step[:, start:end].reshape(params[k].shape)
-    return new_params
+        u, v = grad_factors[k]
+        start, end = end, end + u.shape[-1] * v.shape[-1]
+        np.matmul((f[..., None] * u).mT, v, out=total[:, start:end].reshape(views[k].shape))
+    for row, scale, g, m in zip(total, noise, rngs, sizes):
+        if m and scale is not None:
+            row += scale * g.standard_normal(len(row))
+    theta -= lr * (total / np.maximum(sizes, 1)[:, None])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import small_config
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsvd import config, data, federation, linalg, lora, model, privacy
@@ -119,6 +119,27 @@ def test_epsilon_spent_is_worst_client_schedule_every_round(privacy_kw):
         assert 0.99 * cfg.epsilon < rows[-1].epsilon_spent <= cfg.epsilon
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("privacy_kw", [{"epsilon": 6.0}, {"noise_multiplier": 1.3}, {}])
+def test_epsilon_column_equals_per_round_accounting(privacy_kw, seed):
+    cfg = small_config(local_steps=3, rounds=37, **privacy_kw)
+    _, finetune, _ = federation._build_datasets(cfg, seed)
+    parts = data.partition_dirichlet(
+        finetune, data.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=seed)
+    )
+    clients = federation.build_clients(cfg, parts)
+    column = federation._epsilon_column(clients, cfg.rounds, cfg.delta)
+    if not privacy_kw:
+        assert column == [None] * (cfg.rounds + 1)
+        return
+    assert len(column) == cfg.rounds + 1 and column[0] == 0.0
+    for r in range(1, cfg.rounds + 1):
+        assert column[r] == max(
+            privacy.epsilon_from_rdp(privacy.DEFAULT_ORDERS, r * c.local_steps * c.rdp_per_step, cfg.delta)[0]
+            for c in clients
+        )
+
+
 def test_local_train_frozen_a_returned_byte_identical():
     client = make_client(tau=4, private=True)
     layers = make_layers(a_frozen=True)
@@ -162,12 +183,15 @@ def reference_local_train(client, layers, lr, rng):
     """local_train composed from the per-example oracle.
 
     per_sample_grads -> clip each example -> sum -> one noise draw per
-    trainable key in sorted order -> divide by the realized batch size.
+    trainable key in sorted order (none at sigma 0 or without privacy) ->
+    divide by the realized batch size.
     Returns the final layers and the number of empty Poisson draws.
     """
     clf = model.Classifier(list(layers), layers[-1].d_out)
     trainable = model.trainable_params(clf)
     cfg = client.privacy_cfg
+    clip = np.inf if cfg is None else cfg.clip_norm  # no privacy: no clipping, no noise
+    noise = 0.0 if cfg is None else cfg.sigma * cfg.clip_norm
     ds = client.dataset
     empty = 0
     for _ in range(client.local_steps):
@@ -179,14 +203,14 @@ def reference_local_train(client, layers, lr, rng):
         m = int(mask.sum())
         total = {k: 0.0 for k in trainable}
         for n in range(m):
-            clipped = privacy.clip_gradient({k: grads[k][n] for k in trainable}, cfg.clip_norm)
+            clipped = privacy.clip_gradient({k: grads[k][n] for k in trainable}, clip)
             for k in trainable:
                 total[k] = total[k] + clipped[k]
         new_layers = list(clf.layers)
         for idx, name in sorted(trainable):
-            noisy = total[(idx, name)] + rng.normal(
-                0.0, cfg.sigma * cfg.clip_norm, size=total[(idx, name)].shape
-            )
+            noisy = total[(idx, name)]
+            if noise > 0.0:
+                noisy = noisy + rng.normal(0.0, noise, size=noisy.shape)
             old = getattr(new_layers[idx], name)
             new_layers[idx] = new_layers[idx].with_adapters(**{name: old - lr * (noisy / m)})
         clf = model.Classifier(new_layers, clf.class_count)
@@ -704,11 +728,12 @@ def test_divergence_in_the_aggregate_names_it(monkeypatch):
 # --- the stacked client axis ---
 
 
-def stack_client(cid, n, q, tau, sigma, seed, d=5, scale=1.0):
+def stack_client(cid, n, q, tau, sigma, seed, d=5, scale=1.0, classes=3):
     """A client with an n-example shard; sigma None trains without privacy."""
     rng = np.random.default_rng(seed)
     ds = data.Dataset(
-        features=scale * rng.standard_normal((n, d)), labels=rng.integers(0, 3, n), class_count=3
+        features=scale * rng.standard_normal((n, d)), labels=rng.integers(0, classes, n),
+        class_count=classes,
     )
     pcfg = rdp = None
     if sigma is not None:
@@ -719,11 +744,11 @@ def stack_client(cid, n, q, tau, sigma, seed, d=5, scale=1.0):
     )
 
 
-def stack_layers(layers, rank, a_frozen, seed, d=5):
+def stack_layers(layers, rank, a_frozen, seed, d=5, classes=3):
     rng = np.random.default_rng(seed)
     dims = [d] if layers == 1 else [d, 4]
     clf = model.build_classifier(
-        model.random_dense_weights(dims, 3, rng), rank, 2.0, rng, 3, a_frozen=a_frozen
+        model.random_dense_weights(dims, classes, rng), rank, 2.0, rng, classes, a_frozen=a_frozen
     )
     # non-zero b, so the gradients of a do not vanish
     return [l.with_adapters(b=0.5 * rng.standard_normal(l.b.shape)) for l in clf.layers]
@@ -779,6 +804,53 @@ def test_train_clients_stacked_equals_solo(shards, layers, rank, a_frozen, seed)
         for cid, (n, q, tau, sigma) in enumerate(shards)
     ]
     assert_stacked_equals_solo(clients, stack_layers(layers, rank, a_frozen, seed), seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shards=st.lists(
+        st.tuples(
+            st.integers(1, 30),  # shard size
+            st.sampled_from([1e-12, 0.1, 0.4, 1.0]),  # sample rate; 1e-12 draws nothing
+            st.integers(0, 3),  # local steps
+            st.sampled_from([None, 0.0, 0.8, 2.5]),  # sigma; None trains without privacy
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    classes=st.integers(2, 9),
+    layers=st.sampled_from([1, 2]),
+    rank=st.integers(1, 3),
+    a_frozen=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(  # empty draws: client 1 never draws, client 0 draws nothing now and then
+    shards=[(6, 0.1, 3, 0.8), (20, 1e-12, 3, 2.5), (9, 1.0, 2, None)],
+    classes=4, layers=2, rank=2, a_frozen=False, seed=3,
+)
+def test_train_clients_pinned_to_per_example_reference(shards, classes, layers, rank, a_frozen, seed):
+    clients = [
+        stack_client(cid, n, q, tau, sigma, seed + cid, classes=classes)
+        for cid, (n, q, tau, sigma) in enumerate(shards)
+    ]
+    start = stack_layers(layers, rank, a_frozen, seed, classes=classes)
+    rngs = [np.random.default_rng([seed, c.client_id]) for c in clients]
+    got = federation.train_clients(clients, start, 0.4, rngs)
+    for client, update, rng in zip(clients, got, rngs):
+        ref_rng = np.random.default_rng([seed, client.client_id])
+        want, _ = reference_local_train(client, start, 0.4, ref_rng)
+        assert rng.random() == ref_rng.random()  # the same draws, the same noise
+        for idx, layer in enumerate(want):
+            a, b = update.adapters[idx]
+            assert close(b, layer.b) and close(a, layer.a)
+
+
+def test_train_clients_reference_example_has_empty_draws():
+    # the @example above covers both kinds of empty draw
+    clients = [stack_client(0, 6, 0.1, 3, 0.8, 3, classes=4), stack_client(1, 20, 1e-12, 3, 2.5, 4, classes=4)]
+    start = stack_layers(2, 2, False, 3, classes=4)
+    empties = [reference_local_train(c, start, 0.4, np.random.default_rng([3, c.client_id]))[1] for c in clients]
+    assert 0 < empties[0] < 3 and empties[1] == 3
 
 
 @pytest.mark.parametrize("a_frozen", [False, True])
@@ -846,6 +918,19 @@ def test_run_experiment_names_the_first_diverged_client_in_sorted_order(monkeypa
     )
 
 
+def worst_epsilon(clients, rounds_done, delta):
+    """The largest spent_epsilon over the private clients' full schedules."""
+    private = [c for c in clients if c.privacy_cfg is not None]
+    if not private:
+        return None
+    if rounds_done == 0:
+        return 0.0
+    return max(
+        privacy.spent_epsilon(c.sample_rate, c.privacy_cfg.sigma, rounds_done * c.local_steps, delta)
+        for c in private
+    )
+
+
 def serial_reference(cfg, seed):
     """run_experiment's rows from one local_train per sampled client, in turn:
     (eval_accuracy, eval_loss, epsilon_spent, uploaded, downloaded) per round."""
@@ -858,7 +943,7 @@ def serial_reference(cfg, seed):
     base = federation._backbone(cfg, pre, dims, fine.class_count, seed)
     server = federation.init_server(cfg, strategy, base, fine.class_count, seed)
     clients = federation.build_clients(cfg, parts)
-    rows = [(*model.evaluate(server.classifier(), heldout), federation._budget_epsilon(clients, 0, cfg.delta), 0, 0)]
+    rows = [(*model.evaluate(server.classifier(), heldout), worst_epsilon(clients, 0, cfg.delta), 0, 0)]
     for rnd in range(cfg.rounds):
         sampled = federation.sample_clients(cfg.clients, cfg.participants, federation.stream(seed, 0xB2, rnd))
         updates = [
@@ -872,7 +957,7 @@ def serial_reference(cfg, seed):
         comm = federation.comm_params_per_round(strategy, server.layers, len(sampled), cfg.transmit_a)
         rows.append((
             *model.evaluate(server.classifier(), heldout),
-            federation._budget_epsilon(clients, rnd + 1, cfg.delta), *comm,
+            worst_epsilon(clients, rnd + 1, cfg.delta), *comm,
         ))
     return rows
 

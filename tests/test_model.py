@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fedsvd import lora, model
+from fedsvd.data import Dataset
 from fedsvd.lora import LoraLayer
 
 
@@ -260,3 +261,81 @@ def test_build_classifier_clamps_rank():
     m = model.build_classifier(weights, rank=8, alpha=8.0, seed=0, class_count=3)
     assert m.layers[0].rank == 3
     assert abs(m.layers[0].scale - 1.0) < 1e-15  # alpha/rank ratio preserved
+
+
+# --- reductions over the class axis ---
+
+
+def axis_softmax(z):
+    """softmax with NumPy's per-row reductions, as model.softmax once read."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def axis_losses(logits, y):
+    """_batch_losses with NumPy's per-row reductions."""
+    m = logits.max(axis=1)
+    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    return lse - logits[np.arange(len(y)), y]
+
+
+def class_inputs(rng, shape):
+    """Logits with ties, spread-out values and entries of +-1e300."""
+    z = rng.standard_normal(shape) * 20.0
+    z[rng.random(shape) < 0.2] = 1.0  # ties, also between a row's maxima
+    z[rng.random(shape) < 0.1] = 1e300
+    z[rng.random(shape) < 0.1] = -1e300
+    return z
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("classes", range(2, 8))
+def test_class_reductions_bitwise_equal_below_8_classes(classes):
+    rng = np.random.default_rng(classes)
+    for shape in [(300, classes), (3, 40, classes), (classes,)]:
+        for _ in range(20):
+            z = class_inputs(rng, shape)
+            got = model.softmax(z)
+            assert same_bits(got, axis_softmax(z)), shape
+            assert np.isfinite(got).all()
+    for _ in range(20):
+        z = class_inputs(rng, (300, classes))
+        y = rng.integers(0, classes, 300)
+        got = model._batch_losses(z, y)
+        assert same_bits(got, axis_losses(z, y))
+        assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("classes", [8, 9, 12, 32])
+def test_class_reductions_close_from_8_classes(classes):
+    # NumPy sums 8 or more terms pairwise, the columns add left to right
+    rng = np.random.default_rng(classes)
+    for shape in [(300, classes), (3, 40, classes), (classes,)]:
+        z = rng.standard_normal(shape) * 5.0
+        want = axis_softmax(z)
+        assert (np.abs(model.softmax(z) - want) <= 1e-15 * want).all(), shape
+    z = rng.standard_normal((300, classes)) * 5.0
+    y = rng.integers(0, classes, 300)
+    want = axis_losses(z, y)
+    lse = want + z[np.arange(len(y)), y]  # the rounding sits in the log-sum-exp
+    assert (np.abs(model._batch_losses(z, y) - want) <= 1e-15 * np.maximum(1.0, np.abs(lse))).all()
+
+
+@pytest.mark.parametrize("classes", [2, 3, 5, 9])
+def test_evaluate_predicts_the_argmax_ties_to_the_lowest_class(classes):
+    # logits = x exactly: identity backbone, zero adapters
+    layer = LoraLayer(
+        w0=np.eye(classes), a=np.zeros((1, classes)), b=np.zeros((classes, 1)), rank=1, alpha=1.0
+    )
+    m = model.Classifier(layers=[layer], class_count=classes)
+    rng = np.random.default_rng(classes)
+    x = np.where(rng.random((500, classes)) < 0.1, 1e300, rng.integers(-2, 3, (500, classes)))
+    assert np.array_equal(model.forward_batch(m, x), x)
+    argmax = np.argmax(x, axis=1)
+    # accuracy 1 against argmax and 0 against any other class: every prediction is the argmax
+    assert model.evaluate(m, Dataset(x, argmax, classes))[0] == 1.0
+    assert model.evaluate(m, Dataset(x, (argmax + 1) % classes, classes))[0] == 0.0

@@ -169,6 +169,19 @@ def test_epsilon_from_rdp_single_gaussian_step_exhaustive_scan():
     assert best == alphas[np.argmin(scan)]
 
 
+def test_epsilon_from_rdp_leading_axes_convert_each_row():
+    # a (rounds, clients, orders) stack converts as the one-order-axis calls
+    orders = privacy.DEFAULT_ORDERS
+    rdp = np.arange(4)[:, None, None] * np.stack(
+        [privacy.rdp_subsampled_gaussian(q, s) for q, s in [(0.02, 0.9), (0.1, 1.7), (1.0, 4.0)]]
+    )
+    eps, best = privacy.epsilon_from_rdp(orders, rdp, 1e-5)
+    assert eps.shape == best.shape == (4, 3)
+    for r in range(4):
+        for k in range(3):
+            assert (eps[r, k], best[r, k]) == privacy.epsilon_from_rdp(orders, rdp[r, k], 1e-5)
+
+
 def test_epsilon_monotone_in_steps():
     e1 = privacy.spent_epsilon(0.05, 1.0, 100, 1e-5)
     e2 = privacy.spent_epsilon(0.05, 1.0, 200, 1e-5)
@@ -376,7 +389,7 @@ def test_factored_clipped_sum_matches_per_example_clipping(
     want = {k: sum(privacy.clip_gradient(g, clip)[k] for g in examples) for k in trainable}
 
     params = model.adapter_params(clf.layers)
-    factors = model.grad_factors(clf.layers, params, x, y, trainable)
+    factors = model.grad_factors(clf.layers, params, x, np.eye(classes)[y], trainable)
     assert set(factors) == set(trainable)
     zeros = {k: np.zeros_like(v) for k, v in params.items()}
     out = privacy.dp_sgd_step_factored(
