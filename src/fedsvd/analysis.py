@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, model
-from .lora import LoraLayer
 
 BOUND_REL_TOL = 1e-8
 NOISE_IDENTITY_TOL = 1e-12
@@ -158,25 +157,26 @@ class GradNormReport:
     spectral_a: float
 
 
-def grad_norm_identity_check(a, b, w, example: model.Example) -> GradNormReport:
-    """Evaluate the gradient-norm identity for one example.
+def grad_norm_identity_check(a, b, w, x, y: int) -> GradNormReport:
+    """Evaluate the gradient-norm identity for one example (x, y).
 
     The adapter-factor gradient is (dl/dz) (a x)^T, so its Frobenius norm
     factors exactly into |dl/dz| * |a x|, which the spectral norm of `a`
     bounds by |dl/dz| * sigma_max(a) * |x|; with orthonormal rows the bound
-    is |dl/dz| * |x|.
+    is |dl/dz| * |x|. For one output row (c = 1) the loss is the binary
+    logistic one, with y in {0, 1}; otherwise it is the softmax cross-entropy.
     """
     a = linalg.as_matrix(a, "a")
     b = linalg.as_matrix(b, "b")
     w = linalg.as_matrix(w, "w")
-    x = np.asarray(example.x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     c = w.shape[0]
     z = (w + b @ a) @ x
     if c == 1:
-        dz = np.array([sigmoid(z[0]) - float(example.y)])
+        dz = np.array([sigmoid(z[0]) - float(y)])
     else:
         dz = model.softmax(z)
-        dz[example.y] -= 1.0
+        dz[y] -= 1.0
     grad_b = np.outer(dz, a @ x)
     spec_a = linalg.spectral_norm(a)
     dz_norm = float(np.linalg.norm(dz))
@@ -236,10 +236,3 @@ def noise_amplification_terms(b, a, xi_b, xi_a) -> NoiseExpansion:
         norms=norms,
         residual=residual,
     )
-
-
-def adapter_grad_for_example(layer: LoraLayer, class_count: int, example: model.Example) -> np.ndarray:
-    """Per-example gradient of the loss in the b factor, via the model module."""
-    clf = model.Classifier(layers=[layer], class_count=class_count)
-    grads = model.per_sample_grads(clf, [example])
-    return grads[(0, "b")][0]

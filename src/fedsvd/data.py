@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .model import Example
 
 # Fine-tuning distribution: class means are cyclically permuted (the
 # backbone still resolves every cluster but assigns it to the wrong class),
@@ -53,9 +52,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def example(self, i: int) -> Example:
-        return Example(x=self.features[i], y=int(self.labels[i]))
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)

@@ -60,12 +60,6 @@ class LoraLayer:
         return replace(self, a=self.a if a is None else a, b=self.b if b is None else b)
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def init_adapter(d_out: int, d_in: int, r: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Fresh adapter pair: b = 0, a ~ Kaiming uniform on [-sqrt(3/d_in), +sqrt(3/d_in)].
 
@@ -76,7 +70,7 @@ def init_adapter(d_out: int, d_in: int, r: int, seed) -> tuple[np.ndarray, np.nd
         raise ValueError(f"rank must be >= 1, got {r}")
     if r > min(d_out, d_in):
         raise ValueError(f"rank {r} exceeds min({d_out}, {d_in})")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     bound = np.sqrt(3.0 / d_in)
     a = rng.uniform(-bound, bound, size=(r, d_in))
     b = np.zeros((d_out, r))
@@ -87,7 +81,7 @@ def orthonormal_init(d_out: int, d_in: int, r: int, seed) -> tuple[np.ndarray, n
     """Adapter pair with random orthonormal rows for a and b = 0."""
     if r < 1 or r > min(d_out, d_in):
         raise ValueError(f"invalid rank {r} for {d_out}x{d_in}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     q, _ = linalg.qr_thin(rng.standard_normal((d_in, r)))
     return np.ascontiguousarray(q.T), np.zeros((d_out, r))
 

@@ -3,7 +3,9 @@
 The default architecture is a single linear layer (logits = W_eff @ x); an
 optional two-layer variant inserts a tanh hidden layer. Only the adapter
 pairs (a, b) are trainable; base weights stay frozen. Per-sample gradients
-are analytic, which DP-SGD requires for per-example clipping.
+are analytic: grad_factors gives each example's gradient of every trainable
+adapter matrix as a rank-one outer product, which DP-SGD clips per example
+without forming it.
 """
 
 from __future__ import annotations
@@ -17,12 +19,6 @@ from .lora import LoraLayer, effective_weight
 
 # Gradient dictionaries are keyed by (layer_index, matrix_name).
 GradKey = tuple[int, str]
-
-
-@dataclass(frozen=True)
-class Example:
-    x: np.ndarray
-    y: int
 
 
 @dataclass
@@ -64,14 +60,6 @@ def trainable_params(model: Classifier) -> frozenset[GradKey]:
 def adapter_params(layers: list[LoraLayer]) -> dict[GradKey, np.ndarray]:
     """The adapter matrices of `layers`, keyed by (layer, "a"|"b")."""
     return {(idx, name): getattr(layer, name) for idx, layer in enumerate(layers) for name in "ab"}
-
-
-def _as_batch(data) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(data, "features"):
-        return data.features, data.labels
-    xs = np.stack([np.asarray(ex.x, dtype=np.float64) for ex in data])
-    ys = np.array([ex.y for ex in data], dtype=np.int64)
-    return xs, ys
 
 
 def _forward(weights: list[np.ndarray], x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -182,31 +170,11 @@ def grad_factors(
     return factors
 
 
-def per_sample_grads(
-    model: Classifier, batch, trainable: frozenset[GradKey] | None = None
-) -> dict[GradKey, np.ndarray]:
-    """Exact per-example cross-entropy gradients for every adapter matrix.
-
-    Returns arrays of shape (n, *matrix.shape) keyed by (layer, "a"|"b"),
-    the outer products of grad_factors. Matrices outside the trainable set
-    are frozen and get exact zeros.
-    """
-    x, y = _as_batch(batch)
-    if len(x) == 0:
-        raise ValueError("empty batch")
-    if trainable is None:
-        trainable = trainable_params(model)
-    params = adapter_params(model.layers)
-    grads = {key: np.zeros((len(x),) + value.shape) for key, value in params.items()}
-    targets = np.eye(model.class_count)[y]
-    for key, (u, v) in grad_factors(model.layers, params, x, targets, trainable).items():
-        grads[key] = u[:, :, None] * v[:, None, :]
-    return grads
-
-
 def evaluate(model: Classifier, data) -> tuple[float, float]:
-    """(accuracy, mean cross-entropy); argmax ties go to the lowest class."""
-    x, y = _as_batch(data)
+    """(accuracy, mean cross-entropy) on `data`, anything with `features`
+    (n x d) and `labels` (n) such as a data.Dataset; argmax ties go to the
+    lowest class."""
+    x, y = data.features, data.labels
     if len(x) == 0:
         raise ValueError("empty dataset")
     logits = forward_batch(model, x)
@@ -242,7 +210,7 @@ def fit_dense_weights(
 
 def random_dense_weights(dims: list[int], class_count: int, seed=0) -> list[np.ndarray]:
     """Random frozen backbone, for runs without a pre-training phase."""
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     sizes = dims + [class_count]
     return [
         rng.standard_normal((sizes[i + 1], sizes[i])) / np.sqrt(sizes[i])
@@ -263,7 +231,7 @@ def build_classifier(
     The requested rank is clamped per layer to min(d_out, d_in); narrow
     output layers therefore carry a smaller effective rank.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     layers = []
     for w0 in base_weights:
         r = min(rank, min(w0.shape))

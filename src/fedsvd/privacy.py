@@ -1,12 +1,13 @@
-"""DP-SGD primitive (clip + noise + step) and Renyi-DP accounting.
+"""The DP-SGD step (clip + noise + step) and Renyi-DP accounting.
 
-Privacy is applied client-side: each per-example gradient is clipped to a
-global norm bound C across all of that example's trainable matrices, the
-clipped gradients are summed, a single Gaussian draw N(0, sigma^2 C^2) per
-parameter tensor is added, and the result is averaged over the batch. One
-step of this Poisson-subsampled Gaussian mechanism has a fixed RDP at each
-integer order, so `steps` steps spend `steps * rdp_per_step`, converted to
-(epsilon, delta) by epsilon_from_rdp.
+Privacy is applied client-side by dp_sgd_step_flat, the one step: each
+per-example gradient, given as the rank-one factors of model.grad_factors,
+is clipped to a global norm bound C across all of that example's trainable
+matrices, the clipped gradients are summed, a single Gaussian draw
+N(0, sigma^2 C^2) per parameter is added, and the result is averaged over
+the batch. One step of this Poisson-subsampled Gaussian mechanism has a
+fixed RDP at each integer order, so `steps` steps spend
+`steps * rdp_per_step`, converted to (epsilon, delta) by epsilon_from_rdp.
 """
 
 from __future__ import annotations
@@ -133,61 +134,6 @@ def calibrate_sigma(
         else:
             lo = mid
     return hi
-
-
-def global_grad_norm(grad) -> float:
-    """Frobenius norm over the concatenation of one example's gradient matrices."""
-    if isinstance(grad, dict):
-        return math.sqrt(sum(float(np.sum(g * g)) for g in grad.values()))
-    g = np.asarray(grad, dtype=np.float64)
-    return math.sqrt(float(np.sum(g * g)))
-
-
-def clip_gradient(grad, clip_norm: float):
-    """Rescale one example's gradient to norm at most clip_norm.
-
-    Applies g * min(1, C / ||g||) where ||g|| is the global norm across all
-    matrices of the example; gradients already inside the ball are returned
-    unchanged (same scaling semantics as g / max(1, ||g|| / C)).
-    """
-    if clip_norm <= 0.0:
-        raise ValueError(f"clip_norm must be positive, got {clip_norm}")
-    norm = global_grad_norm(grad)
-    factor = 1.0 if norm <= clip_norm else clip_norm / norm
-    if isinstance(grad, dict):
-        return {k: factor * g for k, g in grad.items()}
-    return factor * np.asarray(grad, dtype=np.float64)
-
-
-def dp_sgd_step(params: dict, per_sample_grads: dict, trainable, cfg: PrivacyConfig | None, lr: float, rng) -> dict:
-    """One DP-SGD update over a sampled batch.
-
-    params maps keys to current matrices; per_sample_grads maps the same keys
-    to (m, ...) stacked per-example gradients. Each example is clipped to the
-    global norm bound, the clipped gradients are summed, one Gaussian draw
-    N(0, sigma^2 C^2) per trainable tensor is added, and the total is divided
-    by the batch size m. Only keys in `trainable` are updated; with sigma = 0
-    and no clipping active this reduces exactly to averaged SGD. Runs as
-    dp_sgd_step_factored, example n's gradient being g_n (flattened) (x) [1].
-    """
-    factors = {k: (g.reshape(len(g), params[k].size), np.ones((len(g), 1))) for k, g in per_sample_grads.items() if k in trainable}
-    return dp_sgd_step_factored(params, factors, trainable, cfg, lr, rng)
-
-
-def dp_sgd_step_factored(params: dict, grad_factors: dict, trainable, cfg, lr: float, rng) -> dict:
-    """dp_sgd_step for one client's per-example gradients as rank-one factors
-    (U, V), (m, .) per trainable key, example n's being U[n] (x) V[n]
-    (reshaped in C order to the key's shape): dp_sgd_step_flat on one row."""
-    keys = sorted(trainable)
-    if not keys:
-        return dict(params)
-    m = len(grad_factors[keys[0]][0])
-    if not m:
-        raise ValueError("empty batch")
-    factors = {k: (grad_factors[k][0][None], grad_factors[k][1][None]) for k in keys}
-    theta, views = flat_buffer({k: params[k].reshape(u.shape[-1], v.shape[-1]) for k, (u, v) in factors.items()}, 1)
-    dp_sgd_step_flat(theta, views, factors, *stacked_mechanisms([cfg]), lr, [rng], np.array([m]))
-    return {**params, **{k: views[k][0].reshape(params[k].shape) for k in keys}}
 
 
 def flat_buffer(arrays: dict, count: int) -> tuple[np.ndarray, dict]:

@@ -157,15 +157,16 @@ def verify_gradients(trials: int, seed: int) -> list[MarginRow]:
             rank=r,
             alpha=float(r),
         )
-        clf = model.Classifier(layers=[layer], class_count=c)
         x = rng.standard_normal(d_x)
         y = int(rng.integers(0, c))
-        grads = model.per_sample_grads(clf, [model.Example(x=x, y=y)])
+        # the gradients training clips: grad_factors, every adapter trainable
+        params = model.adapter_params([layer])
+        factors = model.grad_factors([layer], params, x[None], np.eye(c)[[y]], params.keys())
         worst = 0.0
         h = 1e-5
-        for key in ((0, "a"), (0, "b")):
-            g = grads[key][0]
-            base = layer.a if key[1] == "a" else layer.b
+        for key, (u, v) in factors.items():
+            g = u[0][:, None] * v[0][None, :]
+            base = params[key]
             for i in range(base.shape[0]):
                 for j in range(base.shape[1]):
                     plus = base.copy()
@@ -189,9 +190,7 @@ def verify_gradients(trials: int, seed: int) -> list[MarginRow]:
                     worst = max(worst, abs(g[i, j] - fd) / denom)
         rows.append(_row("gradients", "finite_difference", t, worst, 1e-6, worst <= 1e-6))
 
-        rep = analysis.grad_norm_identity_check(
-            layer.a, layer.b, layer.w0, model.Example(x=x, y=y)
-        )
+        rep = analysis.grad_norm_identity_check(layer.a, layer.b, layer.w0, x, y)
         err = abs(rep.lhs - rep.rhs_identity)
         rows.append(_row("gradients", "norm_identity", t, err, 1e-10, err <= 1e-10))
         rows.append(

@@ -1,4 +1,9 @@
-"""Shared test fixtures: small, fast run configurations."""
+"""Shared test fixtures: small, fast run configurations, and the independent
+per-example clipping oracle that the DP-SGD step is checked against."""
+
+import math
+
+import numpy as np
 
 from fedsvd.config import RunConfig
 
@@ -26,3 +31,33 @@ def small_config(**kw):
     )
     base.update(kw)
     return RunConfig(**base)
+
+
+def outer_products(factors):
+    """Per-example gradients from model.grad_factors: key -> (n, *shape),
+    example n's gradient being U[n] (x) V[n]."""
+    return {k: u[:, :, None] * v[:, None, :] for k, (u, v) in factors.items()}
+
+
+def global_grad_norm(grad) -> float:
+    """Frobenius norm over the concatenation of one example's gradient matrices."""
+    if isinstance(grad, dict):
+        return math.sqrt(sum(float(np.sum(g * g)) for g in grad.values()))
+    g = np.asarray(grad, dtype=np.float64)
+    return math.sqrt(float(np.sum(g * g)))
+
+
+def clip_gradient(grad, clip_norm: float):
+    """Rescale one example's gradient to norm at most clip_norm.
+
+    Applies g * min(1, C / ||g||) where ||g|| is the global norm across all
+    matrices of the example; gradients already inside the ball are returned
+    unchanged (same scaling semantics as g / max(1, ||g|| / C)).
+    """
+    if clip_norm <= 0.0:
+        raise ValueError(f"clip_norm must be positive, got {clip_norm}")
+    norm = global_grad_norm(grad)
+    factor = 1.0 if norm <= clip_norm else clip_norm / norm
+    if isinstance(grad, dict):
+        return {k: factor * g for k, g in grad.items()}
+    return factor * np.asarray(grad, dtype=np.float64)

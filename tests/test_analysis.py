@@ -153,7 +153,7 @@ def test_grad_norm_zero_input():
     a = rng.standard_normal((3, 6))
     b = rng.standard_normal((2, 3))
     w = rng.standard_normal((2, 6))
-    rep = analysis.grad_norm_identity_check(a, b, w, model.Example(x=np.zeros(6), y=1))
+    rep = analysis.grad_norm_identity_check(a, b, w, np.zeros(6), 1)
     assert rep.lhs == 0.0
     assert rep.rhs_identity == 0.0
     assert rep.rhs_bound == 0.0
@@ -171,7 +171,7 @@ def test_grad_norm_identity_and_bound_random():
         y = int(rng.integers(0, max(c, 2)))
         if c == 1:
             y = int(rng.integers(0, 2))
-        rep = analysis.grad_norm_identity_check(a, b, w, model.Example(x=x, y=y))
+        rep = analysis.grad_norm_identity_check(a, b, w, x, y)
         assert abs(rep.lhs - rep.rhs_identity) <= 1e-10 * max(1.0, rep.lhs)
         assert rep.lhs <= rep.rhs_bound + 1e-10
 
@@ -184,13 +184,13 @@ def test_grad_norm_orthonormal_equality_on_row_space():
     b = rng.standard_normal((2, 3))
     w = rng.standard_normal((2, 8)) * 0.1
     x = a.T @ rng.standard_normal(3)  # lies in rowspace(a)
-    rep = analysis.grad_norm_identity_check(a, b, w, model.Example(x=x, y=0))
+    rep = analysis.grad_norm_identity_check(a, b, w, x, 0)
     assert abs(rep.spectral_a - 1.0) <= 1e-10
     assert abs(rep.lhs - rep.rhs_bound) <= 1e-10 * max(1.0, rep.rhs_bound)
 
 
 def test_grad_norm_matches_model_gradients():
-    # cross-check against the analytic per-sample gradient path
+    # cross-check against grad_factors, the per-example gradient training clips
     rng = np.random.default_rng(12)
     for _ in range(20):
         c, r, d_x = 4, 3, 6
@@ -199,9 +199,11 @@ def test_grad_norm_matches_model_gradients():
         w = rng.standard_normal((c, d_x)) * 0.2
         x = rng.standard_normal(d_x)
         y = int(rng.integers(0, c))
-        rep = analysis.grad_norm_identity_check(a, b, w, model.Example(x=x, y=y))
+        rep = analysis.grad_norm_identity_check(a, b, w, x, y)
         layer = LoraLayer(w0=w, a=a, b=b, rank=r, alpha=float(r))
-        g = analysis.adapter_grad_for_example(layer, c, model.Example(x=x, y=y))
+        params = model.adapter_params([layer])
+        u, v = model.grad_factors([layer], params, x[None], np.eye(c)[[y]], {(0, "b")})[(0, "b")]
+        g = u[0][:, None] * v[0][None, :]
         assert abs(np.linalg.norm(g) - rep.lhs) <= 1e-10 * max(1.0, rep.lhs)
 
 

@@ -1,12 +1,16 @@
+import os
 import re
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsvd import cli, config, federation, metrics
+from fedsvd import cli, config, federation, metrics, model, verify
 from fedsvd.config import ConfigError, RunConfig
 
 
@@ -169,6 +173,21 @@ def test_cmd_verify_scopes(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "scope,check,trial,value,bound,margin,status"
     assert len(lines) > 5
+
+
+def test_verify_gradients_checks_the_training_gradient(monkeypatch):
+    # verify differentiates through grad_factors, the path training runs:
+    # a 1e-3 relative error in the U factor of b must show
+    assert verify.violations(verify.run_scope("gradients", 5, 0)) == 0
+    exact = model.grad_factors
+
+    def skewed(*args, **kwargs):
+        factors = exact(*args, **kwargs)
+        return {k: ((1 + 1e-3) * u if k[1] == "b" else u, v) for k, (u, v) in factors.items()}
+
+    monkeypatch.setattr(model, "grad_factors", skewed)
+    rows = verify.run_scope("gradients", 5, 0)
+    assert [r.status for r in rows if r.check == "finite_difference"] == ["violation"] * 5
 
 
 def test_cmd_verify_zero_trials_vacuous(capsys):
@@ -413,3 +432,25 @@ def test_config_dump_parse_and_overrides_round_trip_generated_configs(cfg):
     assert config.parse(config.dump(cfg)) == cfg
     overrides = [f"{key}={config._format_value(key, getattr(cfg, key))}" for key in config._KEY_SECTION]
     assert config.apply_overrides(RunConfig(), overrides) == cfg
+
+
+def test_cmd_run_csv_independent_of_blas_thread_variables(tmp_path):
+    # fedsvd pins one BLAS thread unless the user sets a count. Without the
+    # pin, this config's CSV differed between the default thread count of a
+    # 2-core machine and 1 thread, from round 2 on.
+    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    root = Path(__file__).resolve().parent.parent
+    csvs = []
+    for pinned in (False, True):
+        env = {k: v for k, v in os.environ.items() if k not in variables}
+        env.update(dict.fromkeys(variables if pinned else (), "1"))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        out = tmp_path / f"pinned_{pinned}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "fedsvd.cli", "--seed", "0", "--output", str(out), "run",
+             str(root / "configs" / "headline.ini"), "rounds=2", "pretrain_steps=20",
+             "local_steps=1", "record_timing=false"],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import small_config
+from helpers import clip_gradient, outer_products, small_config
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -182,7 +182,7 @@ def test_local_train_loss_nonincreasing_convex_case():
 def reference_local_train(client, layers, lr, rng):
     """local_train composed from the per-example oracle.
 
-    per_sample_grads -> clip each example -> sum -> one noise draw per
+    grad_factors outer products -> clip each example -> sum -> one noise draw per
     trainable key in sorted order (none at sigma 0 or without privacy) ->
     divide by the realized batch size.
     Returns the final layers and the number of empty Poisson draws.
@@ -199,11 +199,14 @@ def reference_local_train(client, layers, lr, rng):
         if not mask.any():
             empty += 1
             continue
-        grads = model.per_sample_grads(clf, ds.subset(np.flatnonzero(mask)), trainable)
+        batch = ds.subset(np.flatnonzero(mask))
+        params = model.adapter_params(clf.layers)
+        targets = np.eye(clf.class_count)[batch.labels]
+        grads = outer_products(model.grad_factors(clf.layers, params, batch.features, targets, trainable))
         m = int(mask.sum())
         total = {k: 0.0 for k in trainable}
         for n in range(m):
-            clipped = privacy.clip_gradient({k: grads[k][n] for k in trainable}, clip)
+            clipped = clip_gradient({k: grads[k][n] for k in trainable}, clip)
             for k in trainable:
                 total[k] = total[k] + clipped[k]
         new_layers = list(clf.layers)

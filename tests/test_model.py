@@ -4,6 +4,7 @@ import pytest
 from fedsvd import lora, model
 from fedsvd.data import Dataset
 from fedsvd.lora import LoraLayer
+from helpers import outer_products
 
 
 def make_model(rng, d_x=5, c=3, r=2, layers=1, hidden=4, a_frozen=False, zero_b=False):
@@ -33,6 +34,15 @@ def model_with_param(m, key, value):
     layers = list(m.layers)
     layers[idx] = layers[idx].with_adapters(**{name: value})
     return model.Classifier(layers=layers, class_count=m.class_count)
+
+
+def example_grads(m, x, y):
+    """grad_factors' gradients of one example (x, y) as (1, *shape) arrays,
+    keyed by the trainable adapter matrices."""
+    params = model.adapter_params(m.layers)
+    targets = np.eye(m.class_count)[[y]]
+    factors = model.grad_factors(m.layers, params, x[None], targets, model.trainable_params(m))
+    return outer_products(factors)
 
 
 def fd_gradient(m, key, x, y, h=1e-5):
@@ -127,7 +137,7 @@ def test_per_sample_grads_zero_loss_limit():
     layers[0] = LoraLayer(w0=w0, a=m.layers[0].a, b=m.layers[0].b, rank=2, alpha=2.0)
     m2 = model.Classifier(layers=layers, class_count=3)
     x = np.abs(rng.standard_normal(5)) + 0.5
-    grads = model.per_sample_grads(m2, [model.Example(x=x, y=1)])
+    grads = example_grads(m2, x, 1)
     for g in grads.values():
         assert np.linalg.norm(g) < 1e-8
 
@@ -143,7 +153,7 @@ def test_per_sample_grads_closed_form_b():
     delta = model.softmax(z)
     delta[y] -= 1.0
     expected = layer.scale * np.outer(delta, layer.a @ x)
-    grads = model.per_sample_grads(m, [model.Example(x=x, y=y)])
+    grads = example_grads(m, x, y)
     np.testing.assert_allclose(grads[(0, "b")][0], expected, atol=1e-12)
 
 
@@ -154,20 +164,10 @@ def test_per_sample_grads_match_finite_differences(layers):
         m = make_model(rng, d_x=4, c=3, r=2, layers=layers, hidden=3)
         x = rng.standard_normal(4)
         y = int(rng.integers(0, 3))
-        grads = model.per_sample_grads(m, [model.Example(x=x, y=y)])
+        grads = example_grads(m, x, y)
         for key in grads:
             fd = fd_gradient(m, key, x, y)
             np.testing.assert_allclose(grads[key][0], fd, rtol=1e-6, atol=1e-8)
-
-
-def test_per_sample_grads_frozen_entries_are_zero():
-    rng = np.random.default_rng(8)
-    m = make_model(rng, a_frozen=True)
-    x = rng.standard_normal((3, 5))
-    y = np.array([0, 1, 2])
-    grads = model.per_sample_grads(m, list(map(model.Example, x, y)))
-    assert np.all(grads[(0, "a")] == 0.0)
-    assert np.any(grads[(0, "b")] != 0.0)
 
 
 def test_gradient_norm_identity_orthonormal_a():
@@ -187,7 +187,7 @@ def test_gradient_norm_identity_orthonormal_a():
         z = model.forward(m, x)
         delta = model.softmax(z)
         delta[y] -= 1.0
-        g = model.per_sample_grads(m, [model.Example(x=x, y=y)])[(0, "b")][0]
+        g = example_grads(m, x, y)[(0, "b")][0]
         lhs = np.linalg.norm(g)
         rhs = np.linalg.norm(delta) * np.linalg.norm(a @ x)
         assert abs(lhs - rhs) <= 1e-10
@@ -200,8 +200,7 @@ def test_evaluate_constant_predictor():
     layer = LoraLayer(w0=w0, a=np.zeros((1, 3)), b=np.zeros((2, 1)), rank=1, alpha=1.0)
     m = model.Classifier(layers=[layer], class_count=2)
     xs = np.abs(np.random.default_rng(1).standard_normal((20, 3))) + 0.1
-    data = [model.Example(x=x, y=1) for x in xs]
-    acc, _ = model.evaluate(m, data)
+    acc, _ = model.evaluate(m, Dataset(xs, np.ones(len(xs)), 2))
     assert acc == 1.0
 
 
@@ -218,8 +217,7 @@ def test_evaluate_random_labels_near_chance():
     n = 10**4
     xs = rng.standard_normal((n, 6))
     ys = rng.integers(0, 2, n)
-    data = list(map(model.Example, xs, ys))
-    acc, _ = model.evaluate(m, data)
+    acc, _ = model.evaluate(m, Dataset(xs, ys, 2))
     assert abs(acc - 0.5) < 0.02
 
 
@@ -229,17 +227,15 @@ def test_evaluate_uniform_predictor_loss():
     )
     m = model.Classifier(layers=[layer], class_count=3)
     rng = np.random.default_rng(11)
-    data = [model.Example(x=rng.standard_normal(4), y=int(rng.integers(0, 3))) for _ in range(50)]
-    _, mean_loss = model.evaluate(m, data)
+    xs, ys = zip(*[(rng.standard_normal(4), int(rng.integers(0, 3))) for _ in range(50)])
+    _, mean_loss = model.evaluate(m, Dataset(np.array(xs), ys, 3))
     assert abs(mean_loss - np.log(3)) < 1e-12
 
 
 def test_evaluate_empty_rejected():
     m = make_model(np.random.default_rng(0))
     with pytest.raises(ValueError):
-        model.evaluate(m, [])
-    with pytest.raises(ValueError):
-        model.per_sample_grads(m, [])
+        model.evaluate(m, Dataset(np.zeros((0, 5)), [], 3))
 
 
 def test_fit_dense_weights_learns_separable_problem():
@@ -252,7 +248,7 @@ def test_fit_dense_weights_learns_separable_problem():
         w0=weights[0], a=np.zeros((1, 2)), b=np.zeros((2, 1)), rank=1, alpha=1.0
     )
     m = model.Classifier(layers=[layer], class_count=2)
-    acc, _ = model.evaluate(m, list(map(model.Example, x, y)))
+    acc, _ = model.evaluate(m, Dataset(x, y, 2))
     assert acc > 0.95
 
 

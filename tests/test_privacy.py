@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
-from fedsvd import data, model, privacy
+from fedsvd import model, privacy
+from helpers import clip_gradient, global_grad_norm, outer_products
 
 
 def oracle_rdp_subsampled(q, sigma, alpha, prec=256):
@@ -244,37 +245,39 @@ def test_calibrate_sigma_unreachable_target():
 
 
 # --- clipping and the DP-SGD step ---
+# The step runs on one client's row of a flat_buffer; the oracle is the
+# per-example clip_gradient of tests/helpers.py on the outer products.
 
 
 def test_clip_gradient_under_threshold_unchanged():
     g = np.zeros((2, 2))
     g[0, 0] = 1.0
-    out = privacy.clip_gradient(g, 2.0)
+    out = clip_gradient(g, 2.0)
     np.testing.assert_array_equal(out, g)
 
 
 def test_clip_gradient_scales_to_bound():
     g = np.full((2, 2), 2.0)  # norm 4
-    out = privacy.clip_gradient(g, 2.0)
+    out = clip_gradient(g, 2.0)
     np.testing.assert_allclose(out, g / 2.0)
-    assert abs(privacy.global_grad_norm(out) - 2.0) < 1e-12
+    assert abs(global_grad_norm(out) - 2.0) < 1e-12
 
 
 def test_clip_gradient_zero_and_idempotent():
-    assert np.all(privacy.clip_gradient(np.zeros((3, 3)), 1.0) == 0.0)
+    assert np.all(clip_gradient(np.zeros((3, 3)), 1.0) == 0.0)
     rng = np.random.default_rng(0)
     g = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((2, 2))}
-    once = privacy.clip_gradient(g, 0.5)
-    twice = privacy.clip_gradient(once, 0.5)
+    once = clip_gradient(g, 0.5)
+    twice = clip_gradient(once, 0.5)
     for k in g:
         np.testing.assert_allclose(once[k], twice[k], atol=1e-15)
-    assert privacy.global_grad_norm(once) <= 0.5 + 1e-12
+    assert global_grad_norm(once) <= 0.5 + 1e-12
 
 
 def test_clip_gradient_global_across_matrices():
     g = {"a": np.array([[3.0]]), "b": np.array([[4.0]])}  # global norm 5
-    out = privacy.clip_gradient(g, 1.0)
-    assert abs(privacy.global_grad_norm(out) - 1.0) < 1e-12
+    out = clip_gradient(g, 1.0)
+    assert abs(global_grad_norm(out) - 1.0) < 1e-12
     np.testing.assert_allclose(out["a"], [[0.6]])
 
 
@@ -284,51 +287,63 @@ def make_cfg(sigma, clip):
 
 def test_dp_sgd_step_degenerate_equals_vanilla_sgd():
     rng = np.random.default_rng(1)
-    params = {"w": rng.standard_normal((3, 4))}
-    grads = {"w": rng.standard_normal((8, 3, 4))}
-    got = privacy.dp_sgd_step(
-        params, grads, ["w"], make_cfg(0.0, 1e12), 0.5, np.random.default_rng(0)
-    )
-    expected = params["w"] - 0.5 * grads["w"].mean(axis=0)
-    np.testing.assert_allclose(got["w"], expected, atol=1e-12)
-    # and with clipping disabled outright
-    got2 = privacy.dp_sgd_step(params, grads, ["w"], None, 0.5, np.random.default_rng(0))
-    np.testing.assert_allclose(got2["w"], expected, atol=1e-12)
+    w = rng.standard_normal((3, 4))
+    u, v = rng.standard_normal((8, 3)), rng.standard_normal((8, 4))
+    expected = w - 0.5 * outer_products({"w": (u, v)})["w"].mean(axis=0)
+    # no noise and a bound no example reaches, then clipping disabled outright
+    for cfg in (make_cfg(0.0, 1e12), None):
+        theta, views = privacy.flat_buffer({"w": w}, 1)
+        privacy.dp_sgd_step_flat(
+            theta, views, {"w": (u[None], v[None])}, *privacy.stacked_mechanisms([cfg]),
+            0.5, [np.random.default_rng(0)], np.array([8]),
+        )
+        np.testing.assert_allclose(views["w"][0], expected, atol=1e-12)
 
 
 def test_dp_sgd_step_noise_scale_monte_carlo():
     # all gradients zero: the update is pure noise with std sigma * C / m.
     m, sigma, clip = 4, 1.0, 2.0
-    params = {"w": np.zeros((250, 400))}  # 1e5 coordinates
-    grads = {"w": np.zeros((m, 250, 400))}
-    out = privacy.dp_sgd_step(
-        params, grads, ["w"], make_cfg(sigma, clip), 1.0, np.random.default_rng(42)
+    theta, views = privacy.flat_buffer({"w": np.zeros((250, 400))}, 1)  # 1e5 coordinates
+    factors = {"w": (np.zeros((1, m, 250)), np.zeros((1, m, 400)))}
+    privacy.dp_sgd_step_flat(
+        theta, views, factors, *privacy.stacked_mechanisms([make_cfg(sigma, clip)]),
+        1.0, [np.random.default_rng(42)], np.array([m]),
     )
-    draws = -out["w"].ravel()  # lr = 1
+    draws = -views["w"].ravel()  # lr = 1
     expected_std = sigma * clip / m
     assert abs(draws.std() - expected_std) / expected_std < 0.02
     assert abs(draws.mean()) < 3 * expected_std / np.sqrt(draws.size)
 
 
 def test_dp_sgd_step_single_clipped_example():
-    g = np.zeros((1, 2, 2))
-    g[0, 0, 0] = 4.0  # norm 4 = 2C for C = 2
-    params = {"w": np.zeros((2, 2))}
-    out = privacy.dp_sgd_step(
-        params, {"w": g}, ["w"], make_cfg(0.0, 2.0), 0.1, np.random.default_rng(0)
+    # gradient [[4, 0], [0, 0]]: norm 4 = 2C for C = 2
+    factors = {"w": (np.array([[[4.0, 0.0]]]), np.array([[[1.0, 0.0]]]))}
+    theta, views = privacy.flat_buffer({"w": np.zeros((2, 2))}, 1)
+    privacy.dp_sgd_step_flat(
+        theta, views, factors, *privacy.stacked_mechanisms([make_cfg(0.0, 2.0)]),
+        0.1, [np.random.default_rng(0)], np.array([1]),
     )
     expected = np.zeros((2, 2))
     expected[0, 0] = -0.1 * 2.0  # -lr * clipped gradient (direction * C)
-    np.testing.assert_allclose(out["w"], expected, atol=1e-14)
+    np.testing.assert_allclose(views["w"][0], expected, atol=1e-14)
 
 
 def test_dp_sgd_step_only_touches_trainable():
+    # factors of a key outside the buffer (a frozen matrix) are ignored:
+    # they are not stepped and draw no noise
     rng = np.random.default_rng(2)
-    params = {"a": rng.standard_normal((2, 2)), "b": rng.standard_normal((2, 2))}
-    grads = {"a": np.ones((3, 2, 2)), "b": np.ones((3, 2, 2))}
-    out = privacy.dp_sgd_step(params, grads, ["b"], make_cfg(1.0, 2.0), 0.5, rng)
-    assert out["a"] is params["a"]
-    assert not np.array_equal(out["b"], params["b"])
+    b = rng.standard_normal((2, 2))
+    ones = np.ones((1, 3, 2))
+    theta, views = privacy.flat_buffer({"b": b}, 1)
+    step_rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    privacy.dp_sgd_step_flat(
+        theta, views, {"a": (ones, ones), "b": (ones, ones)},
+        *privacy.stacked_mechanisms([make_cfg(1.0, 2.0)]), 0.5, [step_rng], np.array([3]),
+    )
+    assert theta.shape == (1, b.size)
+    assert not np.array_equal(views["b"][0], b)
+    twin.standard_normal(b.size)  # the one noise block, for b alone
+    assert step_rng.random() == twin.random()
 
 
 def test_dp_sgd_step_clipped_sum_matches_per_example_clipping():
@@ -336,19 +351,23 @@ def test_dp_sgd_step_clipped_sum_matches_per_example_clipping():
     # example's gradient dict separately and summing.
     rng = np.random.default_rng(3)
     m = 6
-    grads = {
-        "a": rng.standard_normal((m, 2, 3)) * 3,
-        "b": rng.standard_normal((m, 4, 1)) * 3,
+    factors = {
+        "a": (rng.standard_normal((m, 2)) * 3, rng.standard_normal((m, 3))),
+        "b": (rng.standard_normal((m, 4)) * 3, rng.standard_normal((m, 1))),
     }
-    params = {"a": np.zeros((2, 3)), "b": np.zeros((4, 1))}
-    out = privacy.dp_sgd_step(params, grads, ["a", "b"], make_cfg(0.0, 1.5), 1.0, rng)
-    manual = {k: np.zeros_like(v) for k, v in params.items()}
+    grads = outer_products(factors)
+    theta, views = privacy.flat_buffer({"a": np.zeros((2, 3)), "b": np.zeros((4, 1))}, 1)
+    privacy.dp_sgd_step_flat(
+        theta, views, {k: (u[None], v[None]) for k, (u, v) in factors.items()},
+        *privacy.stacked_mechanisms([make_cfg(0.0, 1.5)]), 1.0, [rng], np.array([m]),
+    )
+    manual = {k: np.zeros(g.shape[1:]) for k, g in grads.items()}
     for i in range(m):
-        clipped = privacy.clip_gradient({k: grads[k][i] for k in grads}, 1.5)
+        clipped = clip_gradient({k: grads[k][i] for k in grads}, 1.5)
         for k in manual:
             manual[k] += clipped[k]
-    for k in params:
-        np.testing.assert_allclose(out[k], -manual[k] / m, atol=1e-12)
+    for k in manual:
+        np.testing.assert_allclose(views[k][0], -manual[k] / m, atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -380,52 +399,26 @@ def test_factored_clipped_sum_matches_per_example_clipping(
     y = rng.integers(0, classes, batch)
     trainable = model.trainable_params(clf)
 
-    grads = model.per_sample_grads(clf, data.Dataset(x, y, classes), trainable)
-    examples = [{k: grads[k][n] for k in trainable} for n in range(batch)]
-    norms = [privacy.global_grad_norm(g) for g in examples]
-    if zero_example:
-        assert norms[0] == 0.0
-    clip = clip_scale * max(norms) if max(norms) > 0.0 else 1.0
-    want = {k: sum(privacy.clip_gradient(g, clip)[k] for g in examples) for k in trainable}
-
     params = model.adapter_params(clf.layers)
     factors = model.grad_factors(clf.layers, params, x, np.eye(classes)[y], trainable)
     assert set(factors) == set(trainable)
-    zeros = {k: np.zeros_like(v) for k, v in params.items()}
-    out = privacy.dp_sgd_step_factored(
-        zeros, factors, trainable, make_cfg(0.0, clip), 1.0, np.random.default_rng(0)
+    grads = outer_products(factors)
+    examples = [{k: grads[k][n] for k in trainable} for n in range(batch)]
+    norms = [global_grad_norm(g) for g in examples]
+    if zero_example:
+        assert norms[0] == 0.0
+    clip = clip_scale * max(norms) if max(norms) > 0.0 else 1.0
+    want = {k: sum(clip_gradient(g, clip)[k] for g in examples) for k in trainable}
+
+    theta, views = privacy.flat_buffer({k: np.zeros_like(params[k]) for k in trainable}, 1)
+    privacy.dp_sgd_step_flat(
+        theta, views, {k: (u[None], v[None]) for k, (u, v) in factors.items()},
+        *privacy.stacked_mechanisms([make_cfg(0.0, clip)]), 1.0, [np.random.default_rng(0)],
+        np.array([batch]),
     )
     for k in trainable:
-        got = -batch * out[k]
+        got = -batch * views[k][0]
         assert np.linalg.norm(got - want[k]) <= 1e-12 * np.linalg.norm(want[k])
-
-
-def test_dp_sgd_step_factored_noise_matches_stacked_step():
-    # Same clipped sum, same noise stream: the factored step equals the
-    # stacked one on the outer products of its factors.
-    rng = np.random.default_rng(4)
-    factors = {
-        "a": (rng.standard_normal((5, 2)), rng.standard_normal((5, 3))),
-        "b": (rng.standard_normal((5, 4)), rng.standard_normal((5, 1))),
-    }
-    stacked = {k: u[:, :, None] * v[:, None, :] for k, (u, v) in factors.items()}
-    params = {"a": rng.standard_normal((2, 3)), "b": rng.standard_normal((4, 1))}
-    cfg = make_cfg(1.3, 1.5)
-    got = privacy.dp_sgd_step_factored(params, factors, ["b", "a"], cfg, 0.7, np.random.default_rng(9))
-    want = privacy.dp_sgd_step(params, stacked, ["b", "a"], cfg, 0.7, np.random.default_rng(9))
-    for k in params:
-        np.testing.assert_allclose(got[k], want[k], rtol=1e-12, atol=1e-15)
-    with pytest.raises(ValueError):
-        privacy.dp_sgd_step_factored(
-            params, {"a": (np.zeros((0, 2)), np.zeros((0, 3)))}, ["a"], cfg, 0.1, rng
-        )
-
-
-def test_dp_sgd_step_empty_batch_rejected():
-    params = {"w": np.zeros((2, 2))}
-    grads = {"w": np.zeros((0, 2, 2))}
-    with pytest.raises(ValueError):
-        privacy.dp_sgd_step(params, grads, ["w"], None, 0.1, np.random.default_rng(0))
 
 
 def test_privacy_config_validation():
