@@ -52,9 +52,7 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     all_rows = []
     for i, seed in enumerate(cfg.seeds):
-        rows = federation.run_experiment(
-            cfg, seed, threads=cfg.threads, record_timing=cfg.record_timing
-        )
+        rows = federation.run_experiment(cfg, seed, record_timing=cfg.record_timing)
         metrics.write_csv(cfg.metrics_path, rows, append=i > 0)
         all_rows.append(rows)
         print(

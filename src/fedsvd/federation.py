@@ -10,7 +10,9 @@ absorption, residual correction, ...).
 The sampled clients of a round train together on a stacked client axis
 (train_clients), each on its own RNG stream from (master_seed, round,
 client_id), so results do not depend, beyond rounding, on how clients are
-grouped or ordered.
+grouped or ordered. The (K, ...) adapters it returns go straight to
+aggregate, whose weighted sums add the clients one by one in sampled
+(sorted) order.
 """
 
 from __future__ import annotations
@@ -60,28 +62,31 @@ def _pissa_start(layer: LoraLayer, rng: np.random.Generator) -> LoraLayer:
     return replace(layer, w0=residual, a=a, b=b / layer.scale)
 
 
-def _average_b(layer: LoraLayer, weighted: list, server: ServerState, idx: int) -> LoraLayer:
-    return layer.with_adapters(b=sum(w * b for w, _, b in weighted))
+def _weighted(w: list[float], stacked) -> np.ndarray:
+    """sum_k w_k m_k over the client axis, added in client order."""
+    return sum(w_k * m_k for w_k, m_k in zip(w, stacked))
 
 
-def _average_ab(layer: LoraLayer, weighted: list, server: ServerState, idx: int) -> LoraLayer:
-    return layer.with_adapters(
-        a=sum(w * a for w, a, _ in weighted), b=sum(w * b for w, _, b in weighted)
-    )
+def _average_b(layer: LoraLayer, w: list[float], a, b, server: ServerState, idx: int) -> LoraLayer:
+    return layer.with_adapters(b=_weighted(w, b))
 
 
-def _fold_restart(layer: LoraLayer, weighted: list, server: ServerState, idx: int) -> LoraLayer:
+def _average_ab(layer: LoraLayer, w: list[float], a, b, server: ServerState, idx: int) -> LoraLayer:
+    return layer.with_adapters(a=_weighted(w, a), b=_weighted(w, b))
+
+
+def _fold_restart(layer: LoraLayer, w: list[float], a, b, server: ServerState, idx: int) -> LoraLayer:
     """FLoRA: absorb the mean product into w0 and restart the adapters."""
-    w0 = layer.w0 + layer.scale * sum(w * (b @ a) for w, a, b in weighted)
+    w0 = layer.w0 + layer.scale * _weighted(w, b @ a)
     rng = stream(server.master_seed, _TAG_FLORA, server.round_index, idx)
     a_new, b_new = lora.init_adapter(layer.d_out, layer.d_in, layer.rank, rng)
     return replace(layer, w0=w0, a=a_new, b=b_new)
 
 
-def _fold_residual(layer: LoraLayer, weighted: list, server: ServerState, idx: int) -> LoraLayer:
+def _fold_residual(layer: LoraLayer, w: list[float], a, b, server: ServerState, idx: int) -> LoraLayer:
     """FedEx-LoRA: average a and b, absorb what their product misses into w0."""
-    avg = _average_ab(layer, weighted, server, idx)
-    residual = sum(w * (b @ a) for w, a, b in weighted) - avg.b @ avg.a
+    avg = _average_ab(layer, w, a, b, server, idx)
+    residual = _weighted(w, b @ a) - avg.b @ avg.a
     return replace(avg, w0=layer.w0 + layer.scale * residual)
 
 
@@ -92,8 +97,10 @@ class Rule:
     trains_a: clients train a as well as b (otherwise a is frozen).
     init: round-zero adapter initialization (layer, rng) -> layer, applied
         after the default Kaiming a / zero b start; None keeps that start.
-    merge: (layer, [(w_k, a_k, b_k)] in client order, server, layer index)
-        -> the merged layer; its weighted sums keep that client order.
+    merge: (layer, weights, a, b, server, layer index) -> the merged layer.
+        a and b are train_clients' (K, ...) stacks, row k holding client k
+        with weight n_k / sum n (a frozen a is the layer's own array); every
+        weighted sum adds the clients one by one in that order.
     reparam: (b, a) -> (b_hat, a_hat) refactorization of the merged
         product, run after rounds r with (r + 1) % period == 0.
     ships_w0: the server broadcasts the refreshed base weights too.
@@ -101,7 +108,7 @@ class Rule:
 
     trains_a: bool = False
     init: Callable[[LoraLayer, np.random.Generator], LoraLayer] | None = None
-    merge: Callable[[LoraLayer, list, ServerState, int], LoraLayer] = _average_b
+    merge: Callable[[LoraLayer, list, np.ndarray, np.ndarray, ServerState, int], LoraLayer] = _average_b
     reparam: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     ships_w0: bool = False
 
@@ -174,13 +181,6 @@ class ServerState:
         return Classifier(layers=list(self.layers), class_count=self.class_count)
 
 
-@dataclass(frozen=True)
-class ClientUpdate:
-    client_id: int
-    n: int
-    adapters: dict  # layer index -> (a, b)
-
-
 def sample_clients(total: int, count: int, rng: np.random.Generator) -> list[int]:
     """Uniform sample of client ids without replacement, returned sorted."""
     if not (1 <= count <= total):
@@ -188,32 +188,26 @@ def sample_clients(total: int, count: int, rng: np.random.Generator) -> list[int
     return sorted(int(i) for i in rng.choice(total, size=count, replace=False))
 
 
-def broadcast_layers(server: ServerState) -> list[LoraLayer]:
-    """Fresh copy of the global adapters with freeze flags applied; w0 is
-    shared, as training never writes it and every merge builds a new one."""
-    a_frozen = not server.strategy.trains_a
-    return [
-        replace(layer, a=layer.a.copy(), b=layer.b.copy(), a_frozen=a_frozen)
-        for layer in server.layers
-    ]
-
-
 def train_clients(
-    clients: list[ClientHandle], layers: list[LoraLayer], lr: float, rngs: list[np.random.Generator]
-) -> list[ClientUpdate]:
+    clients: list[ClientHandle], layers: list[LoraLayer], trains_a: bool, lr: float,
+    rngs: list[np.random.Generator],
+) -> dict[model.GradKey, np.ndarray]:
     """Run each client's local steps of (DP-)SGD from the same broadcast layers.
 
+    Returns the adapters keyed like model.adapter_params: each trained
+    matrix is (K, ...), row k holding clients[k]; a frozen a (trains_a
+    false) is the layer's own array. `layers` are read, never written.
     All K clients' trainable adapters live in one privacy.flat_buffer; each
     step runs one grad_factors and one dp_sgd_step_flat for all of them, on
     Poisson batches and one-hot targets padded to the largest. Client k
-    draws its batch, then its noise, from rngs[k] alone: its update is its
-    local_train result up to rounding. An empty draw (or finished steps)
+    draws its batch, then its noise, from rngs[k] alone: its row equals its
+    result trained alone up to rounding. An empty draw (or finished steps)
     skips the step and draws no noise; the privacy spend counts it all the
-    same (see _epsilon_column). A frozen a is returned as is.
+    same (see _epsilon_column).
     """
     count, d_in, classes = len(clients), layers[0].d_in, layers[-1].d_out
-    trainable = model.trainable_params(Classifier(layers=list(layers), class_count=classes))
     adapters = model.adapter_params(layers)
+    trainable = [key for key in adapters if trains_a or key[1] == "b"]
     theta, views = privacy.flat_buffer({key: adapters[key] for key in trainable}, count)
     params = {**adapters, **views}
     clip, noise = privacy.stacked_mechanisms([c.privacy_cfg for c in clients])
@@ -234,53 +228,29 @@ def train_clients(
             onehot.take(p, axis=0, out=targets[k, : len(p)])
         factors = model.grad_factors(layers, params, x, targets, trainable)
         privacy.dp_sgd_step_flat(theta, views, factors, clip, noise, lr, rngs, np.array(sizes))
-    return [
-        ClientUpdate(c.client_id, len(c.dataset), {
-            idx: tuple(params[idx, m][k] if (idx, m) in trainable else params[idx, m] for m in "ab")
-            for idx in range(len(layers))
-        })
-        for k, c in enumerate(clients)
-    ]
+    return params
 
 
-def local_train(
-    client: ClientHandle,
-    layers: list[LoraLayer],
-    lr: float,
-    rng: np.random.Generator,
-) -> ClientUpdate:
-    """Run one client's local steps of (DP-)SGD: train_clients on a stack of
-    one. An empty draw skips the step; a frozen `a` comes back byte-identical."""
-    return train_clients([client], layers, lr, [rng])[0]
+def aggregate(sizes: list[int], adapters: dict, server: ServerState) -> ServerState:
+    """Weighted aggregation of train_clients' adapters plus strategy post-processing.
 
-
-def aggregate(updates: list[ClientUpdate], server: ServerState) -> ServerState:
-    """Weighted aggregation of client updates plus strategy post-processing.
-
-    Weights are n_k / m over the participating clients and must sum to one.
-    FedSVD variants refactor the aggregated product every `period` rounds;
-    FLoRA and FedEx-LoRA fold product information into the base weights.
+    sizes[k] is the shard size n_k of the client in row k; the weights are
+    n_k / sum n and must sum to one. FedSVD variants refactor the
+    aggregated product every `period` rounds; FLoRA and FedEx-LoRA fold
+    product information into the base weights.
     """
-    if not updates:
+    if not sizes:
         raise ValueError("no client updates to aggregate")
-    total = sum(u.n for u in updates)
-    weights = {u.client_id: u.n / total for u in updates}
-    if abs(sum(weights.values()) - 1.0) > 1e-12:
+    total = sum(sizes)
+    weights = [n / total for n in sizes]
+    if abs(sum(weights) - 1.0) > 1e-12:
         raise ValueError("aggregation weights do not sum to 1")
-    updates = sorted(updates, key=lambda u: u.client_id)
 
     rule = server.strategy.rule
     reparam_now = rule.reparam is not None and (server.round_index + 1) % server.strategy.period == 0
     new_layers: list[LoraLayer] = []
     for idx, layer in enumerate(server.layers):
-        for u in updates:
-            a_k, b_k = u.adapters[idx]
-            if a_k.shape != layer.a.shape or b_k.shape != layer.b.shape:
-                raise ValueError(
-                    f"client {u.client_id} returned mismatched shapes for layer {idx}"
-                )
-        weighted = [(weights[u.client_id], *u.adapters[idx]) for u in updates]
-        layer = rule.merge(layer, weighted, server, idx)
+        layer = rule.merge(layer, weights, adapters[idx, "a"], adapters[idx, "b"], server, idx)
         if reparam_now:
             b_hat, a_hat = rule.reparam(layer.b, layer.a)
             layer = layer.with_adapters(a=a_hat, b=b_hat)
@@ -362,11 +332,7 @@ def _build_datasets(cfg: RunConfig, seed: int):
 def init_server(cfg: RunConfig, strategy: Strategy, base_weights: list[np.ndarray], class_count: int, seed: int) -> ServerState:
     """Round-zero server state: strategy-specific adapter initialization."""
     rng = stream(seed, _TAG_INIT)
-    clf = model.build_classifier(
-        base_weights, cfg.rank, cfg.lora_alpha, rng, class_count,
-        a_frozen=not strategy.trains_a,
-    )
-    layers = clf.layers
+    layers = model.build_classifier(base_weights, cfg.rank, cfg.lora_alpha, rng, class_count).layers
     if strategy.rule.init is not None:
         layers = [strategy.rule.init(layer, rng) for layer in layers]
     return ServerState(
@@ -440,18 +406,13 @@ def build_clients(cfg: RunConfig, parts: list[data_mod.Dataset]) -> list[ClientH
     return clients
 
 
-def run_experiment(
-    cfg: RunConfig,
-    seed: int,
-    threads: int = 1,
-    record_timing: bool = True,
-) -> list[MetricsRow]:
+def run_experiment(cfg: RunConfig, seed: int, record_timing: bool = True) -> list[MetricsRow]:
     """Execute one seeded federated run and return its per-round metrics.
 
     Row 0 evaluates the untouched global model; row i >= 1 evaluates the
     state after round i's aggregation. Deterministic in (cfg, seed).
-    Participants train on one stacked client axis (train_clients);
-    `threads` is accepted for compatibility and has no effect.
+    Participants train on one stacked client axis (train_clients), whose
+    (K, ...) adapters go straight to aggregate.
 
     The pre-trained backbone depends on the data and the seed, not on the
     strategy: a process fits each seed's backbone once and reuses it
@@ -478,6 +439,8 @@ def run_experiment(
 
     server = init_server(cfg, strategy, base, class_count, seed)
     clients = build_clients(cfg, parts)
+    # adapter shapes never change within a run (FLoRA restarts at the same ones)
+    up, down = comm_params_per_round(strategy, server.layers, cfg.participants, cfg.transmit_a)
 
     rows: list[MetricsRow] = []
     epsilons = _epsilon_column(clients, cfg.rounds, cfg.delta)
@@ -508,24 +471,20 @@ def run_experiment(
         sampled = sample_clients(
             cfg.clients, cfg.participants, stream(seed, _TAG_SAMPLE, rnd)
         )
-        updates = train_clients(
-            [clients[cid] for cid in sampled],
-            broadcast_layers(server),
-            cfg.learning_rate,
+        batch = [clients[cid] for cid in sampled]
+        adapters = train_clients(
+            batch, server.layers, strategy.trains_a, cfg.learning_rate,
             [stream(seed, _TAG_CLIENT, rnd, cid) for cid in sampled],
         )
-        for update in updates:  # sorted, so the first diverged client is named
-            _check_finite(
-                strategy, rnd + 1, f"client {update.client_id}",
-                [(a, b, None) for a, b in update.adapters.values()],
-            )
-        server = aggregate(updates, server)
+        for k, cid in enumerate(sampled):  # sorted, so the first diverged client is named
+            _check_finite(strategy, rnd + 1, f"client {cid}", [
+                (adapters[idx, "a"][k] if strategy.trains_a else adapters[idx, "a"], adapters[idx, "b"][k], None)
+                for idx in range(len(server.layers))
+            ])
+        server = aggregate([len(c.dataset) for c in batch], adapters, server)
         _check_finite(
             strategy, rnd + 1, "aggregate",
             [(l.a, l.b, l.w0 if strategy.rule.ships_w0 else None) for l in server.layers],
-        )
-        up, down = comm_params_per_round(
-            strategy, server.layers, len(sampled), cfg.transmit_a
         )
         emit(rnd + 1, up, down, t0)
     return rows

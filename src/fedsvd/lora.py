@@ -28,7 +28,6 @@ class LoraLayer:
     b: np.ndarray       # d_out x rank
     rank: int
     alpha: float
-    a_frozen: bool = False
 
     def __post_init__(self):
         d_out, d_in = self.w0.shape

@@ -47,16 +47,6 @@ class Classifier:
         return self.layers[0].d_in
 
 
-def trainable_params(model: Classifier) -> frozenset[GradKey]:
-    """Adapter matrices the current layer flags allow to be trained."""
-    keys = set()
-    for idx, layer in enumerate(model.layers):
-        keys.add((idx, "b"))
-        if not layer.a_frozen:
-            keys.add((idx, "a"))
-    return frozenset(keys)
-
-
 def adapter_params(layers: list[LoraLayer]) -> dict[GradKey, np.ndarray]:
     """The adapter matrices of `layers`, keyed by (layer, "a"|"b")."""
     return {(idx, name): getattr(layer, name) for idx, layer in enumerate(layers) for name in "ab"}
@@ -224,7 +214,6 @@ def build_classifier(
     alpha: float,
     seed,
     class_count: int,
-    a_frozen: bool = False,
 ) -> Classifier:
     """Attach fresh adapters (Kaiming a, zero b) to frozen base weights.
 
@@ -236,7 +225,5 @@ def build_classifier(
     for w0 in base_weights:
         r = min(rank, min(w0.shape))
         a, b = lora.init_adapter(w0.shape[0], w0.shape[1], r, rng)
-        layers.append(
-            LoraLayer(w0=w0, a=a, b=b, rank=r, alpha=alpha * r / rank, a_frozen=a_frozen)
-        )
+        layers.append(LoraLayer(w0=w0, a=a, b=b, rank=r, alpha=alpha * r / rank))
     return Classifier(layers=layers, class_count=class_count)

@@ -1,10 +1,12 @@
-"""Shared test fixtures: small, fast run configurations, and the independent
-per-example clipping oracle that the DP-SGD step is checked against."""
+"""Shared test fixtures: small, fast run configurations, one client's local
+training, and the independent per-example clipping oracle that the DP-SGD
+step is checked against."""
 
 import math
 
 import numpy as np
 
+from fedsvd import federation
 from fedsvd.config import RunConfig
 
 
@@ -31,6 +33,22 @@ def small_config(**kw):
     )
     base.update(kw)
     return RunConfig(**base)
+
+
+def solo_train(client, layers, trains_a, lr, rng):
+    """federation.train_clients on the one client: row 0 of every trained
+    matrix, keyed like model.adapter_params (a frozen a is the layer's own)."""
+    out = federation.train_clients([client], layers, trains_a, lr, [rng])
+    return {key: m[0] if trains_a or key[1] == "b" else m for key, m in out.items()}
+
+
+def stack_rows(rows, trains_a):
+    """Per-client adapter dicts (as solo_train returns them) stacked on a
+    client axis in list order: the (K, ...) dict that aggregate takes."""
+    return {
+        key: np.stack([r[key] for r in rows]) if trains_a or key[1] == "b" else m
+        for key, m in rows[0].items()
+    }
 
 
 def outer_products(factors):

@@ -5,11 +5,13 @@ lines and timings. The comparative-run criterion executes 30 federated
 experiments and dominates the runtime (about a minute).
 """
 
+import dataclasses
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from helpers import solo_train, stack_rows
 
 from fedsvd import analysis, federation, linalg, lora, metrics, model, privacy
 from fedsvd.config import RunConfig
@@ -282,11 +284,10 @@ def test_criterion_7_determinism(tmp_path):
         cfg = headline_config("fedsvd", rounds=5, seeds=(0, 1), record_timing=False)
         paths = []
         for name, threads in [("a.csv", 1), ("b.csv", 1), ("c.csv", 4)]:
+            run_cfg = dataclasses.replace(cfg, threads=threads)
             rows = []
             for seed in cfg.seeds:
-                rows.extend(
-                    federation.run_experiment(cfg, seed, threads=threads, record_timing=False)
-                )
+                rows.extend(federation.run_experiment(run_cfg, seed, record_timing=False))
             path = tmp_path / name
             metrics.write_csv(path, rows)
             paths.append(path)
@@ -321,14 +322,16 @@ def test_criterion_8_freezing_and_dp_plumbing():
                 broadcast_a = [layer.a.tobytes() for layer in server.layers]
                 updates = []
                 for cid in sampled:
-                    upd = federation.local_train(
-                        clients[cid], federation.broadcast_layers(server),
+                    upd = solo_train(
+                        clients[cid], server.layers, strategy.trains_a,
                         lr=cfg.learning_rate, rng=federation.stream(0, 0xB3, rnd, cid),
                     )
-                    for li, (a_ret, _) in upd.adapters.items():
+                    for li in range(len(server.layers)):
+                        a_ret = upd[li, "a"]
                         assert a_ret.tobytes() == broadcast_a[li], "client modified a frozen basis"
                     updates.append(upd)
-                server = federation.aggregate(updates, server)
+                sizes = [len(clients[cid].dataset) for cid in sampled]
+                server = federation.aggregate(sizes, stack_rows(updates, strategy.trains_a), server)
 
         # (b) reported epsilon equals the calibrated target within 1%
         cfg = headline_config("fedsvd", rounds=10, seeds=(0,))

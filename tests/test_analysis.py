@@ -260,14 +260,11 @@ def test_noise_expansion_from_fedavg_trace():
     server = federation.init_server(cfg, strategy, base, fine.class_count, seed=3)
     clients = federation.build_clients(cfg, parts)
     sampled = federation.sample_clients(cfg.clients, cfg.participants, federation.stream(3, 0xB2, 0))
-    updates = [
-        federation.local_train(
-            clients[cid], federation.broadcast_layers(server),
-            lr=cfg.learning_rate, rng=federation.stream(3, 0xB3, 0, cid),
-        )
-        for cid in sampled
-    ]
-    server = federation.aggregate(updates, server)
+    adapters = federation.train_clients(
+        [clients[cid] for cid in sampled], server.layers, strategy.trains_a, cfg.learning_rate,
+        [federation.stream(3, 0xB3, 0, cid) for cid in sampled],
+    )
+    server = federation.aggregate([len(clients[cid].dataset) for cid in sampled], adapters, server)
     layer = server.layers[0]
     sigma_c = clients[0].privacy_cfg.sigma * clients[0].privacy_cfg.clip_norm
     rng = np.random.default_rng(99)

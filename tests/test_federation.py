@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import clip_gradient, outer_products, small_config
+from helpers import clip_gradient, outer_products, small_config, solo_train, stack_rows
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,10 +12,10 @@ from fedsvd import config, data, federation, linalg, lora, model, privacy
 from fedsvd.federation import ClientHandle, ServerState, Strategy
 
 
-def make_client(n=40, seed=0, tau=2, private=False, q=0.5):
+def make_client(n=40, seed=0, tau=2, private=False, q=0.5, d=6):
     rng = np.random.default_rng(seed)
     ds = data.Dataset(
-        features=rng.standard_normal((n, 6)),
+        features=rng.standard_normal((n, d)),
         labels=rng.permutation(np.arange(n) % 3),
         class_count=3,
     )
@@ -27,11 +27,11 @@ def make_client(n=40, seed=0, tau=2, private=False, q=0.5):
     )
 
 
-def make_layers(seed=0, d=6, c=3, r=2, a_frozen=False):
+def make_layers(seed=0, d=6, c=3, r=2):
     rng = np.random.default_rng(seed)
     w0 = rng.standard_normal((c, d)) * 0.3
     a, b = lora.init_adapter(c, d, r, rng)
-    return [lora.LoraLayer(w0=w0, a=a, b=b, rank=r, alpha=float(r), a_frozen=a_frozen)]
+    return [lora.LoraLayer(w0=w0, a=a, b=b, rank=r, alpha=float(r))]
 
 
 def test_sample_clients_all_when_full():
@@ -59,21 +59,18 @@ def test_sample_clients_hypergeometric_marginal():
 
 def test_local_train_zero_steps_changes_nothing():
     client = make_client(tau=0, private=True)
-    layers = make_layers(a_frozen=True)
+    layers = make_layers()
     before = [(l.a.tobytes(), l.b.tobytes()) for l in layers]
-    update = federation.local_train(client, layers, lr=0.5, rng=np.random.default_rng(0))
-    a, b = update.adapters[0]
+    update = solo_train(client, layers, False, lr=0.5, rng=np.random.default_rng(0))
+    a, b = update[0, "a"], update[0, "b"]
     assert a.tobytes() == before[0][0]
     assert b.tobytes() == before[0][1]
 
 
 def test_local_train_empty_draws_leave_adapters_unchanged():
     client = make_client(tau=5, private=True, q=1e-12)  # batches will be empty
-    update = federation.local_train(
-        client, make_layers(a_frozen=True), lr=0.5, rng=np.random.default_rng(0)
-    )
-    a, b = update.adapters[0]
-    assert b.tobytes() == make_layers(a_frozen=True)[0].b.tobytes()
+    update = solo_train(client, make_layers(), False, lr=0.5, rng=np.random.default_rng(0))
+    assert update[0, "b"].tobytes() == make_layers()[0].b.tobytes()
 
 
 def client_state(client):
@@ -87,7 +84,7 @@ def client_state(client):
 def test_local_train_leaves_client_unchanged():
     client = make_client(tau=6, private=True, q=0.3)
     before = client_state(client)
-    federation.local_train(client, make_layers(), lr=0.5, rng=np.random.default_rng(1))
+    solo_train(client, make_layers(), True, lr=0.5, rng=np.random.default_rng(1))
     assert client_state(client) == before
     with pytest.raises(dataclasses.FrozenInstanceError):
         client.local_steps = 7
@@ -142,10 +139,10 @@ def test_epsilon_column_equals_per_round_accounting(privacy_kw, seed):
 
 def test_local_train_frozen_a_returned_byte_identical():
     client = make_client(tau=4, private=True)
-    layers = make_layers(a_frozen=True)
+    layers = make_layers()
     a_before = layers[0].a.tobytes()
-    update = federation.local_train(client, layers, lr=0.5, rng=np.random.default_rng(3))
-    a_after, b_after = update.adapters[0]
+    update = solo_train(client, layers, False, lr=0.5, rng=np.random.default_rng(3))
+    a_after, b_after = update[0, "a"], update[0, "b"]
     assert a_after.tobytes() == a_before
     assert b_after.tobytes() != layers[0].b.tobytes()  # b did train
 
@@ -165,22 +162,24 @@ def test_local_train_loss_nonincreasing_convex_case():
         client_id=0, dataset=ds, local_steps=1, privacy_cfg=None,
         rdp_per_step=None, sample_rate=1.0,
     )
-    layers = make_layers(seed=1, d=3, c=3, r=2, a_frozen=True)
+    layers = make_layers(seed=1, d=3, c=3, r=2)
     losses = []
     current = layers
     for step in range(10):
         clf = model.Classifier(layers=list(current), class_count=3)
         losses.append(model.evaluate(clf, ds)[1])
-        update = federation.local_train(
-            client, current, lr=0.05, rng=np.random.default_rng(100 + step)
-        )
-        a, b = update.adapters[0]
-        current = [current[0].with_adapters(a=a, b=b)]
+        update = solo_train(client, current, False, lr=0.05, rng=np.random.default_rng(100 + step))
+        current = [current[0].with_adapters(a=update[0, "a"], b=update[0, "b"])]
     assert all(l1 <= l0 + 1e-12 for l0, l1 in zip(losses, losses[1:]))
 
 
-def reference_local_train(client, layers, lr, rng):
-    """local_train composed from the per-example oracle.
+def trainable_keys(layers, trains_a):
+    """The adapter keys a strategy trains: every b, and every a if trains_a."""
+    return {key for key in model.adapter_params(layers) if trains_a or key[1] == "b"}
+
+
+def reference_local_train(client, layers, trains_a, lr, rng):
+    """One client's local training composed from the per-example oracle.
 
     grad_factors outer products -> clip each example -> sum -> one noise draw per
     trainable key in sorted order (none at sigma 0 or without privacy) ->
@@ -188,7 +187,7 @@ def reference_local_train(client, layers, lr, rng):
     Returns the final layers and the number of empty Poisson draws.
     """
     clf = model.Classifier(list(layers), layers[-1].d_out)
-    trainable = model.trainable_params(clf)
+    trainable = trainable_keys(layers, trains_a)
     cfg = client.privacy_cfg
     clip = np.inf if cfg is None else cfg.clip_norm  # no privacy: no clipping, no noise
     noise = 0.0 if cfg is None else cfg.sigma * cfg.clip_norm
@@ -220,28 +219,26 @@ def reference_local_train(client, layers, lr, rng):
     return clf.layers, empty
 
 
-@pytest.mark.parametrize("a_frozen", [False, True])
-def test_local_train_pinned_to_per_example_reference(a_frozen):
+@pytest.mark.parametrize("trains_a", [False, True])
+def test_local_train_pinned_to_per_example_reference(trains_a):
     client = make_client(n=8, seed=2, tau=6, private=True, q=0.2)  # sigma = 1
     rng = np.random.default_rng(4)
-    clf = model.build_classifier(
-        model.random_dense_weights([6, 4], 3, rng), 2, 2.0, rng, 3, a_frozen=a_frozen
-    )
+    clf = model.build_classifier(model.random_dense_weights([6, 4], 3, rng), 2, 2.0, rng, 3)
     layers = [l.with_adapters(b=0.5 * rng.standard_normal(l.b.shape)) for l in clf.layers]
 
     ref_rng = np.random.default_rng(9)
-    want, empty = reference_local_train(client, layers, 0.5, ref_rng)
+    want, empty = reference_local_train(client, layers, trains_a, 0.5, ref_rng)
     assert 0 < empty < client.local_steps  # the run covers empty and non-empty draws
 
     run_rng = np.random.default_rng(9)
-    got = federation.local_train(client, layers, lr=0.5, rng=run_rng)
+    got = solo_train(client, layers, trains_a, lr=0.5, rng=run_rng)
     # both consumed the same stream: no noise was drawn for the empty draws
     assert run_rng.random() == ref_rng.random()
     for idx, layer in enumerate(want):
-        a, b = got.adapters[idx]
+        a, b = got[idx, "a"], got[idx, "b"]
         assert np.linalg.norm(b - layer.b) <= 1e-12 * np.linalg.norm(layer.b)
         assert np.linalg.norm(a - layer.a) <= 1e-12 * np.linalg.norm(layer.a)
-        if a_frozen:
+        if not trains_a:
             assert a.tobytes() == layers[idx].a.tobytes()
         else:
             assert not np.array_equal(a, layers[idx].a)
@@ -258,77 +255,68 @@ def server_for(kind, seed=0, period=1, **layer_kw):
     )
 
 
-def update_from(server, client_id, n, scale_a=1.0, scale_b=1.0, seed=0):
+def update_from(server, scale_a=1.0, scale_b=1.0, seed=0):
+    """One client's perturbed copy of the server adapters, keyed like
+    model.adapter_params."""
     rng = np.random.default_rng(seed)
     adapters = {}
     for idx, layer in enumerate(server.layers):
-        adapters[idx] = (
-            scale_a * (layer.a + 0.1 * rng.standard_normal(layer.a.shape)),
-            scale_b * (layer.b + 0.1 * rng.standard_normal(layer.b.shape)),
-        )
-    return federation.ClientUpdate(client_id=client_id, n=n, adapters=adapters)
+        adapters[idx, "a"] = scale_a * (layer.a + 0.1 * rng.standard_normal(layer.a.shape))
+        adapters[idx, "b"] = scale_b * (layer.b + 0.1 * rng.standard_normal(layer.b.shape))
+    return adapters
 
 
 def test_aggregate_single_client_fedavg_adopts_exactly():
     server = server_for("fedavg")
-    upd = update_from(server, 0, 10, seed=1)
-    out = federation.aggregate([upd], server)
-    np.testing.assert_array_equal(out.layers[0].a, upd.adapters[0][0])
-    np.testing.assert_array_equal(out.layers[0].b, upd.adapters[0][1])
+    upd = update_from(server, seed=1)
+    out = federation.aggregate([10], stack_rows([upd], True), server)
+    np.testing.assert_array_equal(out.layers[0].a, upd[0, "a"])
+    np.testing.assert_array_equal(out.layers[0].b, upd[0, "b"])
     assert out.round_index == 1
 
 
 def test_aggregate_two_equal_clients_arithmetic_mean():
     server = server_for("fedavg")
-    u1 = update_from(server, 0, 10, seed=1)
-    u2 = update_from(server, 1, 10, seed=2)
-    out = federation.aggregate([u1, u2], server)
-    np.testing.assert_allclose(
-        out.layers[0].a, (u1.adapters[0][0] + u2.adapters[0][0]) / 2, atol=1e-15
-    )
+    u1 = update_from(server, seed=1)
+    u2 = update_from(server, seed=2)
+    out = federation.aggregate([10, 10], stack_rows([u1, u2], True), server)
+    np.testing.assert_allclose(out.layers[0].a, (u1[0, "a"] + u2[0, "a"]) / 2, atol=1e-15)
 
 
 def test_aggregate_weighted_by_sizes():
     server = server_for("ffa_lora")
-    u1 = update_from(server, 0, 30, seed=1)
-    u2 = update_from(server, 1, 10, seed=2)
-    out = federation.aggregate([u1, u2], server)
-    np.testing.assert_allclose(
-        out.layers[0].b,
-        0.75 * u1.adapters[0][1] + 0.25 * u2.adapters[0][1],
-        atol=1e-15,
-    )
+    u1 = update_from(server, seed=1)
+    u2 = update_from(server, seed=2)
+    out = federation.aggregate([30, 10], stack_rows([u1, u2], True), server)
+    np.testing.assert_allclose(out.layers[0].b, 0.75 * u1[0, "b"] + 0.25 * u2[0, "b"], atol=1e-15)
     np.testing.assert_array_equal(out.layers[0].a, server.layers[0].a)  # A untouched
 
 
 def test_aggregate_fedex_identical_clients_leaves_w0():
     server = server_for("fedex_lora")
-    u1 = update_from(server, 0, 10, seed=3)
-    u2 = federation.ClientUpdate(client_id=1, n=10, adapters=u1.adapters)
-    out = federation.aggregate([u1, u2], server)
+    u1 = update_from(server, seed=3)
+    out = federation.aggregate([10, 10], stack_rows([u1, u1], True), server)
     np.testing.assert_allclose(out.layers[0].w0, server.layers[0].w0, atol=1e-12)
 
 
 def test_aggregate_fedex_residual_absorbed():
     server = server_for("fedex_lora")
-    u1 = update_from(server, 0, 10, seed=4)
-    u2 = update_from(server, 1, 10, seed=5)
-    out = federation.aggregate([u1, u2], server)
-    mean_product = 0.5 * (
-        u1.adapters[0][1] @ u1.adapters[0][0] + u2.adapters[0][1] @ u2.adapters[0][0]
-    )
-    b_avg = 0.5 * (u1.adapters[0][1] + u2.adapters[0][1])
-    a_avg = 0.5 * (u1.adapters[0][0] + u2.adapters[0][0])
+    u1 = update_from(server, seed=4)
+    u2 = update_from(server, seed=5)
+    out = federation.aggregate([10, 10], stack_rows([u1, u2], True), server)
+    mean_product = 0.5 * (u1[0, "b"] @ u1[0, "a"] + u2[0, "b"] @ u2[0, "a"])
+    b_avg = 0.5 * (u1[0, "b"] + u2[0, "b"])
+    a_avg = 0.5 * (u1[0, "a"] + u2[0, "a"])
     expected = server.layers[0].w0 + server.layers[0].scale * (mean_product - b_avg @ a_avg)
     np.testing.assert_allclose(out.layers[0].w0, expected, atol=1e-13)
 
 
 def test_aggregate_fedsvd_preserves_effective_weight():
     server = server_for("fedsvd")
-    u1 = update_from(server, 0, 25, seed=6)
-    u2 = update_from(server, 1, 15, seed=7)
-    b_avg = (25 * u1.adapters[0][1] + 15 * u2.adapters[0][1]) / 40
-    out = federation.aggregate([u1, u2], server)
+    u1 = update_from(server, seed=6)
+    u2 = update_from(server, seed=7)
+    b_avg = (25 * u1[0, "b"] + 15 * u2[0, "b"]) / 40
+    out = federation.aggregate([25, 15], stack_rows([u1, u2], True), server)
     w_before = server.layers[0].w0 + server.layers[0].scale * (b_avg @ server.layers[0].a)
     w_after = lora.effective_weight(out.layers[0])
     assert linalg.rel_frobenius_error(w_after, w_before) < 1e-10
@@ -339,10 +327,10 @@ def test_aggregate_fedsvd_preserves_effective_weight():
 
 def test_aggregate_fedsvd_respects_period():
     server = server_for("fedsvd", period=2)
-    u = update_from(server, 0, 10, seed=8)
-    out1 = federation.aggregate([u], server)  # round 1: 1 % 2 != 0, no reparam
+    u = update_from(server, seed=8)
+    out1 = federation.aggregate([10], stack_rows([u], True), server)  # round 1: 1 % 2 != 0, no reparam
     np.testing.assert_array_equal(out1.layers[0].a, server.layers[0].a)
-    out2 = federation.aggregate([update_from(out1, 0, 10, seed=9)], out1)
+    out2 = federation.aggregate([10], stack_rows([update_from(out1, seed=9)], True), out1)
     # round 2: reparameterized now
     a_hat = out2.layers[0].a
     assert np.max(np.abs(a_hat @ a_hat.T - np.eye(a_hat.shape[0]))) < 1e-10
@@ -350,12 +338,10 @@ def test_aggregate_fedsvd_respects_period():
 
 def test_aggregate_flora_absorbs_and_reinitializes():
     server = server_for("flora")
-    u1 = update_from(server, 0, 10, seed=10)
-    u2 = update_from(server, 1, 30, seed=11)
-    out = federation.aggregate([u1, u2], server)
-    mean_product = 0.25 * (u1.adapters[0][1] @ u1.adapters[0][0]) + 0.75 * (
-        u2.adapters[0][1] @ u2.adapters[0][0]
-    )
+    u1 = update_from(server, seed=10)
+    u2 = update_from(server, seed=11)
+    out = federation.aggregate([10, 30], stack_rows([u1, u2], True), server)
+    mean_product = 0.25 * (u1[0, "b"] @ u1[0, "a"]) + 0.75 * (u2[0, "b"] @ u2[0, "a"])
     expected_w0 = server.layers[0].w0 + server.layers[0].scale * mean_product
     np.testing.assert_allclose(out.layers[0].w0, expected_w0, atol=1e-13)
     assert np.all(out.layers[0].b == 0.0)
@@ -364,21 +350,108 @@ def test_aggregate_flora_absorbs_and_reinitializes():
 
 def test_aggregate_shape_mismatch_rejected():
     server = server_for("fedavg")
-    bad = federation.ClientUpdate(
-        client_id=0, n=5, adapters={0: (np.zeros((3, 6)), np.zeros((3, 3)))}
-    )
+    bad = {(0, "a"): np.zeros((1, 3, 6)), (0, "b"): np.zeros((1, 3, 3))}
     with pytest.raises(ValueError):
-        federation.aggregate([bad], server)
+        federation.aggregate([5], bad, server)
 
 
-def test_broadcast_consistency_and_isolation():
-    server = server_for("fedsvd")
-    c1 = federation.broadcast_layers(server)
-    c2 = federation.broadcast_layers(server)
-    assert c1[0].a.tobytes() == c2[0].a.tobytes()
-    assert c1[0].a_frozen and c2[0].a_frozen
-    c1[0].a[0, 0] += 1.0  # mutating one client's copy must not leak
-    assert c2[0].a.tobytes() == server.layers[0].a.tobytes()
+def oracle_aggregate(sizes, rows, server):
+    """aggregate's layers from per-client (w, a, b) lists, each weighted sum
+    added in client order: the formulation the stacked hand-off replaced."""
+    total = sum(sizes)
+    strategy, rule = server.strategy, server.strategy.rule
+    reparam_now = rule.reparam is not None and (server.round_index + 1) % strategy.period == 0
+    out = []
+    for idx, layer in enumerate(server.layers):
+        weighted = [(n / total, r[idx, "a"], r[idx, "b"]) for n, r in zip(sizes, rows)]
+        a_avg = sum(w * a for w, a, _ in weighted)
+        b_avg = sum(w * b for w, _, b in weighted)
+        product = sum(w * (b @ a) for w, a, b in weighted)
+        if strategy.kind == "flora":
+            rng = federation.stream(server.master_seed, 0xB4, server.round_index, idx)
+            a_new, b_new = lora.init_adapter(layer.d_out, layer.d_in, layer.rank, rng)
+            layer = dataclasses.replace(layer, w0=layer.w0 + layer.scale * product, a=a_new, b=b_new)
+        elif strategy.kind == "fedex_lora":
+            residual = product - b_avg @ a_avg
+            layer = dataclasses.replace(layer, w0=layer.w0 + layer.scale * residual, a=a_avg, b=b_avg)
+        elif strategy.kind == "fedavg":
+            layer = layer.with_adapters(a=a_avg, b=b_avg)
+        else:
+            layer = layer.with_adapters(b=b_avg)
+        if reparam_now:
+            b_hat, a_hat = rule.reparam(layer.b, layer.a)
+            layer = layer.with_adapters(a=a_hat, b=b_hat)
+        out.append(layer)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(federation.STRATEGIES)),
+    period=st.integers(1, 3),
+    round_index=st.integers(0, 3),
+    sizes=st.lists(st.integers(1, 2000), min_size=1, max_size=12),
+    layers=st.sampled_from([1, 2]),
+    d=st.integers(1, 5),
+    hidden=st.integers(1, 4),
+    rank=st.integers(1, 3),
+    classes=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(  # 1x1 adapters: hidden_dim = rank = 1, with twelve clients
+    kind="fedavg", period=1, round_index=0, sizes=list(range(1, 13)), layers=2, d=3, hidden=1,
+    rank=1, classes=3, seed=0,
+)
+@example(
+    kind="fedsvd", period=1, round_index=0, sizes=list(range(100, 1300, 100)), layers=2, d=1, hidden=1,
+    rank=1, classes=2, seed=1,
+)
+def test_aggregate_equals_per_client_oracle(kind, period, round_index, sizes, layers, d, hidden, rank, classes, seed):
+    rng = np.random.default_rng(seed)
+    dims = [d] if layers == 1 else [d, hidden]
+    clf = model.build_classifier(model.random_dense_weights(dims, classes, rng), rank, 2.0, rng, classes)
+    start = [l.with_adapters(b=rng.standard_normal(l.b.shape)) for l in clf.layers]
+    server = ServerState(start, round_index, Strategy(kind, period), seed, classes)
+    trains_a = server.strategy.trains_a
+    trained = trainable_keys(start, trains_a)
+    rows = [
+        {key: rng.standard_normal(m.shape) if key in trained else m for key, m in model.adapter_params(start).items()}
+        for _ in sizes
+    ]
+    want = oracle_aggregate(sizes, rows, server)
+    stacked = stack_rows(rows, trains_a)
+    # also the layout train_clients returns: (K, ...) views into one flat buffer
+    _, views = privacy.flat_buffer({key: stacked[key][0] for key in trained}, len(sizes))
+    for key, view in views.items():
+        view[:] = stacked[key]
+    for adapters in (stacked, {**stacked, **views}):
+        out = federation.aggregate(sizes, adapters, server)
+        assert out.round_index == round_index + 1
+        for got, ref in zip(out.layers, want):
+            for name in ("a", "b", "w0"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), (kind, name)
+
+
+def test_train_clients_leaves_layers_untouched():
+    # K = 3 clients train from shared layers, which they must neither write
+    # nor alias: each trained row is the client's own memory
+    clients = [make_client(n=30, seed=s, tau=3, private=True, q=0.5) for s in range(3)]
+    for trains_a in (False, True):
+        rng = np.random.default_rng(13)
+        layers = [l.with_adapters(b=rng.standard_normal(l.b.shape)) for l in make_layers()]
+        before = [(l.w0.tobytes(), l.a.tobytes(), l.b.tobytes()) for l in layers]
+        rngs = [np.random.default_rng([13, k]) for k in range(3)]
+        out = federation.train_clients(clients, layers, trains_a, 0.5, rngs)
+        assert [(l.w0.tobytes(), l.a.tobytes(), l.b.tobytes()) for l in layers] == before
+        trained = trainable_keys(layers, trains_a)
+        for key in trained:
+            assert out[key].shape == (3, *getattr(layers[key[0]], key[1]).shape)
+            for layer in layers:
+                for m in (layer.w0, layer.a, layer.b):
+                    assert not np.shares_memory(out[key], m), (trains_a, key)
+            assert not np.array_equal(out[key][0], out[key][1])  # each client its own row
+        if not trains_a:
+            assert out[0, "a"] is layers[0].a
 
 
 def test_server_client_reparam_bit_agreement():
@@ -456,10 +529,11 @@ def test_run_experiment_row_count_and_monotone_epsilon():
 
 def test_run_experiment_determinism_and_thread_independence():
     cfg = small_config(rounds=3, epsilon=4.0)
-    rows1 = federation.run_experiment(cfg, seed=3, threads=1, record_timing=False)
-    rows2 = federation.run_experiment(cfg, seed=3, threads=4, record_timing=False)
+    one, four = dataclasses.replace(cfg, threads=1), dataclasses.replace(cfg, threads=4)
+    rows1 = federation.run_experiment(one, seed=3, record_timing=False)
+    rows2 = federation.run_experiment(four, seed=3, record_timing=False)
     assert rows1 == rows2
-    rows3 = federation.run_experiment(cfg, seed=4, threads=1, record_timing=False)
+    rows3 = federation.run_experiment(one, seed=4, record_timing=False)
     assert rows1 != rows3
 
 
@@ -485,11 +559,11 @@ def test_run_experiment_fedsvd_period_value_invariance_round1():
         )
         server = federation.init_server(cfg, strategy, base, fine.class_count, seed=5)
         clients = federation.build_clients(cfg, parts)
-        update = federation.local_train(
-            clients[0], federation.broadcast_layers(server),
-            lr=cfg.learning_rate, rng=federation.stream(5, 0xB3, 0, 0),
+        adapters = federation.train_clients(
+            clients[:1], server.layers, strategy.trains_a, cfg.learning_rate,
+            [federation.stream(5, 0xB3, 0, 0)],
         )
-        server = federation.aggregate([update], server)
+        server = federation.aggregate([len(clients[0].dataset)], adapters, server)
         return lora.effective_weight(server.layers[0])
 
     w1 = final_weight(cfg_p1)
@@ -518,16 +592,14 @@ def test_fedsvd_value_invariance_every_round_and_layer():
         sampled = federation.sample_clients(
             cfg.clients, cfg.participants, federation.stream(7, 0xB2, rnd)
         )
-        updates = [
-            federation.local_train(
-                clients[cid], federation.broadcast_layers(server),
-                lr=cfg.learning_rate, rng=federation.stream(7, 0xB3, rnd, cid),
-            )
-            for cid in sampled
-        ]
+        adapters = federation.train_clients(
+            [clients[cid] for cid in sampled], server.layers, strategy.trains_a, cfg.learning_rate,
+            [federation.stream(7, 0xB3, rnd, cid) for cid in sampled],
+        )
+        sizes = [len(clients[cid].dataset) for cid in sampled]
         plain_server = dataclasses.replace(server, strategy=Strategy("ffa_lora"))
-        plain = federation.aggregate(updates, plain_server)
-        server = federation.aggregate(updates, server)
+        plain = federation.aggregate(sizes, adapters, plain_server)
+        server = federation.aggregate(sizes, adapters, server)
         for reparam_layer, plain_layer in zip(server.layers, plain.layers):
             err = linalg.rel_frobenius_error(
                 lora.effective_weight(reparam_layer), lora.effective_weight(plain_layer)
@@ -553,15 +625,16 @@ def test_run_experiment_ffa_broadcast_a_never_changes():
             cfg.clients, cfg.participants, federation.stream(2, 0xB2, rnd)
         )
         updates = [
-            federation.local_train(
-                clients[cid], federation.broadcast_layers(server),
+            solo_train(
+                clients[cid], server.layers, strategy.trains_a,
                 lr=cfg.learning_rate, rng=federation.stream(2, 0xB3, rnd, cid),
             )
             for cid in sampled
         ]
         for u in updates:
-            assert u.adapters[0][0].tobytes() == a0  # A returned untouched
-        server = federation.aggregate(updates, server)
+            assert u[0, "a"].tobytes() == a0  # A returned untouched
+        sizes = [len(clients[cid].dataset) for cid in sampled]
+        server = federation.aggregate(sizes, stack_rows(updates, strategy.trains_a), server)
         assert server.layers[0].a.tobytes() == a0
 
 
@@ -578,7 +651,8 @@ def test_strategy_validation_and_labels():
 
 def test_every_strategy_entry_flags_labels_and_round_zero_state():
     # (trains_a, label at period 3) for each of the eight strategies; the
-    # round-zero server state must leave every effective weight at w0
+    # round-zero server state must leave every effective weight at w0, and
+    # local training from it must train a exactly when trains_a
     expected = {
         "fedavg": (True, "fedavg"),
         "ffa_lora": (False, "ffa_lora"),
@@ -590,13 +664,18 @@ def test_every_strategy_entry_flags_labels_and_round_zero_state():
         "fedex_lora": (True, "fedex_lora"),
     }
     base = model.random_dense_weights([8, 5], 3, 0)
+    client = make_client(n=30, tau=2, q=1.0, d=8)
     for kind, (trains_a, label) in expected.items():
         strategy = Strategy(kind, 3)
         assert strategy.trains_a is trains_a, kind
         assert strategy.label == label, kind
         server = federation.init_server(small_config(strategy=kind), strategy, base, 3, seed=4)
-        for layer, w0 in zip(server.layers, base):
-            assert layer.a_frozen is not trains_a, kind
+        out = solo_train(client, server.layers, strategy.trains_a, 0.5, np.random.default_rng(0))
+        for idx, (layer, w0) in enumerate(zip(server.layers, base)):
+            if trains_a:
+                assert not np.array_equal(out[idx, "a"], layer.a), kind
+            else:
+                assert out[idx, "a"] is layer.a, kind
             assert linalg.rel_frobenius_error(lora.effective_weight(layer), w0) <= 1e-12, kind
 
 
@@ -710,8 +789,8 @@ def test_divergence_names_strategy_round_client_and_layer(kind, label):
 def test_divergence_in_the_aggregate_names_it(monkeypatch):
     real = federation.aggregate
 
-    def overflowing(updates, server):
-        out = real(updates, server)
+    def overflowing(sizes, adapters, server):
+        out = real(sizes, adapters, server)
         layer = out.layers[-1]
         w0 = layer.w0.copy()
         w0[0, 0] = np.inf
@@ -747,12 +826,10 @@ def stack_client(cid, n, q, tau, sigma, seed, d=5, scale=1.0, classes=3):
     )
 
 
-def stack_layers(layers, rank, a_frozen, seed, d=5, classes=3):
+def stack_layers(layers, rank, seed, d=5, classes=3):
     rng = np.random.default_rng(seed)
     dims = [d] if layers == 1 else [d, 4]
-    clf = model.build_classifier(
-        model.random_dense_weights(dims, classes, rng), rank, 2.0, rng, classes, a_frozen=a_frozen
-    )
+    clf = model.build_classifier(model.random_dense_weights(dims, classes, rng), rank, 2.0, rng, classes)
     # non-zero b, so the gradients of a do not vanish
     return [l.with_adapters(b=0.5 * rng.standard_normal(l.b.shape)) for l in clf.layers]
 
@@ -761,26 +838,26 @@ def close(got, want, rel=1e-12):
     return np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
 
 
-def assert_stacked_equals_solo(clients, layers, seed, lr=0.4, exact=False):
-    """train_clients against one local_train per client, on equal streams.
+def assert_stacked_equals_solo(clients, layers, trains_a, seed, lr=0.4, exact=False):
+    """train_clients against one solo_train per client, on equal streams.
 
-    Returns the stacked updates. Each update is within 1e-12 relative of the
-    client's own call (byte-identical if `exact`), every generator ends in
-    the same state, and a frozen a is the broadcast array itself.
+    Returns the stacked adapters. Every trained matrix holds one row per
+    client, row k is within 1e-12 relative of client k's own call
+    (byte-identical if `exact`), every generator ends in the same state,
+    and a frozen a is the broadcast array itself.
     """
     stacked_rngs = [np.random.default_rng([seed, c.client_id]) for c in clients]
     solo_rngs = [np.random.default_rng([seed, c.client_id]) for c in clients]
-    got = federation.train_clients(clients, layers, lr, stacked_rngs)
-    assert [u.client_id for u in got] == [c.client_id for c in clients]
-    for client, update, s_rng, o_rng in zip(clients, got, stacked_rngs, solo_rngs):
-        want = federation.local_train(client, layers, lr, o_rng)
+    got = federation.train_clients(clients, layers, trains_a, lr, stacked_rngs)
+    assert all(got[key].shape[0] == len(clients) for key in trainable_keys(layers, trains_a))
+    for k, (client, s_rng, o_rng) in enumerate(zip(clients, stacked_rngs, solo_rngs)):
+        want = solo_train(client, layers, trains_a, lr, o_rng)
         assert s_rng.random() == o_rng.random()
-        assert update.n == want.n == len(client.dataset)
-        for idx, layer in enumerate(layers):
-            for mat, ref in zip(update.adapters[idx], want.adapters[idx]):
-                assert mat.tobytes() == ref.tobytes() if exact else close(mat, ref)
-            if layer.a_frozen:
-                assert update.adapters[idx][0] is layer.a
+        for key, ref in want.items():
+            mat = got[key][k] if trains_a or key[1] == "b" else got[key]
+            assert mat.tobytes() == ref.tobytes() if exact else close(mat, ref)
+        if not trains_a:
+            assert all(got[idx, "a"] is layer.a for idx, layer in enumerate(layers))
     return got
 
 
@@ -798,15 +875,15 @@ def assert_stacked_equals_solo(clients, layers, seed, lr=0.4, exact=False):
     ),
     layers=st.sampled_from([1, 2]),
     rank=st.integers(1, 3),
-    a_frozen=st.booleans(),
+    trains_a=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_train_clients_stacked_equals_solo(shards, layers, rank, a_frozen, seed):
+def test_train_clients_stacked_equals_solo(shards, layers, rank, trains_a, seed):
     clients = [
         stack_client(cid, n, q, tau, sigma, seed + cid)
         for cid, (n, q, tau, sigma) in enumerate(shards)
     ]
-    assert_stacked_equals_solo(clients, stack_layers(layers, rank, a_frozen, seed), seed)
+    assert_stacked_equals_solo(clients, stack_layers(layers, rank, seed), trains_a, seed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -824,40 +901,41 @@ def test_train_clients_stacked_equals_solo(shards, layers, rank, a_frozen, seed)
     classes=st.integers(2, 9),
     layers=st.sampled_from([1, 2]),
     rank=st.integers(1, 3),
-    a_frozen=st.booleans(),
+    trains_a=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(  # empty draws: client 1 never draws, client 0 draws nothing now and then
     shards=[(6, 0.1, 3, 0.8), (20, 1e-12, 3, 2.5), (9, 1.0, 2, None)],
-    classes=4, layers=2, rank=2, a_frozen=False, seed=3,
+    classes=4, layers=2, rank=2, trains_a=True, seed=3,
 )
-def test_train_clients_pinned_to_per_example_reference(shards, classes, layers, rank, a_frozen, seed):
+def test_train_clients_pinned_to_per_example_reference(shards, classes, layers, rank, trains_a, seed):
     clients = [
         stack_client(cid, n, q, tau, sigma, seed + cid, classes=classes)
         for cid, (n, q, tau, sigma) in enumerate(shards)
     ]
-    start = stack_layers(layers, rank, a_frozen, seed, classes=classes)
+    start = stack_layers(layers, rank, seed, classes=classes)
     rngs = [np.random.default_rng([seed, c.client_id]) for c in clients]
-    got = federation.train_clients(clients, start, 0.4, rngs)
-    for client, update, rng in zip(clients, got, rngs):
+    got = federation.train_clients(clients, start, trains_a, 0.4, rngs)
+    for k, (client, rng) in enumerate(zip(clients, rngs)):
         ref_rng = np.random.default_rng([seed, client.client_id])
-        want, _ = reference_local_train(client, start, 0.4, ref_rng)
+        want, _ = reference_local_train(client, start, trains_a, 0.4, ref_rng)
         assert rng.random() == ref_rng.random()  # the same draws, the same noise
         for idx, layer in enumerate(want):
-            a, b = update.adapters[idx]
+            a = got[idx, "a"][k] if trains_a else got[idx, "a"]
+            b = got[idx, "b"][k]
             assert close(b, layer.b) and close(a, layer.a)
 
 
 def test_train_clients_reference_example_has_empty_draws():
     # the @example above covers both kinds of empty draw
     clients = [stack_client(0, 6, 0.1, 3, 0.8, 3, classes=4), stack_client(1, 20, 1e-12, 3, 2.5, 4, classes=4)]
-    start = stack_layers(2, 2, False, 3, classes=4)
-    empties = [reference_local_train(c, start, 0.4, np.random.default_rng([3, c.client_id]))[1] for c in clients]
+    start = stack_layers(2, 2, 3, classes=4)
+    empties = [reference_local_train(c, start, True, 0.4, np.random.default_rng([3, c.client_id]))[1] for c in clients]
     assert 0 < empties[0] < 3 and empties[1] == 3
 
 
-@pytest.mark.parametrize("a_frozen", [False, True])
-def test_train_clients_ragged_and_empty_batches(a_frozen):
+@pytest.mark.parametrize("trains_a", [False, True])
+def test_train_clients_ragged_and_empty_batches(trains_a):
     # One step's largest batch is 200 rows next to one of 3 and a client that
     # never draws: padding and skipped steps leave each client's result its own.
     clients = [
@@ -866,12 +944,11 @@ def test_train_clients_ragged_and_empty_batches(a_frozen):
         stack_client(2, 50, 1e-12, 3, 1.1, 3),
         stack_client(3, 60, 0.1, 5, 0.9, 4),
     ]
-    layers = stack_layers(2, 3, a_frozen, 5)
-    got = assert_stacked_equals_solo(clients, layers, 6)
-    never = got[2].adapters
+    layers = stack_layers(2, 3, 5)
+    got = assert_stacked_equals_solo(clients, layers, trains_a, 6)
     for idx, layer in enumerate(layers):
-        assert never[idx][1].tobytes() == layer.b.tobytes()
-        assert got[1].adapters[idx][1].tobytes() != layer.b.tobytes()
+        assert got[idx, "b"][2].tobytes() == layer.b.tobytes()  # client 2 never drew
+        assert got[idx, "b"][1].tobytes() != layer.b.tobytes()
 
 
 @pytest.mark.parametrize("q, exact", [(1.0, True), (0.3, False)])
@@ -885,18 +962,18 @@ def test_train_clients_diverged_client_leaves_the_others_alone(q, exact):
         stack_client(1, 40, q, 4, None, 8, scale=1e300),
         stack_client(2, 40, q, 4, 0.8, 9),
     ]
-    layers = stack_layers(1, 2, False, 10)  # a tanh layer would saturate instead
+    layers = stack_layers(1, 2, 10)  # a tanh layer would saturate instead
     rngs = [np.random.default_rng([11, c.client_id]) for c in clients]
     with np.errstate(all="ignore"):
-        got = federation.train_clients(clients, layers, 0.4, rngs)
-        a, b = got[1].adapters[0]
+        got = federation.train_clients(clients, layers, True, 0.4, rngs)
+        a, b = got[0, "a"][1], got[0, "b"][1]
         assert not (np.isfinite(np.vdot(a, a)) and np.isfinite(np.vdot(b, b)))
         for k in (0, 2):
-            want = federation.local_train(clients[k], layers, 0.4, np.random.default_rng([11, k]))
-            for idx in range(len(layers)):
-                for mat, ref in zip(got[k].adapters[idx], want.adapters[idx]):
-                    assert np.isfinite(mat).all()
-                    assert mat.tobytes() == ref.tobytes() if exact else close(mat, ref)
+            want = solo_train(clients[k], layers, True, 0.4, np.random.default_rng([11, k]))
+            for key, ref in want.items():
+                mat = got[key][k]
+                assert np.isfinite(mat).all()
+                assert mat.tobytes() == ref.tobytes() if exact else close(mat, ref)
 
 
 def test_run_experiment_names_the_first_diverged_client_in_sorted_order(monkeypatch):
@@ -935,7 +1012,7 @@ def worst_epsilon(clients, rounds_done, delta):
 
 
 def serial_reference(cfg, seed):
-    """run_experiment's rows from one local_train per sampled client, in turn:
+    """run_experiment's rows from one solo_train per sampled client, in turn:
     (eval_accuracy, eval_loss, epsilon_spent, uploaded, downloaded) per round."""
     strategy = Strategy(cfg.strategy, cfg.svd_period)
     pre, fine, heldout = federation._build_datasets(cfg, seed)
@@ -950,13 +1027,14 @@ def serial_reference(cfg, seed):
     for rnd in range(cfg.rounds):
         sampled = federation.sample_clients(cfg.clients, cfg.participants, federation.stream(seed, 0xB2, rnd))
         updates = [
-            federation.local_train(
-                clients[cid], federation.broadcast_layers(server),
+            solo_train(
+                clients[cid], server.layers, strategy.trains_a,
                 lr=cfg.learning_rate, rng=federation.stream(seed, 0xB3, rnd, cid),
             )
             for cid in sampled
         ]
-        server = federation.aggregate(updates, server)
+        sizes = [len(clients[cid].dataset) for cid in sampled]
+        server = federation.aggregate(sizes, stack_rows(updates, strategy.trains_a), server)
         comm = federation.comm_params_per_round(strategy, server.layers, len(sampled), cfg.transmit_a)
         rows.append((
             *model.evaluate(server.classifier(), heldout),

@@ -7,7 +7,7 @@ from fedsvd.lora import LoraLayer
 from helpers import outer_products
 
 
-def make_model(rng, d_x=5, c=3, r=2, layers=1, hidden=4, a_frozen=False, zero_b=False):
+def make_model(rng, d_x=5, c=3, r=2, layers=1, hidden=4, zero_b=False):
     dims = [d_x] if layers == 1 else [d_x, hidden]
     sizes = dims + [c]
     lls = []
@@ -17,7 +17,7 @@ def make_model(rng, d_x=5, c=3, r=2, layers=1, hidden=4, a_frozen=False, zero_b=
         a = rng.standard_normal((rr, d_in)) * 0.5
         b = np.zeros((d_out, rr)) if zero_b else rng.standard_normal((d_out, rr)) * 0.5
         w0 = rng.standard_normal((d_out, d_in)) * 0.5
-        lls.append(LoraLayer(w0=w0, a=a, b=b, rank=rr, alpha=float(rr), a_frozen=a_frozen))
+        lls.append(LoraLayer(w0=w0, a=a, b=b, rank=rr, alpha=float(rr)))
     return model.Classifier(layers=lls, class_count=c)
 
 
@@ -38,10 +38,10 @@ def model_with_param(m, key, value):
 
 def example_grads(m, x, y):
     """grad_factors' gradients of one example (x, y) as (1, *shape) arrays,
-    keyed by the trainable adapter matrices."""
+    keyed by the adapter matrices, all of them trained."""
     params = model.adapter_params(m.layers)
     targets = np.eye(m.class_count)[[y]]
-    factors = model.grad_factors(m.layers, params, x[None], targets, model.trainable_params(m))
+    factors = model.grad_factors(m.layers, params, x[None], targets, set(params))
     return outer_products(factors)
 
 
