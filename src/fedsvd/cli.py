@@ -8,6 +8,7 @@ finished before it stay in the metrics CSV).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -23,16 +24,40 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
+def _t_mass(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with integer df, in closed form
+    (Abramowitz & Stegun 26.7.3-26.7.4)."""
+    theta = math.atan(t / math.sqrt(df))
+    s, c = math.sin(theta), math.cos(theta)
+    term = total = c if df % 2 else 1.0
+    for i in range(2 + df % 2, df - 1, 2):
+        term *= (i - 1) / i * c * c
+        total += term
+    if df % 2 == 0:
+        return s * total
+    return 2.0 / math.pi * (theta + (s * total if df > 1 else 0.0))
+
+
+def _t_quantile_975(df: int) -> float:
+    """97.5% quantile of Student's t: bisection to the last float on the
+    two-sided mass 0.95 (the quantile is at most 12.71, at df = 1)."""
+    lo, hi = 0.0, 16.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _t_mass(mid, df) < 0.95:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def _confidence_interval(values: list[float]) -> tuple[float, float]:
     """(mean, 95% t-interval half width); width 0 for a single value."""
-    from scipy import stats
-
     arr = np.asarray(values, dtype=np.float64)
     mean = float(arr.mean())
     if len(arr) < 2:
         return mean, 0.0
     sem = arr.std(ddof=1) / np.sqrt(len(arr))
-    half = float(stats.t.ppf(0.975, len(arr) - 1) * sem)
+    half = float(_t_quantile_975(len(arr) - 1) * sem)
     return mean, half
 
 

@@ -8,15 +8,18 @@ N(0, sigma^2 C^2) per parameter is added, and the result is averaged over
 the batch. One step of this Poisson-subsampled Gaussian mechanism has a
 fixed RDP at each integer order, so `steps` steps spend
 `steps * rdp_per_step`, converted to (epsilon, delta) by epsilon_from_rdp.
+The binomial coefficients of that RDP are exact integers at integer
+orders: their logarithms come from math.comb, once per order list, so the
+module needs numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 # Integer Renyi orders; the low range covers small-sigma/large-q regimes and
 # the large tail covers strongly subsampled ones.
@@ -45,6 +48,22 @@ class PrivacyConfig:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 
+@functools.lru_cache(maxsize=16)
+def _binomial_table(orders: tuple[int, ...]):
+    """Ragged layout of the RDP sum: order i owns the run k = 0..alpha_i of
+    the flat arrays k, alpha and log C(alpha, k), which start at starts[i]
+    and hold sizes[i] = alpha_i + 1 entries. log C is the log of the exact
+    integer, within about half an ulp."""
+    sizes = np.array(orders, dtype=np.int64) + 1
+    starts = np.cumsum(sizes) - sizes
+    alpha = np.repeat(np.array(orders, dtype=np.float64), sizes)
+    k = np.concatenate([np.arange(a + 1.0) for a in orders])
+    log_comb = np.array([math.log(math.comb(a, j)) for a in orders for j in range(a + 1)])
+    for arr in (sizes, starts, alpha, k, log_comb):
+        arr.flags.writeable = False
+    return sizes, starts, k, alpha, log_comb
+
+
 def rdp_subsampled_gaussian(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
     """Per-order RDP of one Poisson-subsampled Gaussian step.
 
@@ -62,21 +81,15 @@ def rdp_subsampled_gaussian(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np
         raise ValueError("orders must be integers greater than 1")
     if q == 1.0:
         return alphas / (2.0 * sigma * sigma)
-    # Ragged layout: order i owns the run k = 0..alpha_i of the flat arrays.
-    sizes = alphas.astype(np.int64) + 1
-    starts = np.cumsum(sizes) - sizes
-    alpha = np.repeat(alphas, sizes)
-    k = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+    sizes, starts, k, alpha, log_comb = _binomial_table(tuple(alphas.astype(np.int64).tolist()))
     log_terms = (
-        gammaln(alpha + 1)
-        - gammaln(k + 1)
-        - gammaln(alpha - k + 1)
+        log_comb
         + k * math.log(q)
         + (alpha - k) * math.log1p(-q)
         + k * (k - 1) / (2.0 * sigma * sigma)
     )
-    # Per-run logsumexp formed as scipy's: the maximal terms leave the sum,
-    # which enters through log1p, so small RDP values keep their precision.
+    # Per-run logsumexp: the maximal terms leave the sum, which enters
+    # through log1p, so small RDP values keep their precision.
     top = np.maximum.reduceat(log_terms, starts)
     is_top = log_terms == np.repeat(top, sizes)
     count = np.add.reduceat(is_top.astype(np.float64), starts)

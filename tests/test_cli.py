@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from fedsvd import cli, config, federation, metrics, model, verify
 from fedsvd.config import ConfigError, RunConfig
@@ -120,7 +121,38 @@ def test_cmd_run_writes_expected_rows(tmp_path, capsys):
     # 2 seeds x (round 0 + round 1)
     assert len(lines) == 1 + 2 * 2
     captured = capsys.readouterr().out
-    assert "95% CI" in captured
+    assert "fedsvd_p1: final-round accuracy 0.0583 +/- 0.3177 (95% CI over 2 seeds)\n" in captured
+
+
+def test_t_quantile_matches_scipy():
+    for df in range(1, 301):
+        assert cli._t_quantile_975(df) == pytest.approx(stats.t.ppf(0.975, df), rel=1e-12, abs=0.0)
+
+
+def test_cli_commands_never_import_scipy(tmp_path):
+    # SciPy is a test-only dependency: neither the import of fedsvd.cli nor
+    # verify, calibrate or a private 2-round run may load any scipy module.
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "metrics.csv"
+    script = f"""
+import sys
+from fedsvd import cli
+codes = [
+    cli.main(["verify", "--scope", "privacy", "--trials", "2"]),
+    cli.main(["calibrate", "--epsilon", "6", "--delta", "1e-5", "--q", "0.02", "--steps", "200"]),
+    cli.main(["--output", {str(out)!r}, "run", {cfg_path!r}, "rounds=2", "epsilon=6"]),
+]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    last = out.read_text().splitlines()[-1].split(",")
+    assert last[3] == "2" and 0.0 < float(last[6]) <= 6.0  # round 2 spent epsilon
 
 
 def test_cmd_run_deterministic_bytes(tmp_path):

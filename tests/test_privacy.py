@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import mpmath
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 from fedsvd import model, privacy
 from helpers import clip_gradient, global_grad_norm, outer_products
@@ -28,11 +29,18 @@ def oracle_rdp_subsampled(q, sigma, alpha, prec=256):
         return float(mpmath.log(total) / (alpha - 1))
 
 
+@functools.lru_cache(maxsize=None)
+def log_comb_row(alpha):
+    """log(math.comb(alpha, k)) for k = 0..alpha, one order at a time."""
+    return np.array([math.log(math.comb(alpha, k)) for k in range(alpha + 1)])
+
+
 def loop_rdp_subsampled_gaussian(q, sigma, orders=privacy.DEFAULT_ORDERS):
     """Per-order loop evaluation of the subsampled-Gaussian RDP.
 
     The former implementation of rdp_subsampled_gaussian, kept as the
-    reference for the vectorized one: the same log-space binomial terms, one logsumexp per order.
+    reference for the vectorized one: the same log-space terms, with the
+    exact coefficients log(math.comb(alpha, k)), one logsumexp per order.
     """
     alphas = np.asarray(orders, dtype=np.float64)
     if q == 1.0:
@@ -40,12 +48,10 @@ def loop_rdp_subsampled_gaussian(q, sigma, orders=privacy.DEFAULT_ORDERS):
     out = np.empty(len(alphas))
     logq = math.log(q)
     log1mq = math.log1p(-q)
-    for i, alpha in enumerate(alphas.astype(int)):
+    for i, alpha in enumerate(alphas.astype(int).tolist()):
         k = np.arange(alpha + 1)
         log_terms = (
-            gammaln(alpha + 1)
-            - gammaln(k + 1)
-            - gammaln(alpha - k + 1)
+            log_comb_row(alpha)
             + k * logq
             + (alpha - k) * log1mq
             + k * (k - 1) / (2.0 * sigma * sigma)
@@ -60,6 +66,50 @@ ORDER_LISTS = (
     tuple(range(2, 513)),
     (256, 3, 64, 2, 512, 17, 5),
 )
+
+
+@functools.lru_cache(maxsize=None)
+def log_factorial(n):
+    with mpmath.workprec(128):
+        return mpmath.loggamma(n + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def exact_log_comb_row(alpha):
+    """log C(alpha, k), k = 0..alpha, from 128-bit log-gamma values, as the
+    float nearest it plus the float nearest the remainder."""
+    with mpmath.workprec(128):
+        lg = [log_factorial(n) for n in range(alpha + 1)]
+        exact = [lg[alpha] - lg[k] - lg[alpha - k] for k in range(alpha + 1)]
+        hi = [float(x) for x in exact]
+        return np.array(hi), np.array([float(x - h) for x, h in zip(exact, hi)])
+
+
+def test_binomial_table_within_one_ulp_of_extended_precision():
+    # the table holds each order's run k = 0..a in the order given
+    for orders in ORDER_LISTS:
+        sizes, starts, k, alpha, log_comb = privacy._binomial_table(orders)
+        assert sizes.tolist() == [a + 1 for a in orders]
+        for a, start in zip(orders, starts.tolist()):
+            run = slice(start, start + a + 1)
+            assert k[run].tolist() == list(range(a + 1))
+            assert np.all(alpha[run] == a)
+            hi, lo = exact_log_comb_row(a)
+            got = log_comb[run]
+            # got - hi is exact (Sterbenz), so this is |got - log C| up to
+            # roundoff far below an ulp
+            assert np.all(np.abs((got - hi) - lo) <= np.spacing(np.abs(got))), a
+
+
+def test_rdp_orders_as_tuple_list_or_float_array_share_one_table():
+    # cmd_calibrate and verify_privacy pass float64 arrays
+    privacy._binomial_table.cache_clear()
+    orders = (3, 40, 9, 128)
+    forms = (orders, list(orders), np.asarray(orders, dtype=np.float64))
+    results = [privacy.rdp_subsampled_gaussian(0.03, 1.3, form) for form in forms]
+    assert all(r.tobytes() == results[0].tobytes() for r in results)
+    info = privacy._binomial_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 @settings(max_examples=60, deadline=None)
