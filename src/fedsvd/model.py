@@ -72,14 +72,6 @@ def forward_batch(model: Classifier, x: np.ndarray) -> np.ndarray:
     return _forward([effective_weight(layer) for layer in model.layers], x)[1]
 
 
-def forward(model: Classifier, x) -> np.ndarray:
-    """Logits for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {x.shape}")
-    return forward_batch(model, x[None, :])[0]
-
-
 def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(exp(z - max over the last axis), that max), both over the reversed
     axes (z.T): a copy with the classes first, so a reduction over them is
@@ -97,15 +89,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     e, _ = _shifted_exp(np.asarray(logits, dtype=np.float64))
     e /= np.add.reduce(e)
     return e.T.copy()
-
-
-def loss(logits, y: int) -> float:
-    """Cross-entropy -log softmax(logits)[y], computed with max subtraction."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not np.isfinite(z).all():
-        raise ValueError("logits contain non-finite entries")
-    m = z.max()
-    return float(m + np.log(np.exp(z - m).sum()) - z[y])
 
 
 def _batch_losses(logits: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -49,19 +49,25 @@ class PrivacyConfig:
 
 
 @functools.lru_cache(maxsize=16)
-def _binomial_table(orders: tuple[int, ...]):
-    """Ragged layout of the RDP sum: order i owns the run k = 0..alpha_i of
-    the flat arrays k, alpha and log C(alpha, k), which start at starts[i]
-    and hold sizes[i] = alpha_i + 1 entries. log C is the log of the exact
-    integer, within about half an ulp."""
-    sizes = np.array(orders, dtype=np.int64) + 1
+def _binomial_table(orders: tuple):
+    """The orders as float64 and the ragged layout of the RDP sum, checked
+    and built once per order list (a tuple, a list and an array of the same
+    orders share one key). Order i owns the run k = 0..alpha_i of the flat
+    arrays k, alpha and log C(alpha, k), which start at starts[i] and hold
+    sizes[i] = alpha_i + 1 entries. log C is the log of the exact integer,
+    within about half an ulp."""
+    alphas = np.array(orders, dtype=np.float64)
+    if np.any(alphas <= 1) or np.any(alphas != np.round(alphas)):
+        raise ValueError("orders must be integers greater than 1")
+    ints = alphas.astype(np.int64).tolist()
+    sizes = np.array(ints) + 1
     starts = np.cumsum(sizes) - sizes
-    alpha = np.repeat(np.array(orders, dtype=np.float64), sizes)
-    k = np.concatenate([np.arange(a + 1.0) for a in orders])
-    log_comb = np.array([math.log(math.comb(a, j)) for a in orders for j in range(a + 1)])
-    for arr in (sizes, starts, alpha, k, log_comb):
+    alpha = np.repeat(alphas, sizes)
+    k = np.concatenate([np.arange(a + 1.0) for a in ints])
+    log_comb = np.array([math.log(math.comb(a, j)) for a in ints for j in range(a + 1)])
+    for arr in (alphas, sizes, starts, alpha, k, log_comb):
         arr.flags.writeable = False
-    return sizes, starts, k, alpha, log_comb
+    return alphas, sizes, starts, k, alpha, log_comb
 
 
 def rdp_subsampled_gaussian(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
@@ -76,12 +82,9 @@ def rdp_subsampled_gaussian(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np
         raise ValueError("sigma must be positive; the RDP of a noiseless step is infinite")
     if not (0.0 < q <= 1.0):
         raise ValueError(f"sampling rate must be in (0, 1], got {q}")
-    alphas = np.asarray(orders, dtype=np.float64)
-    if np.any(alphas <= 1) or np.any(alphas != np.round(alphas)):
-        raise ValueError("orders must be integers greater than 1")
+    alphas, sizes, starts, k, alpha, log_comb = _binomial_table(tuple(orders))
     if q == 1.0:
         return alphas / (2.0 * sigma * sigma)
-    sizes, starts, k, alpha, log_comb = _binomial_table(tuple(alphas.astype(np.int64).tolist()))
     log_terms = (
         log_comb
         + k * math.log(q)

@@ -1,12 +1,13 @@
 """Shared test fixtures: small, fast run configurations, one client's local
-training, and the independent per-example clipping oracle that the DP-SGD
-step is checked against."""
+training, the independent per-example clipping oracle that the DP-SGD step
+is checked against, and the scalar forward and loss of one example that
+finite-difference gradient checks perturb one entry at a time."""
 
 import math
 
 import numpy as np
 
-from fedsvd import federation
+from fedsvd import federation, model
 from fedsvd.config import RunConfig
 
 
@@ -79,3 +80,20 @@ def clip_gradient(grad, clip_norm: float):
     if isinstance(grad, dict):
         return {k: factor * g for k, g in grad.items()}
     return factor * np.asarray(grad, dtype=np.float64)
+
+
+def forward(m, x) -> np.ndarray:
+    """Logits of model.Classifier m for a single input vector."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {x.shape}")
+    return model.forward_batch(m, x[None, :])[0]
+
+
+def loss(logits, y: int) -> float:
+    """Cross-entropy -log softmax(logits)[y], computed with max subtraction."""
+    z = np.asarray(logits, dtype=np.float64)
+    if not np.isfinite(z).all():
+        raise ValueError("logits contain non-finite entries")
+    m = z.max()
+    return float(m + np.log(np.exp(z - m).sum()) - z[y])

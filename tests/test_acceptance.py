@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from helpers import solo_train, stack_rows
+from helpers import forward, loss, solo_train, stack_rows
 
 from fedsvd import analysis, federation, linalg, lora, metrics, model, privacy
 from fedsvd.config import RunConfig
@@ -157,9 +157,9 @@ def test_criterion_3_gradient_correctness():
                         minus[i, j] -= h
                         new_layers = list(layers)
                         new_layers[li] = layers[li].with_adapters(**{name: plus})
-                        lp = model.loss(model.forward(model.Classifier(new_layers, c), x), y)
+                        lp = loss(forward(model.Classifier(new_layers, c), x), y)
                         new_layers[li] = layers[li].with_adapters(**{name: minus})
-                        lm = model.loss(model.forward(model.Classifier(new_layers, c), x), y)
+                        lm = loss(forward(model.Classifier(new_layers, c), x), y)
                         fd = (lp - lm) / (2 * h)
                         ref = max(abs(fd), abs(g[i, j]), 1e-2)
                         assert abs(g[i, j] - fd) <= 1e-6 * ref

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedsvd import lora, model
+from fedsvd import lora, model, verify
 from fedsvd.data import Dataset
 from fedsvd.lora import LoraLayer
-from helpers import outer_products
+from helpers import forward, loss, outer_products
 
 
 def make_model(rng, d_x=5, c=3, r=2, layers=1, hidden=4, zero_b=False):
@@ -55,8 +57,8 @@ def fd_gradient(m, key, x, y, h=1e-5):
             plus[i, j] += h
             minus = base.copy()
             minus[i, j] -= h
-            lp = model.loss(model.forward(model_with_param(m, key, plus), x), y)
-            lm = model.loss(model.forward(model_with_param(m, key, minus), x), y)
+            lp = loss(forward(model_with_param(m, key, plus), x), y)
+            lm = loss(forward(model_with_param(m, key, minus), x), y)
             grad[i, j] = (lp - lm) / (2 * h)
     return grad
 
@@ -65,7 +67,7 @@ def test_forward_zero_adapters_equals_backbone():
     rng = np.random.default_rng(0)
     m = make_model(rng, zero_b=True)
     x = rng.standard_normal(5)
-    np.testing.assert_allclose(model.forward(m, x), m.layers[0].w0 @ x, atol=1e-14)
+    np.testing.assert_allclose(forward(m, x), m.layers[0].w0 @ x, atol=1e-14)
 
 
 def test_forward_identity_adapter():
@@ -77,7 +79,7 @@ def test_forward_identity_adapter():
     layer = LoraLayer(w0=w0, a=a, b=b, rank=n, alpha=float(n))
     m = model.Classifier(layers=[layer], class_count=n)
     x = np.random.default_rng(1).standard_normal(n)
-    np.testing.assert_allclose(model.forward(m, x), x, atol=1e-14)
+    np.testing.assert_allclose(forward(m, x), x, atol=1e-14)
 
 
 def test_forward_matches_direct_product():
@@ -85,7 +87,7 @@ def test_forward_matches_direct_product():
     m = make_model(rng)
     x = rng.standard_normal(5)
     w_eff = lora.effective_weight(m.layers[0])
-    np.testing.assert_allclose(model.forward(m, x), w_eff @ x, atol=1e-13)
+    np.testing.assert_allclose(forward(m, x), w_eff @ x, atol=1e-13)
 
 
 def test_forward_two_layer_matches_oracle():
@@ -94,22 +96,22 @@ def test_forward_two_layer_matches_oracle():
     x = rng.standard_normal(5)
     w1 = lora.effective_weight(m.layers[0])
     w2 = lora.effective_weight(m.layers[1])
-    np.testing.assert_allclose(model.forward(m, x), w2 @ np.tanh(w1 @ x), atol=1e-13)
+    np.testing.assert_allclose(forward(m, x), w2 @ np.tanh(w1 @ x), atol=1e-13)
 
 
 def test_forward_dimension_mismatch():
     m = make_model(np.random.default_rng(0))
     with pytest.raises(ValueError):
-        model.forward(m, np.zeros(7))
+        forward(m, np.zeros(7))
 
 
 def test_loss_uniform_logits():
     for c in [2, 3, 10]:
-        assert abs(model.loss(np.zeros(c), 0) - np.log(c)) < 1e-12
+        assert abs(loss(np.zeros(c), 0) - np.log(c)) < 1e-12
 
 
 def test_loss_saturated():
-    assert model.loss(np.array([20.0, -20.0]), 0) < 1e-8
+    assert loss(np.array([20.0, -20.0]), 0) < 1e-8
 
 
 def test_loss_binary_equals_sigmoid_form():
@@ -120,11 +122,11 @@ def test_loss_binary_equals_sigmoid_form():
         margin = z[1] - z[0]
         sig = 1.0 / (1.0 + np.exp(-margin))
         expected = -(y * np.log(sig) + (1 - y) * np.log(1.0 - sig))
-        assert abs(model.loss(z, y) - expected) < 1e-12
+        assert abs(loss(z, y) - expected) < 1e-12
 
 
 def test_loss_stability_large_logits():
-    assert np.isfinite(model.loss(np.array([1e4, -1e4, 0.0]), 1))
+    assert np.isfinite(loss(np.array([1e4, -1e4, 0.0]), 1))
 
 
 def test_per_sample_grads_zero_loss_limit():
@@ -149,7 +151,7 @@ def test_per_sample_grads_closed_form_b():
     layer = m.layers[0]
     x = rng.standard_normal(5)
     y = 2
-    z = model.forward(m, x)
+    z = forward(m, x)
     delta = model.softmax(z)
     delta[y] -= 1.0
     expected = layer.scale * np.outer(delta, layer.a @ x)
@@ -170,6 +172,47 @@ def test_per_sample_grads_match_finite_differences(layers):
             np.testing.assert_allclose(grads[key][0], fd, rtol=1e-6, atol=1e-8)
 
 
+@settings(max_examples=150, deadline=None)
+@given(c=st.integers(2, 7), d_x=st.integers(1, 8), data=st.data())
+def test_verify_central_differences_equal_the_scalar_loop_bit_for_bit(c, d_x, data):
+    # verify's stacked forward over all perturbed copies against one scalar
+    # forward and loss per perturbed entry
+    r = data.draw(st.integers(1, min(c, d_x)), label="rank")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    scale = data.draw(st.sampled_from([0.05, 0.6, 4.0]), label="scale")
+    layer = LoraLayer(
+        w0=rng.standard_normal((c, d_x)) * scale,
+        a=rng.standard_normal((r, d_x)) * scale,
+        b=rng.standard_normal((c, r)) * scale,
+        rank=r,
+        alpha=float(data.draw(st.integers(1, 8), label="alpha")),
+    )
+    m = model.Classifier(layers=[layer], class_count=c)
+    x = rng.standard_normal(d_x)
+    y = data.draw(st.integers(0, c - 1), label="y")
+    for name in "ab":
+        got = verify._central_differences(layer, name, x, y)
+        want = fd_gradient(m, (0, name), x, y)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_verify_central_differences_reject_non_finite_logits(bad):
+    # a NaN difference must not pass as a small error
+    rng = np.random.default_rng(11)
+    m = make_model(rng, d_x=4, c=3, r=2)
+    layer = m.layers[0]
+    layer = LoraLayer(w0=layer.w0.copy(), a=layer.a, b=layer.b, rank=2, alpha=2.0)
+    layer.w0[1, 2] = bad
+    x = rng.standard_normal(4)
+    for name in "ab":
+        with pytest.raises(ValueError, match="logits contain non-finite entries"):
+            verify._central_differences(layer, name, x, 0)
+        with pytest.raises(ValueError, match="logits contain non-finite entries"):
+            fd_gradient(model.Classifier([layer], 3), (0, name), x, 0)
+
+
 def test_gradient_norm_identity_orthonormal_a():
     # ||dl/dB||_F = ||dl/dz|| * ||A x|| and <= ||dl/dz|| * ||x|| for orthonormal A.
     rng = np.random.default_rng(9)
@@ -184,7 +227,7 @@ def test_gradient_norm_identity_orthonormal_a():
         m = model.Classifier(layers=[layer], class_count=4)
         x = rng.standard_normal(8)
         y = int(rng.integers(0, 4))
-        z = model.forward(m, x)
+        z = forward(m, x)
         delta = model.softmax(z)
         delta[y] -= 1.0
         g = example_grads(m, x, y)[(0, "b")][0]

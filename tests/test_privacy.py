@@ -88,7 +88,8 @@ def exact_log_comb_row(alpha):
 def test_binomial_table_within_one_ulp_of_extended_precision():
     # the table holds each order's run k = 0..a in the order given
     for orders in ORDER_LISTS:
-        sizes, starts, k, alpha, log_comb = privacy._binomial_table(orders)
+        alphas, sizes, starts, k, alpha, log_comb = privacy._binomial_table(orders)
+        assert alphas.dtype == np.float64 and alphas.tolist() == list(orders)
         assert sizes.tolist() == [a + 1 for a in orders]
         for a, start in zip(orders, starts.tolist()):
             run = slice(start, start + a + 1)
@@ -110,6 +111,20 @@ def test_rdp_orders_as_tuple_list_or_float_array_share_one_table():
     assert all(r.tobytes() == results[0].tobytes() for r in results)
     info = privacy._binomial_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+@pytest.mark.parametrize("invalid", [(1,), (2.5,), (0,), (1, 2.5, 0), (3, 40, 1), (3, 2.5)])
+def test_rdp_invalid_orders_raise_in_every_form_after_a_valid_call(invalid):
+    # the order check runs once per cache key, and an invalid key is never cached
+    privacy._binomial_table.cache_clear()
+    valid = (3, 40, 9, 128)
+    for form in (valid, list(valid), np.asarray(valid, dtype=np.float64)):
+        privacy.rdp_subsampled_gaussian(0.03, 1.3, form)
+    for form in (invalid, list(invalid), np.asarray(invalid, dtype=np.float64)):
+        for q in (0.03, 1.0):
+            with pytest.raises(ValueError, match="orders must be integers greater than 1"):
+                privacy.rdp_subsampled_gaussian(q, 1.3, form)
+    assert privacy._binomial_table.cache_info().currsize == 1
 
 
 @settings(max_examples=60, deadline=None)
