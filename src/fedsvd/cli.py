@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import config as config_mod
-from . import data as data_mod
 from . import federation, metrics, privacy, verify
 from .config import ConfigError
 
@@ -141,16 +140,13 @@ def cmd_calibrate(args) -> int:
 def cmd_partition_stats(args) -> int:
     cfg = _load_config(args)
     seed = cfg.seeds[0]
-    _, finetune, _ = federation._build_datasets(cfg, seed)
-    parts = data_mod.partition_dirichlet(
-        finetune,
-        data_mod.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=seed),
-    )
+    _, parts, _ = federation.datasets(cfg, seed)
+    classes = parts[0].class_count
     print(f"seed {seed}, alpha {cfg.dirichlet_alpha}, {cfg.clients} clients, "
-          f"{len(finetune)} examples, {finetune.class_count} classes")
-    print("client,n,q," + ",".join(f"class_{c}" for c in range(finetune.class_count)))
+          f"{sum(map(len, parts))} examples, {classes} classes")
+    print("client,n,q," + ",".join(f"class_{c}" for c in range(classes)))
     for k, part in enumerate(parts):
-        hist = np.bincount(part.labels, minlength=finetune.class_count)
+        hist = np.bincount(part.labels, minlength=classes)
         q = federation.sampling_rate(cfg, part)
         print(f"{k},{len(part)},{q:.4f}," + ",".join(str(int(h)) for h in hist))
     return EXIT_OK

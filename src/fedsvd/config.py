@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, fields
 
 
@@ -60,6 +61,10 @@ class RunConfig:
         from .federation import STRATEGIES  # federation imports this module
 
         problems = []
+        for key in _FLOAT_KEYS + _OPT_FLOAT_KEYS:
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                problems.append(f"{key} must be finite, got {value}")
         if self.strategy not in STRATEGIES:
             problems.append(f"strategy must be one of {tuple(STRATEGIES)}, got {self.strategy!r}")
         for key in _INT_KEYS:

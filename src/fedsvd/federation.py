@@ -23,6 +23,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -321,12 +322,18 @@ def _split_csv_dataset(full: data_mod.Dataset, seed: int):
     return pre, fine, heldout
 
 
-def _build_datasets(cfg: RunConfig, seed: int):
+def datasets(cfg: RunConfig, seed: int) -> tuple[data_mod.Dataset, list[data_mod.Dataset], data_mod.Dataset]:
+    """(pretrain, parts, heldout) of (cfg, seed): the synthetic splits or the
+    1/4, 1/2, 1/4 split of the CSV table, the middle split partitioned over
+    the clients by partition_dirichlet."""
     if cfg.source == "synthetic":
-        return data_mod.gen_synthetic(
+        pretrain, finetune, heldout = data_mod.gen_synthetic(
             cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, seed=seed
         )
-    return _split_csv_dataset(data_mod.load_csv(cfg.csv_path), seed)
+    else:
+        pretrain, finetune, heldout = _split_csv_dataset(data_mod.load_csv(cfg.csv_path), seed)
+    spec = data_mod.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=seed)
+    return pretrain, data_mod.partition_dirichlet(finetune, spec), heldout
 
 
 def init_server(cfg: RunConfig, strategy: Strategy, base_weights: list[np.ndarray], class_count: int, seed: int) -> ServerState:
@@ -406,71 +413,38 @@ def build_clients(cfg: RunConfig, parts: list[data_mod.Dataset]) -> list[ClientH
     return clients
 
 
-def run_experiment(cfg: RunConfig, seed: int, record_timing: bool = True) -> list[MetricsRow]:
-    """Execute one seeded federated run and return its per-round metrics.
-
-    Row 0 evaluates the untouched global model; row i >= 1 evaluates the
-    state after round i's aggregation. Deterministic in (cfg, seed).
-    Participants train on one stacked client axis (train_clients), whose
-    (K, ...) adapters go straight to aggregate.
+def start(cfg: RunConfig, seed: int) -> tuple[ServerState, list[ClientHandle], data_mod.Dataset]:
+    """(server, clients, heldout) of a seeded run before its first round.
 
     The pre-trained backbone depends on the data and the seed, not on the
     strategy: a process fits each seed's backbone once and reuses it
-    across strategies (see _backbone). A client update or an aggregate
-    with a non-finite adapter (or shipped w0) raises DivergenceError
-    naming the strategy, the round, the client or "aggregate" and the
-    layer.
+    across strategies (see _backbone).
     """
     cfg.validate()
-    strategy = Strategy(cfg.strategy, cfg.svd_period)
-    run_id = cfg.run_id()
-
-    pretrain, finetune, heldout = _build_datasets(cfg, seed)
-    class_count = finetune.class_count
-    parts = data_mod.partition_dirichlet(
-        finetune,
-        data_mod.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=seed),
-    )
-    dims = [finetune.feature_dim] if cfg.layers == 1 else [finetune.feature_dim, cfg.hidden_dim]
+    pretrain, parts, heldout = datasets(cfg, seed)
+    class_count, d_in = parts[0].class_count, parts[0].feature_dim
+    dims = [d_in] if cfg.layers == 1 else [d_in, cfg.hidden_dim]
     if cfg.pretrain_backbone:
         base = _backbone(cfg, pretrain, dims, class_count, seed)
     else:
         base = model.random_dense_weights(dims, class_count, stream(seed, _TAG_BACKBONE))
+    server = init_server(cfg, Strategy(cfg.strategy, cfg.svd_period), base, class_count, seed)
+    return server, build_clients(cfg, parts), heldout
 
-    server = init_server(cfg, strategy, base, class_count, seed)
-    clients = build_clients(cfg, parts)
-    # adapter shapes never change within a run (FLoRA restarts at the same ones)
-    up, down = comm_params_per_round(strategy, server.layers, cfg.participants, cfg.transmit_a)
 
-    rows: list[MetricsRow] = []
-    epsilons = _epsilon_column(clients, cfg.rounds, cfg.delta)
+def rounds(cfg: RunConfig, server: ServerState, clients: list[ClientHandle]):
+    """Step the run from `server` to round cfg.rounds, one round per request.
 
-    def emit(round_idx: int, uploaded: int, downloaded: int, t0: float) -> None:
-        acc, mean_loss = model.evaluate(server.classifier(), heldout)
-        wall = int((time.perf_counter() - t0) * 1000) if record_timing else 0
-        rows.append(
-            MetricsRow(
-                run_id=run_id,
-                seed=seed,
-                strategy=strategy.label,
-                round=round_idx,
-                eval_accuracy=acc,
-                eval_loss=mean_loss,
-                epsilon_spent=epsilons[round_idx],
-                uploaded_params=uploaded,
-                downloaded_params=downloaded,
-                wall_ms=wall,
-            )
-        )
-
-    t0 = time.perf_counter()
-    emit(0, 0, 0, t0)
-
-    for rnd in range(cfg.rounds):
-        t0 = time.perf_counter()
-        sampled = sample_clients(
-            cfg.clients, cfg.participants, stream(seed, _TAG_SAMPLE, rnd)
-        )
+    Yields (sampled, adapters, server) per round: the sorted ids of the
+    sampled clients, their (K, ...) adapters from train_clients (trained
+    from the state yielded before, or from the given one) and the
+    aggregated state. A client update or an aggregate with a non-finite
+    adapter (or shipped w0) raises DivergenceError naming the strategy,
+    the round, the client or "aggregate" and the layer.
+    """
+    strategy, seed = server.strategy, server.master_seed
+    for rnd in range(server.round_index, cfg.rounds):
+        sampled = sample_clients(cfg.clients, cfg.participants, stream(seed, _TAG_SAMPLE, rnd))
         batch = [clients[cid] for cid in sampled]
         adapters = train_clients(
             batch, server.layers, strategy.trains_a, cfg.learning_rate,
@@ -486,5 +460,31 @@ def run_experiment(cfg: RunConfig, seed: int, record_timing: bool = True) -> lis
             strategy, rnd + 1, "aggregate",
             [(l.a, l.b, l.w0 if strategy.rule.ships_w0 else None) for l in server.layers],
         )
-        emit(rnd + 1, up, down, t0)
+        yield sampled, adapters, server
+
+
+def run_experiment(cfg: RunConfig, seed: int, record_timing: bool = True) -> list[MetricsRow]:
+    """Execute one seeded federated run and return its per-round metrics.
+
+    Row 0 evaluates the untouched global model; row i >= 1 evaluates the
+    state after round i's aggregation, and its wall_ms times the round
+    and the evaluation. Deterministic in (cfg, seed).
+    """
+    server, clients, heldout = start(cfg, seed)
+    # adapter shapes never change within a run (FLoRA restarts at the same ones)
+    up, down = comm_params_per_round(server.strategy, server.layers, cfg.participants, cfg.transmit_a)
+    epsilons = _epsilon_column(clients, cfg.rounds, cfg.delta)
+    run_id = cfg.run_id()
+    rows: list[MetricsRow] = []
+    t0 = time.perf_counter()
+    for state in chain([server], (after for _, _, after in rounds(cfg, server, clients))):
+        acc, mean_loss = model.evaluate(state.classifier(), heldout)
+        r = state.round_index
+        rows.append(MetricsRow(
+            run_id=run_id, seed=seed, strategy=state.strategy.label, round=r,
+            eval_accuracy=acc, eval_loss=mean_loss, epsilon_spent=epsilons[r],
+            uploaded_params=up if r else 0, downloaded_params=down if r else 0,
+            wall_ms=int((time.perf_counter() - t0) * 1000) if record_timing else 0,
+        ))
+        t0 = time.perf_counter()
     return rows

@@ -133,8 +133,8 @@ def calibrate_sigma(
     the target (effectively no privacy pressure); raises CalibrationError
     when the target is unreachable at the upper edge.
     """
-    if epsilon_target <= 0.0:
-        raise ValueError(f"epsilon_target must be positive, got {epsilon_target}")
+    if not 0.0 < epsilon_target < math.inf:
+        raise ValueError(f"epsilon_target must be finite and positive, got {epsilon_target}")
     lo, hi = bracket
     if spent_epsilon(q, lo, total_steps, delta, orders) <= epsilon_target:
         return lo

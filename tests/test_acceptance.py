@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from helpers import forward, loss, solo_train, stack_rows
+from helpers import forward, loss
 
 from fedsvd import analysis, federation, linalg, lora, metrics, model, privacy
 from fedsvd.config import RunConfig
@@ -301,37 +301,12 @@ def test_criterion_8_freezing_and_dp_plumbing():
         # (a) broadcast bases return byte-identical from local training
         for kind in ("ffa_lora", "fedsvd"):
             cfg = headline_config(kind, rounds=3, seeds=(0,))
-            strategy = federation.Strategy(cfg.strategy, cfg.svd_period)
-            pre, fine, _ = federation._build_datasets(cfg, 0)
-            from fedsvd import data as data_mod
-
-            parts = data_mod.partition_dirichlet(
-                fine,
-                data_mod.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=0),
-            )
-            base = model.fit_dense_weights(
-                pre.features, pre.labels, [fine.feature_dim, cfg.hidden_dim],
-                fine.class_count, steps=50, lr=0.1, seed=federation.stream(0, 0xB0),
-            )
-            server = federation.init_server(cfg, strategy, base, fine.class_count, seed=0)
-            clients = federation.build_clients(cfg, parts)
-            for rnd in range(cfg.rounds):
-                sampled = federation.sample_clients(
-                    cfg.clients, cfg.participants, federation.stream(0, 0xB2, rnd)
-                )
+            server, clients, _ = federation.start(cfg, 0)
+            broadcast_a = [layer.a.tobytes() for layer in server.layers]
+            for _, adapters, server in federation.rounds(cfg, server, clients):
+                for li, a_sent in enumerate(broadcast_a):
+                    assert adapters[li, "a"].tobytes() == a_sent, "client modified a frozen basis"
                 broadcast_a = [layer.a.tobytes() for layer in server.layers]
-                updates = []
-                for cid in sampled:
-                    upd = solo_train(
-                        clients[cid], server.layers, strategy.trains_a,
-                        lr=cfg.learning_rate, rng=federation.stream(0, 0xB3, rnd, cid),
-                    )
-                    for li in range(len(server.layers)):
-                        a_ret = upd[li, "a"]
-                        assert a_ret.tobytes() == broadcast_a[li], "client modified a frozen basis"
-                    updates.append(upd)
-                sizes = [len(clients[cid].dataset) for cid in sampled]
-                server = federation.aggregate(sizes, stack_rows(updates, strategy.trains_a), server)
 
         # (b) reported epsilon equals the calibrated target within 1%
         cfg = headline_config("fedsvd", rounds=10, seeds=(0,))

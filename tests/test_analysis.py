@@ -247,24 +247,11 @@ def test_noise_expansion_from_fedavg_trace():
     # run a couple of genuine FedAvg rounds and expand the aggregated state
     from helpers import small_config
 
-    from fedsvd import data, federation
+    from fedsvd import federation
 
     cfg = small_config(strategy="fedavg", rounds=2, epsilon=5.0)
-    strategy = federation.Strategy(cfg.strategy, cfg.svd_period)
-    pre, fine, _ = federation._build_datasets(cfg, seed=3)
-    parts = data.partition_dirichlet(
-        fine,
-        data.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=3),
-    )
-    base = model.random_dense_weights([fine.feature_dim], fine.class_count, 1)
-    server = federation.init_server(cfg, strategy, base, fine.class_count, seed=3)
-    clients = federation.build_clients(cfg, parts)
-    sampled = federation.sample_clients(cfg.clients, cfg.participants, federation.stream(3, 0xB2, 0))
-    adapters = federation.train_clients(
-        [clients[cid] for cid in sampled], server.layers, strategy.trains_a, cfg.learning_rate,
-        [federation.stream(3, 0xB3, 0, cid) for cid in sampled],
-    )
-    server = federation.aggregate([len(clients[cid].dataset) for cid in sampled], adapters, server)
+    server, clients, _ = federation.start(cfg, 3)
+    _, _, server = next(federation.rounds(cfg, server, clients))
     layer = server.layers[0]
     sigma_c = clients[0].privacy_cfg.sigma * clients[0].privacy_cfg.clip_norm
     rng = np.random.default_rng(99)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from fedsvd import cli, config, federation, metrics, model, verify
+from fedsvd import cli, config, data, federation, metrics, model, privacy, verify
 from fedsvd.config import ConfigError, RunConfig
 
 
@@ -362,13 +362,54 @@ def test_cmd_calibrate_rejects_nonpositive_steps(capsys, steps):
     assert "steps must be >= 1" in capsys.readouterr().err
 
 
-def test_cmd_partition_stats(tmp_path, capsys):
-    cfg_path = write_cfg(tmp_path)
-    rc = cli.main(["partition-stats", cfg_path])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "client,n,q" in out
-    assert len(out.strip().split("\n")) == 2 + 3  # header lines + 3 clients
+SMALL_PARTITION = """seed 0, alpha 0.5, 3 clients, 240 examples, 3 classes
+client,n,q,class_0,class_1,class_2
+0,104,0.1538,35,32,37
+1,58,0.2759,10,29,19
+2,78,0.2051,35,19,24
+"""
+
+
+def test_cmd_partition_stats(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data.save_csv(data.gen_synthetic(3, 4, 120, 3.0, seed=0)[1], "table.csv")
+    for overrides, expected in [
+        ([], SMALL_PARTITION),
+        # unreachable (see test_cmd_run_unreachable_epsilon_names_client): the
+        # command calibrates no sigma and fits no backbone
+        (["epsilon=0.001"], SMALL_PARTITION),
+        (["source=csv", "csv_path=table.csv"], """seed 0, alpha 0.5, 3 clients, 60 examples, 3 classes
+client,n,q,class_0,class_1,class_2
+0,25,0.6400,9,7,9
+1,15,1.0000,3,7,5
+2,20,0.8000,9,5,6
+"""),
+    ]:
+        assert cli.main(["partition-stats", write_cfg(tmp_path), *overrides]) == cli.EXIT_OK
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [
+    "learning_rate", "lora_alpha", "pretrain_lr", "margin", "dirichlet_alpha",
+    "delta", "clip_norm", "epsilon", "noise_multiplier",
+])
+def test_non_finite_config_float_named(tmp_path, capsys, key, value):
+    cfg = config.parse(SMALL_INI)
+    setattr(cfg, key, float(value))
+    with pytest.raises(ConfigError, match=f"{key} must be finite, got {float(value)}"):
+        cfg.validate()
+    assert cli.main(["run", write_cfg(tmp_path), f"{key}={value}"]) == cli.EXIT_CONFIG
+    assert f"{key} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_cmd_calibrate_rejects_non_finite_epsilon(capsys, epsilon):
+    with pytest.raises(ValueError, match="finite and positive"):
+        privacy.calibrate_sigma(float(epsilon), 1e-5, 0.02, 100)
+    rc = cli.main(["calibrate", "--epsilon", epsilon, "--delta", "1e-5", "--q", "0.02", "--steps", "100"])
+    assert rc == cli.EXIT_CONFIG
+    assert f"epsilon_target must be finite and positive, got {epsilon}" in capsys.readouterr().err
 
 
 def test_metrics_header_stable():

@@ -94,10 +94,7 @@ def test_local_train_leaves_client_unchanged():
 def test_epsilon_spent_is_worst_client_schedule_every_round(privacy_kw):
     cfg = small_config(strategy="fedsvd", rounds=3, **privacy_kw)
     rows = federation.run_experiment(cfg, 0, record_timing=False)
-    _, finetune, _ = federation._build_datasets(cfg, 0)
-    parts = data.partition_dirichlet(
-        finetune, data.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=0)
-    )
+    _, parts, _ = federation.datasets(cfg, 0)
     qs = [min(1.0, cfg.batch_size / len(part)) for part in parts]
     if cfg.epsilon is None:
         sigmas = [cfg.noise_multiplier] * len(qs)
@@ -120,11 +117,7 @@ def test_epsilon_spent_is_worst_client_schedule_every_round(privacy_kw):
 @pytest.mark.parametrize("privacy_kw", [{"epsilon": 6.0}, {"noise_multiplier": 1.3}, {}])
 def test_epsilon_column_equals_per_round_accounting(privacy_kw, seed):
     cfg = small_config(local_steps=3, rounds=37, **privacy_kw)
-    _, finetune, _ = federation._build_datasets(cfg, seed)
-    parts = data.partition_dirichlet(
-        finetune, data.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=seed)
-    )
-    clients = federation.build_clients(cfg, parts)
+    clients = federation.build_clients(cfg, federation.datasets(cfg, seed)[1])
     column = federation._epsilon_column(clients, cfg.rounds, cfg.delta)
     if not privacy_kw:
         assert column == [None] * (cfg.rounds + 1)
@@ -368,7 +361,7 @@ def oracle_aggregate(sizes, rows, server):
         b_avg = sum(w * b for w, _, b in weighted)
         product = sum(w * (b @ a) for w, a, b in weighted)
         if strategy.kind == "flora":
-            rng = federation.stream(server.master_seed, 0xB4, server.round_index, idx)
+            rng = federation.stream(server.master_seed, federation._TAG_FLORA, server.round_index, idx)
             a_new, b_new = lora.init_adapter(layer.d_out, layer.d_in, layer.rank, rng)
             layer = dataclasses.replace(layer, w0=layer.w0 + layer.scale * product, a=a_new, b=b_new)
         elif strategy.kind == "fedex_lora":
@@ -548,22 +541,8 @@ def test_run_experiment_fedsvd_period_value_invariance_round1():
     cfg_off = small_config(svd_period=2, **common)  # 1 % 2 != 0: no reparam in round 1
 
     def final_weight(cfg):
-        strategy = Strategy(cfg.strategy, cfg.svd_period)
-        pre, fine, heldout = federation._build_datasets(cfg, seed=5)
-        parts = data.partition_dirichlet(
-            fine, data.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=1, seed=5)
-        )
-        base = model.fit_dense_weights(
-            pre.features, pre.labels, [fine.feature_dim], fine.class_count,
-            steps=50, lr=0.1, seed=federation.stream(5, 0xB0),
-        )
-        server = federation.init_server(cfg, strategy, base, fine.class_count, seed=5)
-        clients = federation.build_clients(cfg, parts)
-        adapters = federation.train_clients(
-            clients[:1], server.layers, strategy.trains_a, cfg.learning_rate,
-            [federation.stream(5, 0xB3, 0, 0)],
-        )
-        server = federation.aggregate([len(clients[0].dataset)], adapters, server)
+        server, clients, _ = federation.start(cfg, 5)
+        _, _, server = next(federation.rounds(cfg, server, clients))
         return lora.effective_weight(server.layers[0])
 
     w1 = final_weight(cfg_p1)
@@ -574,32 +553,12 @@ def test_run_experiment_fedsvd_period_value_invariance_round1():
 def test_fedsvd_value_invariance_every_round_and_layer():
     # at each round the refactorized state must carry the same effective
     # weight as plain b-averaging would, and the new basis is orthonormal
-    import dataclasses
-
     cfg = small_config(strategy="fedsvd", rounds=6, epsilon=4.0, feature_dim=10)
-    strategy = Strategy("fedsvd", 1)
-    pre, fine, _ = federation._build_datasets(cfg, seed=7)
-    parts = data.partition_dirichlet(
-        fine, data.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=7)
-    )
-    base = model.fit_dense_weights(
-        pre.features, pre.labels, [fine.feature_dim], fine.class_count,
-        steps=40, lr=0.1, seed=federation.stream(7, 0xB0),
-    )
-    server = federation.init_server(cfg, strategy, base, fine.class_count, seed=7)
-    clients = federation.build_clients(cfg, parts)
-    for rnd in range(cfg.rounds):
-        sampled = federation.sample_clients(
-            cfg.clients, cfg.participants, federation.stream(7, 0xB2, rnd)
-        )
-        adapters = federation.train_clients(
-            [clients[cid] for cid in sampled], server.layers, strategy.trains_a, cfg.learning_rate,
-            [federation.stream(7, 0xB3, rnd, cid) for cid in sampled],
-        )
+    before, clients, _ = federation.start(cfg, 7)
+    for sampled, adapters, server in federation.rounds(cfg, before, clients):
         sizes = [len(clients[cid].dataset) for cid in sampled]
-        plain_server = dataclasses.replace(server, strategy=Strategy("ffa_lora"))
-        plain = federation.aggregate(sizes, adapters, plain_server)
-        server = federation.aggregate(sizes, adapters, server)
+        plain = federation.aggregate(sizes, adapters, dataclasses.replace(before, strategy=Strategy("ffa_lora")))
+        before = server
         for reparam_layer, plain_layer in zip(server.layers, plain.layers):
             err = linalg.rel_frobenius_error(
                 lora.effective_weight(reparam_layer), lora.effective_weight(plain_layer)
@@ -611,30 +570,10 @@ def test_fedsvd_value_invariance_every_round_and_layer():
 
 def test_run_experiment_ffa_broadcast_a_never_changes():
     cfg = small_config(strategy="ffa_lora", rounds=3, epsilon=5.0)
-    strategy = Strategy(cfg.strategy, cfg.svd_period)
-    pre, fine, heldout = federation._build_datasets(cfg, seed=2)
-    parts = data.partition_dirichlet(
-        fine, data.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=2)
-    )
-    base = model.random_dense_weights([fine.feature_dim], fine.class_count, 0)
-    server = federation.init_server(cfg, strategy, base, fine.class_count, seed=2)
+    server, clients, _ = federation.start(cfg, 2)
     a0 = server.layers[0].a.tobytes()
-    clients = federation.build_clients(cfg, parts)
-    for rnd in range(cfg.rounds):
-        sampled = federation.sample_clients(
-            cfg.clients, cfg.participants, federation.stream(2, 0xB2, rnd)
-        )
-        updates = [
-            solo_train(
-                clients[cid], server.layers, strategy.trains_a,
-                lr=cfg.learning_rate, rng=federation.stream(2, 0xB3, rnd, cid),
-            )
-            for cid in sampled
-        ]
-        for u in updates:
-            assert u[0, "a"].tobytes() == a0  # A returned untouched
-        sizes = [len(clients[cid].dataset) for cid in sampled]
-        server = federation.aggregate(sizes, stack_rows(updates, strategy.trains_a), server)
+    for _, adapters, server in federation.rounds(cfg, server, clients):
+        assert adapters[0, "a"].tobytes() == a0  # A returned untouched
         assert server.layers[0].a.tobytes() == a0
 
 
@@ -711,7 +650,7 @@ def test_memoized_backbone_rows_equal_a_direct_fit(monkeypatch):
     def direct(cfg, pretrain, dims, class_count, seed):
         return model.fit_dense_weights(
             pretrain.features, pretrain.labels, dims, class_count,
-            steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=federation.stream(seed, 0xB0),
+            steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=federation.stream(seed, federation._TAG_BACKBONE),
         )
 
     monkeypatch.setattr(federation, "_backbone", direct)
@@ -729,10 +668,10 @@ def test_backbone_fitted_once_per_seed_across_strategies(count_fits):
     # each field the fit reads refits: the seed (here on the same data),
     # pretrain_steps, pretrain_lr and hidden_dim
     cfg = small_config()
-    pre, fine, _ = federation._build_datasets(cfg, seed=0)
-    federation._backbone(cfg, pre, [fine.feature_dim], fine.class_count, seed=0)
+    pre, parts, _ = federation.datasets(cfg, seed=0)
+    federation._backbone(cfg, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
     assert len(count_fits) == 1
-    federation._backbone(cfg, pre, [fine.feature_dim], fine.class_count, seed=1)
+    federation._backbone(cfg, pre, [parts[0].feature_dim], parts[0].class_count, seed=1)
     assert len(count_fits) == 2
     federation.run_experiment(small_config(rounds=1, pretrain_steps=30), seed=0, record_timing=False)
     assert len(count_fits) == 3
@@ -745,9 +684,9 @@ def test_backbone_fitted_once_per_seed_across_strategies(count_fits):
 
 def test_cached_backbone_is_read_only():
     cfg = small_config()
-    pre, fine, _ = federation._build_datasets(cfg, seed=0)
-    weights = federation._backbone(cfg, pre, [fine.feature_dim], fine.class_count, seed=0)
-    again = federation._backbone(cfg, pre, [fine.feature_dim], fine.class_count, seed=0)
+    pre, parts, _ = federation.datasets(cfg, seed=0)
+    weights = federation._backbone(cfg, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
+    again = federation._backbone(cfg, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
     assert all(w is v for w, v in zip(weights, again))
     with pytest.raises(ValueError):
         weights[0][0, 0] = 1.0
@@ -978,7 +917,7 @@ def test_train_clients_diverged_client_leaves_the_others_alone(q, exact):
 
 def test_run_experiment_names_the_first_diverged_client_in_sorted_order(monkeypatch):
     cfg = small_config(strategy="fedavg", clients=4, participants=3, rounds=2)
-    sampled = federation.sample_clients(4, 3, federation.stream(0, 0xB2, 0))
+    sampled = federation.sample_clients(4, 3, federation.stream(0, federation._TAG_SAMPLE, 0))
     real = federation.build_clients
 
     def blow_up_all_but_the_first(cfg, parts):
@@ -1014,22 +953,17 @@ def worst_epsilon(clients, rounds_done, delta):
 def serial_reference(cfg, seed):
     """run_experiment's rows from one solo_train per sampled client, in turn:
     (eval_accuracy, eval_loss, epsilon_spent, uploaded, downloaded) per round."""
-    strategy = Strategy(cfg.strategy, cfg.svd_period)
-    pre, fine, heldout = federation._build_datasets(cfg, seed)
-    parts = data.partition_dirichlet(
-        fine, data.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=seed)
-    )
-    dims = [fine.feature_dim] if cfg.layers == 1 else [fine.feature_dim, cfg.hidden_dim]
-    base = federation._backbone(cfg, pre, dims, fine.class_count, seed)
-    server = federation.init_server(cfg, strategy, base, fine.class_count, seed)
-    clients = federation.build_clients(cfg, parts)
+    server, clients, heldout = federation.start(cfg, seed)
+    strategy = server.strategy
     rows = [(*model.evaluate(server.classifier(), heldout), worst_epsilon(clients, 0, cfg.delta), 0, 0)]
     for rnd in range(cfg.rounds):
-        sampled = federation.sample_clients(cfg.clients, cfg.participants, federation.stream(seed, 0xB2, rnd))
+        sampled = federation.sample_clients(
+            cfg.clients, cfg.participants, federation.stream(seed, federation._TAG_SAMPLE, rnd)
+        )
         updates = [
             solo_train(
                 clients[cid], server.layers, strategy.trains_a,
-                lr=cfg.learning_rate, rng=federation.stream(seed, 0xB3, rnd, cid),
+                lr=cfg.learning_rate, rng=federation.stream(seed, federation._TAG_CLIENT, rnd, cid),
             )
             for cid in sampled
         ]
