@@ -165,9 +165,11 @@ class ClientHandle:
     sample_rate: float
 
     @cached_property
-    def onehot(self) -> np.ndarray:
-        """The shard's labels as one-hot rows, (n_k, classes), built once."""
-        return np.eye(self.dataset.class_count)[self.dataset.labels]
+    def table(self) -> np.ndarray:
+        """The shard as [features | one-hot labels] rows, (n_k, d + classes),
+        built once: a step gathers a batch's inputs and targets in one take."""
+        ds = self.dataset
+        return np.concatenate([ds.features, np.eye(ds.class_count)[ds.labels]], axis=1)
 
 
 @dataclass
@@ -200,34 +202,33 @@ def train_clients(
     false) is the layer's own array. `layers` are read, never written.
     All K clients' trainable adapters live in one privacy.flat_buffer; each
     step runs one grad_factors and one dp_sgd_step_flat for all of them, on
-    Poisson batches and one-hot targets padded to the largest. Client k
-    draws its batch, then its noise, from rngs[k] alone: its row equals its
-    result trained alone up to rounding. An empty draw (or finished steps)
-    skips the step and draws no noise; the privacy spend counts it all the
-    same (see _epsilon_column).
+    Poisson batches gathered from each client's table into one zero-padded
+    (K, M, d + classes) block, whose column views are the inputs and the
+    one-hot targets. Client k draws its batch, then its noise, from rngs[k]
+    alone: its row equals its result trained alone up to rounding. An empty
+    draw (or finished steps) skips the step and draws no noise; the privacy
+    spend counts it all the same (see _epsilon_column).
     """
-    count, d_in, classes = len(clients), layers[0].d_in, layers[-1].d_out
+    count, d_in, width = len(clients), layers[0].d_in, layers[0].d_in + layers[-1].d_out
     adapters = model.adapter_params(layers)
     trainable = [key for key in adapters if trains_a or key[1] == "b"]
     theta, views = privacy.flat_buffer({key: adapters[key] for key in trainable}, count)
     params = {**adapters, **views}
     clip, noise = privacy.stacked_mechanisms([c.privacy_cfg for c in clients])
-    shards = [(c.dataset.features, c.onehot, c.sample_rate, c.local_steps) for c in clients]
+    shards = [(c.table, c.sample_rate, c.local_steps) for c in clients]
     idle = np.empty(0, dtype=np.intp)
     for step in range(max(c.local_steps for c in clients)):
         picks = [
-            (rng.random(len(xs)) < q).nonzero()[0] if step < tau else idle
-            for (xs, _, q, tau), rng in zip(shards, rngs)
+            (rng.random(len(table)) < q).nonzero()[0] if step < tau else idle
+            for (table, q, tau), rng in zip(shards, rngs)
         ]
         sizes = [len(p) for p in picks]
         if not any(sizes):
             continue
-        x = np.zeros((count, max(sizes), d_in))
-        targets = np.zeros(x.shape[:2] + (classes,))
-        for k, ((xs, onehot, _, _), p) in enumerate(zip(shards, picks)):
-            xs.take(p, axis=0, out=x[k, : len(p)])
-            onehot.take(p, axis=0, out=targets[k, : len(p)])
-        factors = model.grad_factors(layers, params, x, targets, trainable)
+        block = np.zeros((count, max(sizes), width))
+        for k, ((table, _, _), p) in enumerate(zip(shards, picks)):
+            table.take(p, axis=0, out=block[k, : len(p)])
+        factors = model.grad_factors(layers, params, block[..., :d_in], block[..., d_in:], trainable)
         privacy.dp_sgd_step_flat(theta, views, factors, clip, noise, lr, rngs, np.array(sizes))
     return params
 
@@ -284,16 +285,14 @@ def _calibrated_sigma(epsilon: float, delta: float, q: float, steps: int) -> flo
 _BACKBONES: dict[tuple, list[np.ndarray]] = {}
 
 
-def _backbone(cfg: RunConfig, pretrain: data_mod.Dataset, dims: list[int], class_count: int, seed: int) -> list[np.ndarray]:
+def _backbone(cfg: RunConfig, data_key: tuple, pretrain: data_mod.Dataset, dims: list[int], class_count: int, seed: int) -> list[np.ndarray]:
     """The pre-trained backbone of (data, seed), fitted once per process.
 
-    The key holds a sha256 digest of the pretrain split rather than the
-    config fields that made it, so a rewritten CSV source is refitted. The
-    cached weights are read-only and shared by every strategy of the seed.
+    The key holds the data memo's key of the pretrain split (see _data), so
+    a rewritten CSV source is refitted. The cached weights are read-only
+    and shared by every strategy of the seed.
     """
-    digest = hashlib.sha256(np.ascontiguousarray(pretrain.features))
-    digest.update(np.ascontiguousarray(pretrain.labels))
-    key = (seed, tuple(dims), class_count, cfg.pretrain_steps, cfg.pretrain_lr, digest.hexdigest())
+    key = (data_key, seed, tuple(dims), class_count, cfg.pretrain_steps, cfg.pretrain_lr)
     if key not in _BACKBONES:
         weights = model.fit_dense_weights(
             pretrain.features,
@@ -322,18 +321,49 @@ def _split_csv_dataset(full: data_mod.Dataset, seed: int):
     return pre, fine, heldout
 
 
+# The last data build, keyed by everything it reads (see _data).
+_DATA: dict[tuple, tuple] = {}
+
+
+def _data(cfg: RunConfig, seed: int) -> tuple[tuple, tuple]:
+    """(key, (pretrain, parts, heldout)) of (cfg, seed), built once per key.
+
+    The key holds the synthetic settings, or a sha256 of the parsed CSV
+    table (so a rewritten file is rebuilt), then the seed, dirichlet_alpha
+    and clients. Only the last build is kept: a sweep reuses it across the
+    strategies of one seed, and a run over many seeds holds one build. Its
+    arrays are read-only.
+    """
+    if cfg.source == "synthetic":
+        key = ("synthetic", cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin)
+    else:
+        table = data_mod.load_csv(cfg.csv_path)
+        digest = hashlib.sha256(np.ascontiguousarray(table.features))
+        digest.update(np.ascontiguousarray(table.labels))
+        key = ("csv", digest.hexdigest())
+    key += (seed, cfg.dirichlet_alpha, cfg.clients)
+    if key not in _DATA:
+        _DATA.clear()  # before the build, so two builds are never held at once
+        if cfg.source == "synthetic":
+            pretrain, finetune, heldout = data_mod.gen_synthetic(
+                cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, seed=seed
+            )
+        else:
+            pretrain, finetune, heldout = _split_csv_dataset(table, seed)
+        spec = data_mod.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=seed)
+        parts = tuple(data_mod.partition_dirichlet(finetune, spec))
+        for ds in (pretrain, heldout, *parts):
+            ds.features.flags.writeable = ds.labels.flags.writeable = False
+        _DATA[key] = (pretrain, parts, heldout)
+    return key, _DATA[key]
+
+
 def datasets(cfg: RunConfig, seed: int) -> tuple[data_mod.Dataset, list[data_mod.Dataset], data_mod.Dataset]:
     """(pretrain, parts, heldout) of (cfg, seed): the synthetic splits or the
     1/4, 1/2, 1/4 split of the CSV table, the middle split partitioned over
-    the clients by partition_dirichlet."""
-    if cfg.source == "synthetic":
-        pretrain, finetune, heldout = data_mod.gen_synthetic(
-            cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, seed=seed
-        )
-    else:
-        pretrain, finetune, heldout = _split_csv_dataset(data_mod.load_csv(cfg.csv_path), seed)
-    spec = data_mod.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=seed)
-    return pretrain, data_mod.partition_dirichlet(finetune, spec), heldout
+    the clients by partition_dirichlet. Memoized by _data: read-only arrays."""
+    pretrain, parts, heldout = _data(cfg, seed)[1]
+    return pretrain, list(parts), heldout
 
 
 def init_server(cfg: RunConfig, strategy: Strategy, base_weights: list[np.ndarray], class_count: int, seed: int) -> ServerState:
@@ -421,15 +451,15 @@ def start(cfg: RunConfig, seed: int) -> tuple[ServerState, list[ClientHandle], d
     across strategies (see _backbone).
     """
     cfg.validate()
-    pretrain, parts, heldout = datasets(cfg, seed)
+    data_key, (pretrain, parts, heldout) = _data(cfg, seed)
     class_count, d_in = parts[0].class_count, parts[0].feature_dim
     dims = [d_in] if cfg.layers == 1 else [d_in, cfg.hidden_dim]
     if cfg.pretrain_backbone:
-        base = _backbone(cfg, pretrain, dims, class_count, seed)
+        base = _backbone(cfg, data_key, pretrain, dims, class_count, seed)
     else:
         base = model.random_dense_weights(dims, class_count, stream(seed, _TAG_BACKBONE))
     server = init_server(cfg, Strategy(cfg.strategy, cfg.svd_period), base, class_count, seed)
-    return server, build_clients(cfg, parts), heldout
+    return server, build_clients(cfg, list(parts)), heldout
 
 
 def rounds(cfg: RunConfig, server: ServerState, clients: list[ClientHandle]):
@@ -451,8 +481,8 @@ def rounds(cfg: RunConfig, server: ServerState, clients: list[ClientHandle]):
             [stream(seed, _TAG_CLIENT, rnd, cid) for cid in sampled],
         )
         for k, cid in enumerate(sampled):  # sorted, so the first diverged client is named
-            _check_finite(strategy, rnd + 1, f"client {cid}", [
-                (adapters[idx, "a"][k] if strategy.trains_a else adapters[idx, "a"], adapters[idx, "b"][k], None)
+            _check_finite(strategy, rnd + 1, f"client {cid}", [  # a frozen a was checked with the aggregate
+                (adapters[idx, "a"][k] if strategy.trains_a else None, adapters[idx, "b"][k], None)
                 for idx in range(len(server.layers))
             ])
         server = aggregate([len(c.dataset) for c in batch], adapters, server)

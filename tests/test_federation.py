@@ -618,14 +618,16 @@ def test_every_strategy_entry_flags_labels_and_round_zero_state():
             assert linalg.rel_frobenius_error(lora.effective_weight(layer), w0) <= 1e-12, kind
 
 
-# --- the per-process backbone memo ---
+# --- the per-process backbone and data memos ---
 
 
 @pytest.fixture(autouse=True)
 def empty_backbone_memo():
     federation._BACKBONES.clear()
+    federation._DATA.clear()
     yield
     federation._BACKBONES.clear()
+    federation._DATA.clear()
 
 
 @pytest.fixture
@@ -647,7 +649,7 @@ def test_memoized_backbone_rows_equal_a_direct_fit(monkeypatch):
     cold = federation.run_experiment(cfg, seed=3, record_timing=False)
     warm = federation.run_experiment(cfg, seed=3, record_timing=False)
 
-    def direct(cfg, pretrain, dims, class_count, seed):
+    def direct(cfg, data_key, pretrain, dims, class_count, seed):
         return model.fit_dense_weights(
             pretrain.features, pretrain.labels, dims, class_count,
             steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=federation.stream(seed, federation._TAG_BACKBONE),
@@ -668,10 +670,10 @@ def test_backbone_fitted_once_per_seed_across_strategies(count_fits):
     # each field the fit reads refits: the seed (here on the same data),
     # pretrain_steps, pretrain_lr and hidden_dim
     cfg = small_config()
-    pre, parts, _ = federation.datasets(cfg, seed=0)
-    federation._backbone(cfg, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
+    key, (pre, parts, _) = federation._data(cfg, seed=0)
+    federation._backbone(cfg, key, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
     assert len(count_fits) == 1
-    federation._backbone(cfg, pre, [parts[0].feature_dim], parts[0].class_count, seed=1)
+    federation._backbone(cfg, key, pre, [parts[0].feature_dim], parts[0].class_count, seed=1)
     assert len(count_fits) == 2
     federation.run_experiment(small_config(rounds=1, pretrain_steps=30), seed=0, record_timing=False)
     assert len(count_fits) == 3
@@ -684,9 +686,9 @@ def test_backbone_fitted_once_per_seed_across_strategies(count_fits):
 
 def test_cached_backbone_is_read_only():
     cfg = small_config()
-    pre, parts, _ = federation.datasets(cfg, seed=0)
-    weights = federation._backbone(cfg, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
-    again = federation._backbone(cfg, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
+    key, (pre, parts, _) = federation._data(cfg, seed=0)
+    weights = federation._backbone(cfg, key, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
+    again = federation._backbone(cfg, key, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
     assert all(w is v for w, v in zip(weights, again))
     with pytest.raises(ValueError):
         weights[0][0, 0] = 1.0
@@ -707,6 +709,86 @@ def test_rewritten_csv_source_is_refitted(tmp_path, count_fits):
     rows2 = federation.run_experiment(cfg, seed=0, record_timing=False)
     assert len(count_fits) == 2
     assert rows1 != rows2
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    """Wrap data.gen_synthetic and data.partition_dirichlet; returns the
+    list of the names of their calls."""
+    calls = []
+    for name in ("gen_synthetic", "partition_dirichlet"):
+        def counting(*args, real=getattr(data, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(data, name, counting)
+    return calls
+
+
+def test_datasets_built_once_per_key(count_builds):
+    cfg = small_config()
+    pre, parts, heldout = federation.datasets(cfg, seed=0)
+    # settings the build does not read share one build, and its objects
+    for other in (
+        cfg, small_config(strategy="fedavg"), small_config(rounds=7), small_config(epsilon=2.0),
+        small_config(learning_rate=0.1), small_config(rank=2), small_config(pretrain_steps=9),
+    ):
+        again = federation.datasets(other, seed=0)
+        assert again[0] is pre and again[2] is heldout
+        assert all(a is b for a, b in zip(again[1], parts, strict=True))
+    assert count_builds == ["gen_synthetic", "partition_dirichlet"]
+    # each field the build reads builds anew
+    for field, value in [
+        ("classes", 4), ("feature_dim", 9), ("train_size", 300), ("margin", 2.0),
+        ("dirichlet_alpha", 0.9), ("clients", 4),
+    ]:
+        del count_builds[:]
+        other = federation.datasets(small_config(**{field: value}), seed=0)
+        assert count_builds == ["gen_synthetic", "partition_dirichlet"], field
+        assert other[0] is not pre, field
+    del count_builds[:]
+    federation.datasets(cfg, seed=1)
+    assert count_builds == ["gen_synthetic", "partition_dirichlet"]
+
+
+def test_cached_datasets_are_read_only():
+    pre, parts, heldout = federation.datasets(small_config(), seed=0)
+    for ds in (pre, heldout, *parts):
+        for arr in (ds.features, ds.labels):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+    # the returned list is the caller's own
+    parts.pop()
+    assert len(federation.datasets(small_config(), seed=0)[1]) == 3
+
+
+def test_datasets_memo_keeps_the_last_build_alone(count_builds, monkeypatch):
+    held = []  # builds in the memo while the next one is made
+    counting = data.gen_synthetic
+    monkeypatch.setattr(data, "gen_synthetic", lambda *a, **k: held.append(len(federation._DATA)) or counting(*a, **k))
+    cfg = small_config()
+    first = federation.datasets(cfg, seed=0)
+    federation.datasets(cfg, seed=1)
+    assert len(federation._DATA) == 1
+    del count_builds[:]
+    assert federation.datasets(cfg, seed=1)[0] is federation.datasets(cfg, seed=1)[0]
+    assert count_builds == []
+    assert federation.datasets(cfg, seed=0)[0] is not first[0]  # seed 0 was dropped
+    assert count_builds == ["gen_synthetic", "partition_dirichlet"]
+    assert held == [0, 0, 0]  # the old build goes before the new one is made
+
+
+def test_csv_datasets_keyed_on_the_parsed_table(tmp_path, count_builds):
+    path = tmp_path / "table.csv"
+    cfg = small_config(source="csv", csv_path=str(path))
+    table, _, _ = data.gen_synthetic(3, 8, 240, 3.0, seed=0)
+    data.save_csv(table, path)
+    pre = federation.datasets(cfg, seed=0)[0]
+    data.save_csv(table, path)  # the same table again
+    assert federation.datasets(cfg, seed=0)[0] is pre
+    data.save_csv(data.gen_synthetic(3, 8, 240, 3.0, seed=1)[0], path)
+    assert federation.datasets(cfg, seed=0)[0] is not pre
+    assert count_builds.count("partition_dirichlet") == 2
 
 
 # --- divergence is reported by name ---
@@ -890,6 +972,38 @@ def test_train_clients_ragged_and_empty_batches(trains_a):
         assert got[idx, "b"][1].tobytes() != layer.b.tobytes()
 
 
+@pytest.mark.parametrize("trains_a", [False, True])
+def test_train_clients_all_live_noise_byte_identical_to_solo(trains_a):
+    # equal shards at q = 1: no padding, and every client is private and
+    # draws its noise every step, into its row of the round's noise block
+    clients = [stack_client(k, 30, 1.0, 3, sigma, 20 + k) for k, sigma in enumerate([0.7, 2.5, 1.1])]
+    assert_stacked_equals_solo(clients, stack_layers(2, 2, 21), trains_a, 22, exact=True)
+
+
+@pytest.mark.parametrize("trains_a", [False, True])
+def test_train_clients_idle_row_untouched_beside_live_ones(trains_a):
+    # client 1 is private and never draws; client 2 trains without privacy.
+    # The idle row adds nothing, not a zero times a stale noise row: its
+    # -0.0 entries stay -0.0, and its generator drew the masks alone.
+    clients = [
+        stack_client(0, 30, 1.0, 3, 0.9, 30),
+        stack_client(1, 30, 1e-12, 3, 1.3, 31),
+        stack_client(2, 30, 1.0, 3, None, 32),
+    ]
+    layers = [l.with_adapters(a=l.a.copy(), b=l.b.copy()) for l in stack_layers(2, 2, 33)]
+    for layer in layers:
+        layer.a[0, 0] = layer.b[0, 0] = -0.0
+    got = assert_stacked_equals_solo(clients, layers, trains_a, 34, exact=True)
+    for key in trainable_keys(layers, trains_a):
+        assert got[key][1].tobytes() == getattr(layers[key[0]], key[1]).tobytes(), key
+        assert np.signbit(got[key][1][0, 0]), key
+    rng, twin = np.random.default_rng([34, 1]), np.random.default_rng([34, 1])
+    federation.train_clients(clients[:2], layers, trains_a, 0.4, [np.random.default_rng([34, 0]), rng])
+    for _ in range(3):
+        twin.random(30)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 @pytest.mark.parametrize("q, exact", [(1.0, True), (0.3, False)])
 def test_train_clients_diverged_client_leaves_the_others_alone(q, exact):
     # client 1's features near 1e300 overflow its unclipped state; the other
@@ -913,6 +1027,24 @@ def test_train_clients_diverged_client_leaves_the_others_alone(q, exact):
                 mat = got[key][k]
                 assert np.isfinite(mat).all()
                 assert mat.tobytes() == ref.tobytes() if exact else close(mat, ref)
+
+
+@pytest.mark.parametrize("kind", ["ffa_lora", "fedavg"])
+def test_client_checks_cover_only_the_trained_matrices(monkeypatch, kind):
+    # a frozen a is the server's own, checked after the aggregate that made it
+    seen = []
+    real = federation._check_finite
+
+    def recording(strategy, rnd, where, layers):
+        seen.append((where, [mats[0] is None for mats in layers]))
+        return real(strategy, rnd, where, layers)
+
+    monkeypatch.setattr(federation, "_check_finite", recording)
+    federation.run_experiment(small_config(strategy=kind, rounds=2, layers=2, hidden_dim=4), 0)
+    frozen = [skipped for where, skipped in seen if where.startswith("client")]
+    assert len(frozen) == 2 * 2  # two rounds of two participants
+    assert frozen == [[kind == "ffa_lora"] * 2] * 4
+    assert all(skipped == [False, False] for where, skipped in seen if where == "aggregate")
 
 
 def test_run_experiment_names_the_first_diverged_client_in_sorted_order(monkeypatch):
