@@ -16,7 +16,6 @@ import numpy as np
 from . import linalg, model
 
 BOUND_REL_TOL = 1e-8
-NOISE_IDENTITY_TOL = 1e-12
 # Hessians whose spectrum collapses below this (relative) are not rank-r and
 # the condition-number bounds are vacuous for them.
 DEGENERATE_EIG_TOL = 1e-10
@@ -190,20 +189,17 @@ def grad_norm_identity_check(a, b, w, x, y: int) -> GradNormReport:
 
 @dataclass(frozen=True)
 class NoiseExpansion:
-    signal: np.ndarray       # b @ a
-    noise_b_term: np.ndarray  # xi_b @ a
-    noise_a_term: np.ndarray  # b @ xi_a
-    quadratic_term: np.ndarray  # xi_b @ xi_a
-    norms: dict
-    residual: float
+    norms: dict  # Frobenius norm of each term: signal, noise_b, noise_a, quadratic
+    residual: float  # max |(b + xi_b)(a + xi_a) - (sum of the four terms)|
 
 
 def noise_amplification_terms(b, a, xi_b, xi_a) -> NoiseExpansion:
     """Exact expansion of the perturbed adapter product.
 
-    (b + xi_b)(a + xi_a) = b a + xi_b a + b xi_a + xi_b xi_a; the residual of
-    the recomposition is checked against a strict absolute tolerance, and the
-    Frobenius norm of each term is reported for amplification measurements.
+    (b + xi_b)(a + xi_a) = b a + xi_b a + b xi_a + xi_b xi_a; returns the
+    Frobenius norm of each term, for amplification measurements, and the
+    largest absolute residual of the recomposition, for the caller to judge
+    (it grows with the scale of the inputs).
     """
     b = linalg.as_matrix(b, "b")
     a = linalg.as_matrix(a, "a")
@@ -212,27 +208,6 @@ def noise_amplification_terms(b, a, xi_b, xi_a) -> NoiseExpansion:
     if xi_b.shape != b.shape or xi_a.shape != a.shape:
         raise ValueError("noise shapes must match the adapter shapes")
 
-    signal = b @ a
-    term_b = xi_b @ a
-    term_a = b @ xi_a
-    term_q = xi_b @ xi_a
-    total = (b + xi_b) @ (a + xi_a)
-    residual = float(np.max(np.abs(total - (signal + term_b + term_a + term_q))))
-    if residual > NOISE_IDENTITY_TOL:
-        raise AssertionError(
-            f"noise expansion residual {residual:.3e} exceeds {NOISE_IDENTITY_TOL}"
-        )
-    norms = {
-        "signal": linalg.frobenius(signal),
-        "noise_b": linalg.frobenius(term_b),
-        "noise_a": linalg.frobenius(term_a),
-        "quadratic": linalg.frobenius(term_q),
-    }
-    return NoiseExpansion(
-        signal=signal,
-        noise_b_term=term_b,
-        noise_a_term=term_a,
-        quadratic_term=term_q,
-        norms=norms,
-        residual=residual,
-    )
+    terms = {"signal": b @ a, "noise_b": xi_b @ a, "noise_a": b @ xi_a, "quadratic": xi_b @ xi_a}
+    residual = float(np.max(np.abs((b + xi_b) @ (a + xi_a) - sum(terms.values()))))
+    return NoiseExpansion(norms={k: linalg.frobenius(t) for k, t in terms.items()}, residual=residual)

@@ -154,15 +154,14 @@ class Strategy:
 
 @dataclass(frozen=True)
 class ClientHandle:
-    """One client's shard, schedule and Gaussian mechanism; with privacy,
-    `steps` steps spend steps * rdp_per_step (at privacy.DEFAULT_ORDERS)."""
+    """One client's shard, Poisson rate and noise multiplier sigma (None: no
+    privacy); with privacy, `steps` steps spend steps * rdp_per_step (at
+    privacy.DEFAULT_ORDERS). The run sets the clip norm and the step count."""
 
-    client_id: int
     dataset: data_mod.Dataset
-    local_steps: int
-    privacy_cfg: privacy.PrivacyConfig | None
-    rdp_per_step: np.ndarray | None
     sample_rate: float
+    sigma: float | None
+    rdp_per_step: np.ndarray | None
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -193,9 +192,11 @@ def sample_clients(total: int, count: int, rng: np.random.Generator) -> list[int
 
 def train_clients(
     clients: list[ClientHandle], layers: list[LoraLayer], trains_a: bool, lr: float,
-    rngs: list[np.random.Generator],
+    rngs: list[np.random.Generator], steps: int, clip: float,
 ) -> dict[model.GradKey, np.ndarray]:
-    """Run each client's local steps of (DP-)SGD from the same broadcast layers.
+    """Run `steps` local steps of (DP-)SGD per client from the same broadcast
+    layers, each example's gradient clipped to `clip` (inf: no clipping) and
+    client k's noise scaled by sigma_k * clip.
 
     Returns the adapters keyed like model.adapter_params: each trained
     matrix is (K, ...), row k holding clients[k]; a frozen a (trains_a
@@ -206,27 +207,23 @@ def train_clients(
     (K, M, d + classes) block, whose column views are the inputs and the
     one-hot targets. Client k draws its batch, then its noise, from rngs[k]
     alone: its row equals its result trained alone up to rounding. An empty
-    draw (or finished steps) skips the step and draws no noise; the privacy
-    spend counts it all the same (see _epsilon_column).
+    draw skips the step and draws no noise; the privacy spend counts it all
+    the same (see _epsilon_column).
     """
     count, d_in, width = len(clients), layers[0].d_in, layers[0].d_in + layers[-1].d_out
     adapters = model.adapter_params(layers)
     trainable = [key for key in adapters if trains_a or key[1] == "b"]
     theta, views = privacy.flat_buffer({key: adapters[key] for key in trainable}, count)
     params = {**adapters, **views}
-    clip, noise = privacy.stacked_mechanisms([c.privacy_cfg for c in clients])
-    shards = [(c.table, c.sample_rate, c.local_steps) for c in clients]
-    idle = np.empty(0, dtype=np.intp)
-    for step in range(max(c.local_steps for c in clients)):
-        picks = [
-            (rng.random(len(table)) < q).nonzero()[0] if step < tau else idle
-            for (table, q, tau), rng in zip(shards, rngs)
-        ]
+    noise = [c.sigma * clip if c.sigma else None for c in clients]
+    shards = [(c.table, c.sample_rate) for c in clients]
+    for _ in range(steps):
+        picks = [(rng.random(len(table)) < q).nonzero()[0] for (table, q), rng in zip(shards, rngs)]
         sizes = [len(p) for p in picks]
         if not any(sizes):
             continue
         block = np.zeros((count, max(sizes), width))
-        for k, ((table, _, _), p) in enumerate(zip(shards, picks)):
+        for k, ((table, _), p) in enumerate(zip(shards, picks)):
             table.take(p, axis=0, out=block[k, : len(p)])
         factors = model.grad_factors(layers, params, block[..., :d_in], block[..., d_in:], trainable)
         privacy.dp_sgd_step_flat(theta, views, factors, clip, noise, lr, rngs, np.array(sizes))
@@ -397,19 +394,20 @@ def _check_finite(strategy: Strategy, rnd: int, where: str, layers: list[tuple])
                 )
 
 
-def _epsilon_column(clients: list[ClientHandle], rounds: int, delta: float) -> list[float | None]:
-    """Worst-case spent epsilon after each of rounds 0..rounds.
+def _epsilon_column(clients: list[ClientHandle], steps: int, rounds: int, delta: float) -> list[float | None]:
+    """Worst-case spent epsilon after each of rounds 0..rounds of `steps`
+    local steps.
 
     Every client is accounted for the full per-round schedule (as if sampled
     into every round), which upper-bounds the actual spend of any
     participation pattern. The value is the max over clients of
     privacy.epsilon_from_rdp, converted for all rounds at once.
     """
-    private = [c for c in clients if c.privacy_cfg is not None]
+    private = [c for c in clients if c.rdp_per_step is not None]
     if not private:
         return [None] * (rounds + 1)
     done = np.arange(rounds + 1)[:, None]
-    eps = [privacy.epsilon_from_rdp(privacy.DEFAULT_ORDERS, done * c.local_steps * c.rdp_per_step, delta)[0] for c in private]
+    eps = [privacy.epsilon_from_rdp(privacy.DEFAULT_ORDERS, done * steps * c.rdp_per_step, delta)[0] for c in private]
     return [0.0, *np.max(eps, axis=0)[1:].tolist()]
 
 
@@ -423,7 +421,7 @@ def build_clients(cfg: RunConfig, parts: list[data_mod.Dataset]) -> list[ClientH
     clients = []
     for k, part in enumerate(parts):
         q = sampling_rate(cfg, part)
-        pcfg = rdp = None
+        sigma = rdp = None
         if cfg.private:
             if cfg.noise_multiplier is not None:
                 sigma = cfg.noise_multiplier
@@ -434,12 +432,8 @@ def build_clients(cfg: RunConfig, parts: list[data_mod.Dataset]) -> list[ClientH
                     raise privacy.CalibrationError(
                         f"client {k} (shard of {len(part)} examples, q={q}): {exc}"
                     ) from exc
-            pcfg = privacy.PrivacyConfig(clip_norm=cfg.clip_norm, sigma=sigma)
             rdp = privacy.rdp_subsampled_gaussian(q, sigma)
-        clients.append(ClientHandle(
-            client_id=k, dataset=part, local_steps=cfg.local_steps,
-            privacy_cfg=pcfg, rdp_per_step=rdp, sample_rate=q,
-        ))
+        clients.append(ClientHandle(dataset=part, sample_rate=q, sigma=sigma, rdp_per_step=rdp))
     return clients
 
 
@@ -473,12 +467,13 @@ def rounds(cfg: RunConfig, server: ServerState, clients: list[ClientHandle]):
     the round, the client or "aggregate" and the layer.
     """
     strategy, seed = server.strategy, server.master_seed
+    clip = cfg.clip_norm if cfg.private else np.inf
     for rnd in range(server.round_index, cfg.rounds):
         sampled = sample_clients(cfg.clients, cfg.participants, stream(seed, _TAG_SAMPLE, rnd))
         batch = [clients[cid] for cid in sampled]
         adapters = train_clients(
             batch, server.layers, strategy.trains_a, cfg.learning_rate,
-            [stream(seed, _TAG_CLIENT, rnd, cid) for cid in sampled],
+            [stream(seed, _TAG_CLIENT, rnd, cid) for cid in sampled], cfg.local_steps, clip,
         )
         for k, cid in enumerate(sampled):  # sorted, so the first diverged client is named
             _check_finite(strategy, rnd + 1, f"client {cid}", [  # a frozen a was checked with the aggregate
@@ -503,7 +498,7 @@ def run_experiment(cfg: RunConfig, seed: int, record_timing: bool = True) -> lis
     server, clients, heldout = start(cfg, seed)
     # adapter shapes never change within a run (FLoRA restarts at the same ones)
     up, down = comm_params_per_round(server.strategy, server.layers, cfg.participants, cfg.transmit_a)
-    epsilons = _epsilon_column(clients, cfg.rounds, cfg.delta)
+    epsilons = _epsilon_column(clients, cfg.local_steps, cfg.rounds, cfg.delta)
     run_id = cfg.run_id()
     rows: list[MetricsRow] = []
     t0 = time.perf_counter()

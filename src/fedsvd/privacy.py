@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,21 +30,6 @@ SIGMA_SEARCH_TOL = 1e-3
 
 class CalibrationError(RuntimeError):
     """The target epsilon cannot be met inside the sigma search bracket."""
-
-
-@dataclass(frozen=True)
-class PrivacyConfig:
-    """The Gaussian mechanism of one client's local optimizer: clip norm C and
-    noise multiplier sigma."""
-
-    clip_norm: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.clip_norm <= 0.0:
-            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 
 @functools.lru_cache(maxsize=16)
@@ -111,41 +95,33 @@ def epsilon_from_rdp(orders, rdp_total, delta: float):
     return eps.min(axis=-1), orders[eps.argmin(axis=-1)]
 
 
-def spent_epsilon(q: float, sigma: float, steps: int, delta: float, orders=DEFAULT_ORDERS) -> float:
+def spent_epsilon(q: float, sigma: float, steps: int, delta: float) -> float:
     """Epsilon after `steps` subsampled-Gaussian steps at (q, sigma)."""
-    rdp = steps * rdp_subsampled_gaussian(q, sigma, orders)
-    return float(epsilon_from_rdp(orders, rdp, delta)[0])
+    rdp = steps * rdp_subsampled_gaussian(q, sigma)
+    return float(epsilon_from_rdp(DEFAULT_ORDERS, rdp, delta)[0])
 
 
-def calibrate_sigma(
-    epsilon_target: float,
-    delta: float,
-    q: float,
-    total_steps: int,
-    orders=DEFAULT_ORDERS,
-    bracket: tuple[float, float] = SIGMA_BRACKET,
-    tol: float = SIGMA_SEARCH_TOL,
-) -> float:
-    """Smallest noise multiplier (within `tol`) meeting the epsilon target.
+def calibrate_sigma(epsilon_target: float, delta: float, q: float, total_steps: int) -> float:
+    """Smallest noise multiplier (within SIGMA_SEARCH_TOL) meeting the epsilon target.
 
-    Binary search over sigma in `bracket`; epsilon is strictly decreasing in
-    sigma. Returns the bracket's lower edge when even that already satisfies
-    the target (effectively no privacy pressure); raises CalibrationError
-    when the target is unreachable at the upper edge.
+    Binary search over sigma in SIGMA_BRACKET; epsilon is strictly decreasing
+    in sigma. Returns the bracket's lower edge when even that already
+    satisfies the target (effectively no privacy pressure); raises
+    CalibrationError when the target is unreachable at the upper edge.
     """
     if not 0.0 < epsilon_target < math.inf:
         raise ValueError(f"epsilon_target must be finite and positive, got {epsilon_target}")
-    lo, hi = bracket
-    if spent_epsilon(q, lo, total_steps, delta, orders) <= epsilon_target:
+    lo, hi = SIGMA_BRACKET
+    if spent_epsilon(q, lo, total_steps, delta) <= epsilon_target:
         return lo
-    if spent_epsilon(q, hi, total_steps, delta, orders) > epsilon_target:
+    if spent_epsilon(q, hi, total_steps, delta) > epsilon_target:
         raise CalibrationError(
             f"epsilon target {epsilon_target} unreachable with sigma <= {hi} "
             f"(q={q}, steps={total_steps}, delta={delta})"
         )
-    while hi - lo > tol:
+    while hi - lo > SIGMA_SEARCH_TOL:
         mid = 0.5 * (lo + hi)
-        if spent_epsilon(q, mid, total_steps, delta, orders) <= epsilon_target:
+        if spent_epsilon(q, mid, total_steps, delta) <= epsilon_target:
             hi = mid
         else:
             lo = mid
@@ -165,25 +141,19 @@ def flat_buffer(arrays: dict, count: int) -> tuple[np.ndarray, dict]:
     return buf, views
 
 
-def stacked_mechanisms(cfgs) -> tuple[np.ndarray, list]:
-    """dp_sgd_step_flat's clip column (inf: no clipping) and per-client
-    noise scale sigma C (None: no noise) for K mechanisms (None: no privacy)."""
-    clip = np.array([[np.inf if c is None else c.clip_norm] for c in cfgs])
-    return clip, [c.sigma * c.clip_norm if c is not None and c.sigma > 0.0 else None for c in cfgs]
-
-
-def dp_sgd_step_flat(theta, views: dict, grad_factors: dict, clip, noise, lr: float, rngs, sizes) -> None:
+def dp_sgd_step_flat(theta, views: dict, grad_factors: dict, clip: float, noise, lr: float, rngs, sizes) -> None:
     """One DP-SGD step of K clients, in place on their flat_buffer (theta, views).
 
     grad_factors maps each key to (U, V), (K, M, .) each, example n of client
     k having the gradient U[k, n] (x) V[k, n]: its squared norm is |U|^2 |V|^2
     and the clipped sum (f U)^T V, so no per-example tensor is formed
-    (Goodfellow 2015, arXiv:1510.01799); f = min(1, clip[k] / ||g||) on the
-    first sizes[k] rows, 0 on the padding after them. The sums land in a
-    (K, P) total of theta's layout; row k of it gains noise[k] times one
-    standard-normal block from rngs[k] (the values and generator state of
-    one rng.normal per key in sorted order); then theta -= lr * total /
-    sizes. An empty batch draws no noise and keeps its parameters.
+    (Goodfellow 2015, arXiv:1510.01799); f = min(1, clip / ||g||) (inf: no
+    clipping) on the first sizes[k] rows, 0 on the padding after them. The
+    sums land in a (K, P) total of theta's layout; row k of it gains
+    noise[k] (sigma_k C; None: no noise) times one standard-normal block
+    from rngs[k] (the values and generator state of one rng.normal per key
+    in sorted order); then theta -= lr * total / sizes. An empty batch
+    draws no noise and keeps its parameters.
     """
     keys = sorted(views)
     sq_norms = sum(np.vecdot(u, u) * np.vecdot(v, v) for u, v in map(grad_factors.get, keys))

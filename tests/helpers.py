@@ -36,10 +36,10 @@ def small_config(**kw):
     return RunConfig(**base)
 
 
-def solo_train(client, layers, trains_a, lr, rng):
+def solo_train(client, layers, trains_a, lr, rng, steps, clip):
     """federation.train_clients on the one client: row 0 of every trained
     matrix, keyed like model.adapter_params (a frozen a is the layer's own)."""
-    out = federation.train_clients([client], layers, trains_a, lr, [rng])
+    out = federation.train_clients([client], layers, trains_a, lr, [rng], steps, clip)
     return {key: m[0] if trains_a or key[1] == "b" else m for key, m in out.items()}
 
 

@@ -243,6 +243,16 @@ def test_noise_expansion_identity_at_dp_scale():
         assert exp.residual <= 1e-12
 
 
+def test_noise_expansion_reports_a_large_residual_instead_of_raising():
+    # 1e4-scale entries round far above verify's 1e-12 in absolute terms;
+    # the residual comes back for the caller to judge, and it is rounding
+    rng = np.random.default_rng(16)
+    b, a = 1e4 * rng.standard_normal((6, 3)), 1e4 * rng.standard_normal((3, 10))
+    xi_b, xi_a = 1e4 * rng.standard_normal(b.shape), 1e4 * rng.standard_normal(a.shape)
+    exp = analysis.noise_amplification_terms(b, a, xi_b, xi_a)
+    assert 1e-12 < exp.residual <= 1e-14 * sum(exp.norms.values())
+
+
 def test_noise_expansion_from_fedavg_trace():
     # run a couple of genuine FedAvg rounds and expand the aggregated state
     from helpers import small_config
@@ -253,7 +263,7 @@ def test_noise_expansion_from_fedavg_trace():
     server, clients, _ = federation.start(cfg, 3)
     _, _, server = next(federation.rounds(cfg, server, clients))
     layer = server.layers[0]
-    sigma_c = clients[0].privacy_cfg.sigma * clients[0].privacy_cfg.clip_norm
+    sigma_c = clients[0].sigma * cfg.clip_norm
     rng = np.random.default_rng(99)
     xi_b = rng.normal(0.0, sigma_c, layer.b.shape)
     xi_a = rng.normal(0.0, sigma_c, layer.a.shape)

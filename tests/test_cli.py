@@ -80,6 +80,14 @@ def test_config_validation_names_fields():
     cfg.delta = 0.0
     with pytest.raises(ConfigError, match="delta"):
         cfg.validate()
+    cfg = config.parse(SMALL_INI)
+    cfg.clip_norm = 0.0
+    with pytest.raises(ConfigError, match="clip_norm must be positive"):
+        cfg.validate()
+    cfg = config.parse(SMALL_INI)
+    cfg.noise_multiplier = -1.0
+    with pytest.raises(ConfigError, match="noise_multiplier must be >= 0"):
+        cfg.validate()
 
 
 def test_config_overrides():
@@ -168,6 +176,18 @@ def test_cmd_run_config_error_exit_code(tmp_path):
     cfg_path = write_cfg(tmp_path)
     rc = cli.main(["run", cfg_path, "participants=9"])
     assert rc == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [("clip_norm=0", "clip_norm must be positive"), ("noise_multiplier=-1", "noise_multiplier must be >= 0")],
+)
+def test_cmd_run_rejects_a_bad_mechanism(tmp_path, capsys, override, message):
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "metrics.csv"
+    assert cli.main(["--output", str(out), "run", cfg_path, override]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sigma", ["0.5", "0"])

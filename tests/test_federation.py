@@ -12,19 +12,19 @@ from fedsvd import config, data, federation, linalg, lora, model, privacy
 from fedsvd.federation import ClientHandle, ServerState, Strategy
 
 
-def make_client(n=40, seed=0, tau=2, private=False, q=0.5, d=6):
+# The clip norm of the runs that train make_client's private clients.
+CLIP = 2.0
+
+
+def make_client(n=40, seed=0, private=False, q=0.5, d=6):
     rng = np.random.default_rng(seed)
     ds = data.Dataset(
         features=rng.standard_normal((n, d)),
         labels=rng.permutation(np.arange(n) % 3),
         class_count=3,
     )
-    pcfg = privacy.PrivacyConfig(clip_norm=2.0, sigma=1.0) if private else None
     rdp = privacy.rdp_subsampled_gaussian(q, 1.0) if private else None
-    return ClientHandle(
-        client_id=0, dataset=ds, local_steps=tau, privacy_cfg=pcfg,
-        rdp_per_step=rdp, sample_rate=q,
-    )
+    return ClientHandle(dataset=ds, sample_rate=q, sigma=1.0 if private else None, rdp_per_step=rdp)
 
 
 def make_layers(seed=0, d=6, c=3, r=2):
@@ -58,36 +58,36 @@ def test_sample_clients_hypergeometric_marginal():
 
 
 def test_local_train_zero_steps_changes_nothing():
-    client = make_client(tau=0, private=True)
+    client = make_client(private=True)
     layers = make_layers()
     before = [(l.a.tobytes(), l.b.tobytes()) for l in layers]
-    update = solo_train(client, layers, False, lr=0.5, rng=np.random.default_rng(0))
+    update = solo_train(client, layers, False, lr=0.5, rng=np.random.default_rng(0), steps=0, clip=CLIP)
     a, b = update[0, "a"], update[0, "b"]
     assert a.tobytes() == before[0][0]
     assert b.tobytes() == before[0][1]
 
 
 def test_local_train_empty_draws_leave_adapters_unchanged():
-    client = make_client(tau=5, private=True, q=1e-12)  # batches will be empty
-    update = solo_train(client, make_layers(), False, lr=0.5, rng=np.random.default_rng(0))
+    client = make_client(private=True, q=1e-12)  # batches will be empty
+    update = solo_train(client, make_layers(), False, lr=0.5, rng=np.random.default_rng(0), steps=5, clip=CLIP)
     assert update[0, "b"].tobytes() == make_layers()[0].b.tobytes()
 
 
 def client_state(client):
     return (
-        client.client_id, client.local_steps, client.privacy_cfg, client.sample_rate,
+        client.sample_rate, client.sigma,
         client.rdp_per_step.tobytes(), client.dataset.features.tobytes(),
         client.dataset.labels.tobytes(), client.dataset.class_count,
     )
 
 
 def test_local_train_leaves_client_unchanged():
-    client = make_client(tau=6, private=True, q=0.3)
+    client = make_client(private=True, q=0.3)
     before = client_state(client)
-    solo_train(client, make_layers(), True, lr=0.5, rng=np.random.default_rng(1))
+    solo_train(client, make_layers(), True, lr=0.5, rng=np.random.default_rng(1), steps=6, clip=CLIP)
     assert client_state(client) == before
     with pytest.raises(dataclasses.FrozenInstanceError):
-        client.local_steps = 7
+        client.sigma = 7.0
 
 
 @pytest.mark.parametrize("privacy_kw", [{"epsilon": 6.0}, {"noise_multiplier": 1.3}])
@@ -118,23 +118,23 @@ def test_epsilon_spent_is_worst_client_schedule_every_round(privacy_kw):
 def test_epsilon_column_equals_per_round_accounting(privacy_kw, seed):
     cfg = small_config(local_steps=3, rounds=37, **privacy_kw)
     clients = federation.build_clients(cfg, federation.datasets(cfg, seed)[1])
-    column = federation._epsilon_column(clients, cfg.rounds, cfg.delta)
+    column = federation._epsilon_column(clients, cfg.local_steps, cfg.rounds, cfg.delta)
     if not privacy_kw:
         assert column == [None] * (cfg.rounds + 1)
         return
     assert len(column) == cfg.rounds + 1 and column[0] == 0.0
     for r in range(1, cfg.rounds + 1):
         assert column[r] == max(
-            privacy.epsilon_from_rdp(privacy.DEFAULT_ORDERS, r * c.local_steps * c.rdp_per_step, cfg.delta)[0]
+            privacy.epsilon_from_rdp(privacy.DEFAULT_ORDERS, r * cfg.local_steps * c.rdp_per_step, cfg.delta)[0]
             for c in clients
         )
 
 
 def test_local_train_frozen_a_returned_byte_identical():
-    client = make_client(tau=4, private=True)
+    client = make_client(private=True)
     layers = make_layers()
     a_before = layers[0].a.tobytes()
-    update = solo_train(client, layers, False, lr=0.5, rng=np.random.default_rng(3))
+    update = solo_train(client, layers, False, lr=0.5, rng=np.random.default_rng(3), steps=4, clip=CLIP)
     a_after, b_after = update[0, "a"], update[0, "b"]
     assert a_after.tobytes() == a_before
     assert b_after.tobytes() != layers[0].b.tobytes()  # b did train
@@ -151,17 +151,16 @@ def test_local_train_loss_nonincreasing_convex_case():
         labels=labels,
         class_count=3,
     )
-    client = ClientHandle(
-        client_id=0, dataset=ds, local_steps=1, privacy_cfg=None,
-        rdp_per_step=None, sample_rate=1.0,
-    )
+    client = ClientHandle(dataset=ds, sample_rate=1.0, sigma=None, rdp_per_step=None)
     layers = make_layers(seed=1, d=3, c=3, r=2)
     losses = []
     current = layers
     for step in range(10):
         clf = model.Classifier(layers=list(current), class_count=3)
         losses.append(model.evaluate(clf, ds)[1])
-        update = solo_train(client, current, False, lr=0.05, rng=np.random.default_rng(100 + step))
+        update = solo_train(
+            client, current, False, lr=0.05, rng=np.random.default_rng(100 + step), steps=1, clip=np.inf
+        )
         current = [current[0].with_adapters(a=update[0, "a"], b=update[0, "b"])]
     assert all(l1 <= l0 + 1e-12 for l0, l1 in zip(losses, losses[1:]))
 
@@ -171,22 +170,20 @@ def trainable_keys(layers, trains_a):
     return {key for key in model.adapter_params(layers) if trains_a or key[1] == "b"}
 
 
-def reference_local_train(client, layers, trains_a, lr, rng):
-    """One client's local training composed from the per-example oracle.
+def reference_local_train(client, layers, trains_a, lr, rng, steps, clip):
+    """One client's `steps` local steps composed from the per-example oracle.
 
-    grad_factors outer products -> clip each example -> sum -> one noise draw per
-    trainable key in sorted order (none at sigma 0 or without privacy) ->
-    divide by the realized batch size.
+    grad_factors outer products -> clip each example to `clip` -> sum -> one
+    noise draw of std sigma * clip per trainable key in sorted order (none at
+    sigma 0 or without privacy) -> divide by the realized batch size.
     Returns the final layers and the number of empty Poisson draws.
     """
     clf = model.Classifier(list(layers), layers[-1].d_out)
     trainable = trainable_keys(layers, trains_a)
-    cfg = client.privacy_cfg
-    clip = np.inf if cfg is None else cfg.clip_norm  # no privacy: no clipping, no noise
-    noise = 0.0 if cfg is None else cfg.sigma * cfg.clip_norm
+    noise = 0.0 if client.sigma is None else client.sigma * clip
     ds = client.dataset
     empty = 0
-    for _ in range(client.local_steps):
+    for _ in range(steps):
         mask = rng.random(len(ds)) < client.sample_rate
         if not mask.any():
             empty += 1
@@ -214,17 +211,17 @@ def reference_local_train(client, layers, trains_a, lr, rng):
 
 @pytest.mark.parametrize("trains_a", [False, True])
 def test_local_train_pinned_to_per_example_reference(trains_a):
-    client = make_client(n=8, seed=2, tau=6, private=True, q=0.2)  # sigma = 1
+    client = make_client(n=8, seed=2, private=True, q=0.2)  # sigma = 1
     rng = np.random.default_rng(4)
     clf = model.build_classifier(model.random_dense_weights([6, 4], 3, rng), 2, 2.0, rng, 3)
     layers = [l.with_adapters(b=0.5 * rng.standard_normal(l.b.shape)) for l in clf.layers]
 
     ref_rng = np.random.default_rng(9)
-    want, empty = reference_local_train(client, layers, trains_a, 0.5, ref_rng)
-    assert 0 < empty < client.local_steps  # the run covers empty and non-empty draws
+    want, empty = reference_local_train(client, layers, trains_a, 0.5, ref_rng, 6, CLIP)
+    assert 0 < empty < 6  # the run covers empty and non-empty draws
 
     run_rng = np.random.default_rng(9)
-    got = solo_train(client, layers, trains_a, lr=0.5, rng=run_rng)
+    got = solo_train(client, layers, trains_a, lr=0.5, rng=run_rng, steps=6, clip=CLIP)
     # both consumed the same stream: no noise was drawn for the empty draws
     assert run_rng.random() == ref_rng.random()
     for idx, layer in enumerate(want):
@@ -428,13 +425,13 @@ def test_aggregate_equals_per_client_oracle(kind, period, round_index, sizes, la
 def test_train_clients_leaves_layers_untouched():
     # K = 3 clients train from shared layers, which they must neither write
     # nor alias: each trained row is the client's own memory
-    clients = [make_client(n=30, seed=s, tau=3, private=True, q=0.5) for s in range(3)]
+    clients = [make_client(n=30, seed=s, private=True, q=0.5) for s in range(3)]
     for trains_a in (False, True):
         rng = np.random.default_rng(13)
         layers = [l.with_adapters(b=rng.standard_normal(l.b.shape)) for l in make_layers()]
         before = [(l.w0.tobytes(), l.a.tobytes(), l.b.tobytes()) for l in layers]
         rngs = [np.random.default_rng([13, k]) for k in range(3)]
-        out = federation.train_clients(clients, layers, trains_a, 0.5, rngs)
+        out = federation.train_clients(clients, layers, trains_a, 0.5, rngs, 3, CLIP)
         assert [(l.w0.tobytes(), l.a.tobytes(), l.b.tobytes()) for l in layers] == before
         trained = trainable_keys(layers, trains_a)
         for key in trained:
@@ -603,13 +600,13 @@ def test_every_strategy_entry_flags_labels_and_round_zero_state():
         "fedex_lora": (True, "fedex_lora"),
     }
     base = model.random_dense_weights([8, 5], 3, 0)
-    client = make_client(n=30, tau=2, q=1.0, d=8)
+    client = make_client(n=30, q=1.0, d=8)
     for kind, (trains_a, label) in expected.items():
         strategy = Strategy(kind, 3)
         assert strategy.trains_a is trains_a, kind
         assert strategy.label == label, kind
         server = federation.init_server(small_config(strategy=kind), strategy, base, 3, seed=4)
-        out = solo_train(client, server.layers, strategy.trains_a, 0.5, np.random.default_rng(0))
+        out = solo_train(client, server.layers, strategy.trains_a, 0.5, np.random.default_rng(0), 2, np.inf)
         for idx, (layer, w0) in enumerate(zip(server.layers, base)):
             if trains_a:
                 assert not np.array_equal(out[idx, "a"], layer.a), kind
@@ -831,20 +828,19 @@ def test_divergence_in_the_aggregate_names_it(monkeypatch):
 # --- the stacked client axis ---
 
 
-def stack_client(cid, n, q, tau, sigma, seed, d=5, scale=1.0, classes=3):
+# The clip norm of the private runs on the stacked client axis.
+STACK_CLIP = 1.5
+
+
+def stack_client(n, q, sigma, seed, d=5, scale=1.0, classes=3):
     """A client with an n-example shard; sigma None trains without privacy."""
     rng = np.random.default_rng(seed)
     ds = data.Dataset(
         features=scale * rng.standard_normal((n, d)), labels=rng.integers(0, classes, n),
         class_count=classes,
     )
-    pcfg = rdp = None
-    if sigma is not None:
-        pcfg = privacy.PrivacyConfig(clip_norm=1.5, sigma=sigma)
-        rdp = privacy.rdp_subsampled_gaussian(q, sigma) if sigma > 0.0 else None
-    return ClientHandle(
-        client_id=cid, dataset=ds, local_steps=tau, privacy_cfg=pcfg, rdp_per_step=rdp, sample_rate=q
-    )
+    rdp = privacy.rdp_subsampled_gaussian(q, sigma) if sigma else None
+    return ClientHandle(dataset=ds, sample_rate=q, sigma=sigma, rdp_per_step=rdp)
 
 
 def stack_layers(layers, rank, seed, d=5, classes=3):
@@ -859,7 +855,7 @@ def close(got, want, rel=1e-12):
     return np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
 
 
-def assert_stacked_equals_solo(clients, layers, trains_a, seed, lr=0.4, exact=False):
+def assert_stacked_equals_solo(clients, layers, trains_a, seed, steps, clip, lr=0.4, exact=False):
     """train_clients against one solo_train per client, on equal streams.
 
     Returns the stacked adapters. Every trained matrix holds one row per
@@ -867,12 +863,12 @@ def assert_stacked_equals_solo(clients, layers, trains_a, seed, lr=0.4, exact=Fa
     (byte-identical if `exact`), every generator ends in the same state,
     and a frozen a is the broadcast array itself.
     """
-    stacked_rngs = [np.random.default_rng([seed, c.client_id]) for c in clients]
-    solo_rngs = [np.random.default_rng([seed, c.client_id]) for c in clients]
-    got = federation.train_clients(clients, layers, trains_a, lr, stacked_rngs)
+    stacked_rngs = [np.random.default_rng([seed, k]) for k in range(len(clients))]
+    solo_rngs = [np.random.default_rng([seed, k]) for k in range(len(clients))]
+    got = federation.train_clients(clients, layers, trains_a, lr, stacked_rngs, steps, clip)
     assert all(got[key].shape[0] == len(clients) for key in trainable_keys(layers, trains_a))
     for k, (client, s_rng, o_rng) in enumerate(zip(clients, stacked_rngs, solo_rngs)):
-        want = solo_train(client, layers, trains_a, lr, o_rng)
+        want = solo_train(client, layers, trains_a, lr, o_rng, steps, clip)
         assert s_rng.random() == o_rng.random()
         for key, ref in want.items():
             mat = got[key][k] if trains_a or key[1] == "b" else got[key]
@@ -888,23 +884,25 @@ def assert_stacked_equals_solo(clients, layers, trains_a, seed, lr=0.4, exact=Fa
         st.tuples(
             st.integers(1, 80),  # shard size
             st.sampled_from([1e-12, 0.05, 0.3, 1.0]),  # sample rate; 1e-12 draws nothing
-            st.integers(0, 4),  # local steps
-            st.sampled_from([None, 0.0, 0.7, 2.5]),  # sigma; None trains without privacy
+            st.sampled_from([0.0, 0.7, 2.5]),  # sigma, if the run is private
         ),
         min_size=1,
         max_size=4,
     ),
+    steps=st.integers(0, 4),  # local steps
+    private=st.booleans(),
     layers=st.sampled_from([1, 2]),
     rank=st.integers(1, 3),
     trains_a=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_train_clients_stacked_equals_solo(shards, layers, rank, trains_a, seed):
+def test_train_clients_stacked_equals_solo(shards, steps, private, layers, rank, trains_a, seed):
     clients = [
-        stack_client(cid, n, q, tau, sigma, seed + cid)
-        for cid, (n, q, tau, sigma) in enumerate(shards)
+        stack_client(n, q, sigma if private else None, seed + k)
+        for k, (n, q, sigma) in enumerate(shards)
     ]
-    assert_stacked_equals_solo(clients, stack_layers(layers, rank, seed), trains_a, seed)
+    clip = STACK_CLIP if private else np.inf
+    assert_stacked_equals_solo(clients, stack_layers(layers, rank, seed), trains_a, seed, steps, clip)
 
 
 @settings(max_examples=40, deadline=None)
@@ -913,12 +911,13 @@ def test_train_clients_stacked_equals_solo(shards, layers, rank, trains_a, seed)
         st.tuples(
             st.integers(1, 30),  # shard size
             st.sampled_from([1e-12, 0.1, 0.4, 1.0]),  # sample rate; 1e-12 draws nothing
-            st.integers(0, 3),  # local steps
-            st.sampled_from([None, 0.0, 0.8, 2.5]),  # sigma; None trains without privacy
+            st.sampled_from([0.0, 0.8, 2.5]),  # sigma, if the run is private
         ),
         min_size=1,
         max_size=4,
     ),
+    steps=st.integers(0, 3),  # local steps
+    private=st.booleans(),
     classes=st.integers(2, 9),
     layers=st.sampled_from([1, 2]),
     rank=st.integers(1, 3),
@@ -926,20 +925,21 @@ def test_train_clients_stacked_equals_solo(shards, layers, rank, trains_a, seed)
     seed=st.integers(0, 2**32 - 1),
 )
 @example(  # empty draws: client 1 never draws, client 0 draws nothing now and then
-    shards=[(6, 0.1, 3, 0.8), (20, 1e-12, 3, 2.5), (9, 1.0, 2, None)],
+    shards=[(6, 0.1, 0.8), (20, 1e-12, 2.5), (9, 1.0, 0.0)], steps=3, private=True,
     classes=4, layers=2, rank=2, trains_a=True, seed=3,
 )
-def test_train_clients_pinned_to_per_example_reference(shards, classes, layers, rank, trains_a, seed):
+def test_train_clients_pinned_to_per_example_reference(shards, steps, private, classes, layers, rank, trains_a, seed):
     clients = [
-        stack_client(cid, n, q, tau, sigma, seed + cid, classes=classes)
-        for cid, (n, q, tau, sigma) in enumerate(shards)
+        stack_client(n, q, sigma if private else None, seed + k, classes=classes)
+        for k, (n, q, sigma) in enumerate(shards)
     ]
+    clip = STACK_CLIP if private else np.inf
     start = stack_layers(layers, rank, seed, classes=classes)
-    rngs = [np.random.default_rng([seed, c.client_id]) for c in clients]
-    got = federation.train_clients(clients, start, trains_a, 0.4, rngs)
+    rngs = [np.random.default_rng([seed, k]) for k in range(len(clients))]
+    got = federation.train_clients(clients, start, trains_a, 0.4, rngs, steps, clip)
     for k, (client, rng) in enumerate(zip(clients, rngs)):
-        ref_rng = np.random.default_rng([seed, client.client_id])
-        want, _ = reference_local_train(client, start, trains_a, 0.4, ref_rng)
+        ref_rng = np.random.default_rng([seed, k])
+        want, _ = reference_local_train(client, start, trains_a, 0.4, ref_rng, steps, clip)
         assert rng.random() == ref_rng.random()  # the same draws, the same noise
         for idx, layer in enumerate(want):
             a = got[idx, "a"][k] if trains_a else got[idx, "a"]
@@ -949,9 +949,12 @@ def test_train_clients_pinned_to_per_example_reference(shards, classes, layers, 
 
 def test_train_clients_reference_example_has_empty_draws():
     # the @example above covers both kinds of empty draw
-    clients = [stack_client(0, 6, 0.1, 3, 0.8, 3, classes=4), stack_client(1, 20, 1e-12, 3, 2.5, 4, classes=4)]
+    clients = [stack_client(6, 0.1, 0.8, 3, classes=4), stack_client(20, 1e-12, 2.5, 4, classes=4)]
     start = stack_layers(2, 2, 3, classes=4)
-    empties = [reference_local_train(c, start, True, 0.4, np.random.default_rng([3, c.client_id]))[1] for c in clients]
+    empties = [
+        reference_local_train(c, start, True, 0.4, np.random.default_rng([3, k]), 3, STACK_CLIP)[1]
+        for k, c in enumerate(clients)
+    ]
     assert 0 < empties[0] < 3 and empties[1] == 3
 
 
@@ -960,13 +963,13 @@ def test_train_clients_ragged_and_empty_batches(trains_a):
     # One step's largest batch is 200 rows next to one of 3 and a client that
     # never draws: padding and skipped steps leave each client's result its own.
     clients = [
-        stack_client(0, 200, 1.0, 3, 1.1, 1),
-        stack_client(1, 3, 1.0, 3, 0.4, 2),
-        stack_client(2, 50, 1e-12, 3, 1.1, 3),
-        stack_client(3, 60, 0.1, 5, 0.9, 4),
+        stack_client(200, 1.0, 1.1, 1),
+        stack_client(3, 1.0, 0.4, 2),
+        stack_client(50, 1e-12, 1.1, 3),
+        stack_client(60, 0.1, 0.9, 4),
     ]
     layers = stack_layers(2, 3, 5)
-    got = assert_stacked_equals_solo(clients, layers, trains_a, 6)
+    got = assert_stacked_equals_solo(clients, layers, trains_a, 6, 3, STACK_CLIP)
     for idx, layer in enumerate(layers):
         assert got[idx, "b"][2].tobytes() == layer.b.tobytes()  # client 2 never drew
         assert got[idx, "b"][1].tobytes() != layer.b.tobytes()
@@ -976,29 +979,29 @@ def test_train_clients_ragged_and_empty_batches(trains_a):
 def test_train_clients_all_live_noise_byte_identical_to_solo(trains_a):
     # equal shards at q = 1: no padding, and every client is private and
     # draws its noise every step, into its row of the round's noise block
-    clients = [stack_client(k, 30, 1.0, 3, sigma, 20 + k) for k, sigma in enumerate([0.7, 2.5, 1.1])]
-    assert_stacked_equals_solo(clients, stack_layers(2, 2, 21), trains_a, 22, exact=True)
+    clients = [stack_client(30, 1.0, sigma, 20 + k) for k, sigma in enumerate([0.7, 2.5, 1.1])]
+    assert_stacked_equals_solo(clients, stack_layers(2, 2, 21), trains_a, 22, 3, STACK_CLIP, exact=True)
 
 
 @pytest.mark.parametrize("trains_a", [False, True])
 def test_train_clients_idle_row_untouched_beside_live_ones(trains_a):
-    # client 1 is private and never draws; client 2 trains without privacy.
+    # client 1 never draws; client 2 clips but adds no noise (sigma 0).
     # The idle row adds nothing, not a zero times a stale noise row: its
     # -0.0 entries stay -0.0, and its generator drew the masks alone.
     clients = [
-        stack_client(0, 30, 1.0, 3, 0.9, 30),
-        stack_client(1, 30, 1e-12, 3, 1.3, 31),
-        stack_client(2, 30, 1.0, 3, None, 32),
+        stack_client(30, 1.0, 0.9, 30),
+        stack_client(30, 1e-12, 1.3, 31),
+        stack_client(30, 1.0, 0.0, 32),
     ]
     layers = [l.with_adapters(a=l.a.copy(), b=l.b.copy()) for l in stack_layers(2, 2, 33)]
     for layer in layers:
         layer.a[0, 0] = layer.b[0, 0] = -0.0
-    got = assert_stacked_equals_solo(clients, layers, trains_a, 34, exact=True)
+    got = assert_stacked_equals_solo(clients, layers, trains_a, 34, 3, STACK_CLIP, exact=True)
     for key in trainable_keys(layers, trains_a):
         assert got[key][1].tobytes() == getattr(layers[key[0]], key[1]).tobytes(), key
         assert np.signbit(got[key][1][0, 0]), key
     rng, twin = np.random.default_rng([34, 1]), np.random.default_rng([34, 1])
-    federation.train_clients(clients[:2], layers, trains_a, 0.4, [np.random.default_rng([34, 0]), rng])
+    federation.train_clients(clients[:2], layers, trains_a, 0.4, [np.random.default_rng([34, 0]), rng], 3, STACK_CLIP)
     for _ in range(3):
         twin.random(30)
     assert rng.bit_generator.state == twin.bit_generator.state
@@ -1006,23 +1009,24 @@ def test_train_clients_idle_row_untouched_beside_live_ones(trains_a):
 
 @pytest.mark.parametrize("q, exact", [(1.0, True), (0.3, False)])
 def test_train_clients_diverged_client_leaves_the_others_alone(q, exact):
-    # client 1's features near 1e300 overflow its unclipped state; the other
-    # clients' updates match their solo runs. With full batches of equal
-    # shards the stack has no padding, and they are byte-identical (with
-    # padding, BLAS may round a row differently at another row count).
+    # without privacy, client 1's features near 1e300 overflow its unclipped
+    # state; the other clients' updates match their solo runs. With full
+    # batches of equal shards the stack has no padding, and they are
+    # byte-identical (with padding, BLAS may round a row differently at
+    # another row count).
     clients = [
-        stack_client(0, 40, q, 4, 1.2, 7),
-        stack_client(1, 40, q, 4, None, 8, scale=1e300),
-        stack_client(2, 40, q, 4, 0.8, 9),
+        stack_client(40, q, None, 7),
+        stack_client(40, q, None, 8, scale=1e300),
+        stack_client(40, q, None, 9),
     ]
     layers = stack_layers(1, 2, 10)  # a tanh layer would saturate instead
-    rngs = [np.random.default_rng([11, c.client_id]) for c in clients]
+    rngs = [np.random.default_rng([11, k]) for k in range(len(clients))]
     with np.errstate(all="ignore"):
-        got = federation.train_clients(clients, layers, True, 0.4, rngs)
+        got = federation.train_clients(clients, layers, True, 0.4, rngs, 4, np.inf)
         a, b = got[0, "a"][1], got[0, "b"][1]
         assert not (np.isfinite(np.vdot(a, a)) and np.isfinite(np.vdot(b, b)))
         for k in (0, 2):
-            want = solo_train(clients[k], layers, True, 0.4, np.random.default_rng([11, k]))
+            want = solo_train(clients[k], layers, True, 0.4, np.random.default_rng([11, k]), 4, np.inf)
             for key, ref in want.items():
                 mat = got[key][k]
                 assert np.isfinite(mat).all()
@@ -1069,15 +1073,16 @@ def test_run_experiment_names_the_first_diverged_client_in_sorted_order(monkeypa
     )
 
 
-def worst_epsilon(clients, rounds_done, delta):
-    """The largest spent_epsilon over the private clients' full schedules."""
-    private = [c for c in clients if c.privacy_cfg is not None]
+def worst_epsilon(clients, steps, rounds_done, delta):
+    """The largest spent_epsilon over the private clients' full schedules of
+    `steps` local steps a round."""
+    private = [c for c in clients if c.sigma is not None]
     if not private:
         return None
     if rounds_done == 0:
         return 0.0
     return max(
-        privacy.spent_epsilon(c.sample_rate, c.privacy_cfg.sigma, rounds_done * c.local_steps, delta)
+        privacy.spent_epsilon(c.sample_rate, c.sigma, rounds_done * steps, delta)
         for c in private
     )
 
@@ -1086,8 +1091,9 @@ def serial_reference(cfg, seed):
     """run_experiment's rows from one solo_train per sampled client, in turn:
     (eval_accuracy, eval_loss, epsilon_spent, uploaded, downloaded) per round."""
     server, clients, heldout = federation.start(cfg, seed)
-    strategy = server.strategy
-    rows = [(*model.evaluate(server.classifier(), heldout), worst_epsilon(clients, 0, cfg.delta), 0, 0)]
+    strategy, steps = server.strategy, cfg.local_steps
+    clip = cfg.clip_norm if cfg.private else np.inf
+    rows = [(*model.evaluate(server.classifier(), heldout), worst_epsilon(clients, steps, 0, cfg.delta), 0, 0)]
     for rnd in range(cfg.rounds):
         sampled = federation.sample_clients(
             cfg.clients, cfg.participants, federation.stream(seed, federation._TAG_SAMPLE, rnd)
@@ -1096,6 +1102,7 @@ def serial_reference(cfg, seed):
             solo_train(
                 clients[cid], server.layers, strategy.trains_a,
                 lr=cfg.learning_rate, rng=federation.stream(seed, federation._TAG_CLIENT, rnd, cid),
+                steps=steps, clip=clip,
             )
             for cid in sampled
         ]
@@ -1104,7 +1111,7 @@ def serial_reference(cfg, seed):
         comm = federation.comm_params_per_round(strategy, server.layers, len(sampled), cfg.transmit_a)
         rows.append((
             *model.evaluate(server.classifier(), heldout),
-            worst_epsilon(clients, rnd + 1, cfg.delta), *comm,
+            worst_epsilon(clients, steps, rnd + 1, cfg.delta), *comm,
         ))
     return rows
 

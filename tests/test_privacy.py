@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -346,20 +345,16 @@ def test_clip_gradient_global_across_matrices():
     np.testing.assert_allclose(out["a"], [[0.6]])
 
 
-def make_cfg(sigma, clip):
-    return privacy.PrivacyConfig(clip_norm=clip, sigma=sigma)
-
-
 def test_dp_sgd_step_degenerate_equals_vanilla_sgd():
     rng = np.random.default_rng(1)
     w = rng.standard_normal((3, 4))
     u, v = rng.standard_normal((8, 3)), rng.standard_normal((8, 4))
     expected = w - 0.5 * outer_products({"w": (u, v)})["w"].mean(axis=0)
     # no noise and a bound no example reaches, then clipping disabled outright
-    for cfg in (make_cfg(0.0, 1e12), None):
+    for clip in (1e12, np.inf):
         theta, views = privacy.flat_buffer({"w": w}, 1)
         privacy.dp_sgd_step_flat(
-            theta, views, {"w": (u[None], v[None])}, *privacy.stacked_mechanisms([cfg]),
+            theta, views, {"w": (u[None], v[None])}, clip, [None],
             0.5, [np.random.default_rng(0)], np.array([8]),
         )
         np.testing.assert_allclose(views["w"][0], expected, atol=1e-12)
@@ -371,7 +366,7 @@ def test_dp_sgd_step_noise_scale_monte_carlo():
     theta, views = privacy.flat_buffer({"w": np.zeros((250, 400))}, 1)  # 1e5 coordinates
     factors = {"w": (np.zeros((1, m, 250)), np.zeros((1, m, 400)))}
     privacy.dp_sgd_step_flat(
-        theta, views, factors, *privacy.stacked_mechanisms([make_cfg(sigma, clip)]),
+        theta, views, factors, clip, [sigma * clip],
         1.0, [np.random.default_rng(42)], np.array([m]),
     )
     draws = -views["w"].ravel()  # lr = 1
@@ -385,7 +380,7 @@ def test_dp_sgd_step_single_clipped_example():
     factors = {"w": (np.array([[[4.0, 0.0]]]), np.array([[[1.0, 0.0]]]))}
     theta, views = privacy.flat_buffer({"w": np.zeros((2, 2))}, 1)
     privacy.dp_sgd_step_flat(
-        theta, views, factors, *privacy.stacked_mechanisms([make_cfg(0.0, 2.0)]),
+        theta, views, factors, 2.0, [None],
         0.1, [np.random.default_rng(0)], np.array([1]),
     )
     expected = np.zeros((2, 2))
@@ -403,7 +398,7 @@ def test_dp_sgd_step_only_touches_trainable():
     step_rng, twin = np.random.default_rng(5), np.random.default_rng(5)
     privacy.dp_sgd_step_flat(
         theta, views, {"a": (ones, ones), "b": (ones, ones)},
-        *privacy.stacked_mechanisms([make_cfg(1.0, 2.0)]), 0.5, [step_rng], np.array([3]),
+        2.0, [2.0], 0.5, [step_rng], np.array([3]),  # sigma 1 at C = 2
     )
     assert theta.shape == (1, b.size)
     assert not np.array_equal(views["b"][0], b)
@@ -424,7 +419,7 @@ def test_dp_sgd_step_clipped_sum_matches_per_example_clipping():
     theta, views = privacy.flat_buffer({"a": np.zeros((2, 3)), "b": np.zeros((4, 1))}, 1)
     privacy.dp_sgd_step_flat(
         theta, views, {k: (u[None], v[None]) for k, (u, v) in factors.items()},
-        *privacy.stacked_mechanisms([make_cfg(0.0, 1.5)]), 1.0, [rng], np.array([m]),
+        1.5, [None], 1.0, [rng], np.array([m]),
     )
     manual = {k: np.zeros(g.shape[1:]) for k, g in grads.items()}
     for i in range(m):
@@ -475,17 +470,9 @@ def test_factored_clipped_sum_matches_per_example_clipping(
     theta, views = privacy.flat_buffer({k: np.zeros_like(params[k]) for k in trainable}, 1)
     privacy.dp_sgd_step_flat(
         theta, views, {k: (u[None], v[None]) for k, (u, v) in factors.items()},
-        *privacy.stacked_mechanisms([make_cfg(0.0, clip)]), 1.0, [np.random.default_rng(0)],
-        np.array([batch]),
+        clip, [None], 1.0, [np.random.default_rng(0)], np.array([batch]),
     )
     for k in trainable:
         got = -batch * views[k][0]
         assert np.linalg.norm(got - want[k]) <= 1e-12 * np.linalg.norm(want[k])
 
-
-def test_privacy_config_validation():
-    with pytest.raises(ValueError):
-        make_cfg(-1.0, 2.0)
-    with pytest.raises(ValueError):
-        make_cfg(1.0, 0.0)
-    assert [f.name for f in dataclasses.fields(privacy.PrivacyConfig)] == ["clip_norm", "sigma"]
