@@ -54,12 +54,9 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "Dataset":
+        """The rows at `indices`, as new arrays (one copy: the gather's)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            features=self.features[idx].copy(),
-            labels=self.labels[idx].copy(),
-            class_count=self.class_count,
-        )
+        return Dataset(features=self.features[idx], labels=self.labels[idx], class_count=self.class_count)
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,9 @@ class PartitionSpec:
 
 def _sample_split(rng, means, size, dim):
     labels = rng.permutation(np.arange(size) % len(means)).astype(np.int64)
-    feats = means[labels] + rng.standard_normal((size, dim))
+    feats = rng.standard_normal((size, dim))
+    for cls, mean in enumerate(means):  # in place: no (size, dim) means[labels]
+        feats[labels == cls] += mean
     return feats, labels
 
 

@@ -22,7 +22,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -152,23 +152,24 @@ class Strategy:
         return self.kind
 
 
+def shard_table(ds: data_mod.Dataset) -> np.ndarray:
+    """The shard as [features | one-hot labels] rows, (n_k, d + classes): a
+    step gathers a batch's inputs and targets in one take."""
+    return np.concatenate([ds.features, np.eye(ds.class_count)[ds.labels]], axis=1)
+
+
 @dataclass(frozen=True)
 class ClientHandle:
-    """One client's shard, Poisson rate and noise multiplier sigma (None: no
+    """One client's shard and its shard_table (the data memo's, one copy per
+    seed: see _data), Poisson rate and noise multiplier sigma (None: no
     privacy); with privacy, `steps` steps spend steps * rdp_per_step (at
     privacy.DEFAULT_ORDERS). The run sets the clip norm and the step count."""
 
     dataset: data_mod.Dataset
+    table: np.ndarray
     sample_rate: float
     sigma: float | None
     rdp_per_step: np.ndarray | None
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """The shard as [features | one-hot labels] rows, (n_k, d + classes),
-        built once: a step gathers a batch's inputs and targets in one take."""
-        ds = self.dataset
-        return np.concatenate([ds.features, np.eye(ds.class_count)[ds.labels]], axis=1)
 
 
 @dataclass
@@ -323,43 +324,53 @@ _DATA: dict[tuple, tuple] = {}
 
 
 def _data(cfg: RunConfig, seed: int) -> tuple[tuple, tuple]:
-    """(key, (pretrain, parts, heldout)) of (cfg, seed), built once per key.
+    """(key, (pretrain, parts, heldout, tables)) of (cfg, seed), built once
+    per key.
 
     The key holds the synthetic settings, or a sha256 of the parsed CSV
     table (so a rewritten file is rebuilt), then the seed, dirichlet_alpha
     and clients. Only the last build is kept: a sweep reuses it across the
     strategies of one seed, and a run over many seeds holds one build. Its
-    arrays are read-only.
+    arrays are read-only. tables[k] is parts[k]'s shard_table, built once the
+    fine-tune split (and a CSV source's table) is gone, and the shard's only
+    copy: parts[k].features is a view of its first d columns.
     """
-    if cfg.source == "synthetic":
+    full = data_mod.load_csv(cfg.csv_path) if cfg.source == "csv" else None
+    if full is None:
         key = ("synthetic", cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin)
     else:
-        table = data_mod.load_csv(cfg.csv_path)
-        digest = hashlib.sha256(np.ascontiguousarray(table.features))
-        digest.update(np.ascontiguousarray(table.labels))
+        digest = hashlib.sha256(np.ascontiguousarray(full.features))
+        digest.update(np.ascontiguousarray(full.labels))
         key = ("csv", digest.hexdigest())
     key += (seed, cfg.dirichlet_alpha, cfg.clients)
     if key not in _DATA:
         _DATA.clear()  # before the build, so two builds are never held at once
-        if cfg.source == "synthetic":
+        if full is None:
             pretrain, finetune, heldout = data_mod.gen_synthetic(
                 cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, seed=seed
             )
         else:
-            pretrain, finetune, heldout = _split_csv_dataset(table, seed)
+            pretrain, finetune, heldout = _split_csv_dataset(full, seed)
         spec = data_mod.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=seed)
-        parts = tuple(data_mod.partition_dirichlet(finetune, spec))
+        parts = data_mod.partition_dirichlet(finetune, spec)
+        del finetune, full
+        tables = []
+        for k, part in enumerate(parts):  # each part's own copy goes as its table comes
+            tables.append(shard_table(part))
+            tables[k].flags.writeable = False
+            parts[k] = data_mod.Dataset(tables[k][:, : part.feature_dim], part.labels, part.class_count)
         for ds in (pretrain, heldout, *parts):
             ds.features.flags.writeable = ds.labels.flags.writeable = False
-        _DATA[key] = (pretrain, parts, heldout)
+        _DATA[key] = (pretrain, tuple(parts), heldout, tuple(tables))
     return key, _DATA[key]
 
 
 def datasets(cfg: RunConfig, seed: int) -> tuple[data_mod.Dataset, list[data_mod.Dataset], data_mod.Dataset]:
     """(pretrain, parts, heldout) of (cfg, seed): the synthetic splits or the
     1/4, 1/2, 1/4 split of the CSV table, the middle split partitioned over
-    the clients by partition_dirichlet. Memoized by _data: read-only arrays."""
-    pretrain, parts, heldout = _data(cfg, seed)[1]
+    the clients by partition_dirichlet. Memoized by _data: read-only arrays,
+    each shard's features a view of its table (built once per seed)."""
+    pretrain, parts, heldout, _ = _data(cfg, seed)[1]
     return pretrain, list(parts), heldout
 
 
@@ -416,10 +427,10 @@ def sampling_rate(cfg: RunConfig, shard: data_mod.Dataset) -> float:
     return min(1.0, cfg.batch_size / len(shard))
 
 
-def build_clients(cfg: RunConfig, parts: list[data_mod.Dataset]) -> list[ClientHandle]:
+def build_clients(cfg: RunConfig, parts: list[data_mod.Dataset], tables: list[np.ndarray]) -> list[ClientHandle]:
     total_steps = max(1, cfg.rounds * cfg.local_steps)
     clients = []
-    for k, part in enumerate(parts):
+    for k, (part, table) in enumerate(zip(parts, tables, strict=True)):
         q = sampling_rate(cfg, part)
         sigma = rdp = None
         if cfg.private:
@@ -433,7 +444,7 @@ def build_clients(cfg: RunConfig, parts: list[data_mod.Dataset]) -> list[ClientH
                         f"client {k} (shard of {len(part)} examples, q={q}): {exc}"
                     ) from exc
             rdp = privacy.rdp_subsampled_gaussian(q, sigma)
-        clients.append(ClientHandle(dataset=part, sample_rate=q, sigma=sigma, rdp_per_step=rdp))
+        clients.append(ClientHandle(dataset=part, table=table, sample_rate=q, sigma=sigma, rdp_per_step=rdp))
     return clients
 
 
@@ -445,7 +456,7 @@ def start(cfg: RunConfig, seed: int) -> tuple[ServerState, list[ClientHandle], d
     across strategies (see _backbone).
     """
     cfg.validate()
-    data_key, (pretrain, parts, heldout) = _data(cfg, seed)
+    data_key, (pretrain, parts, heldout, tables) = _data(cfg, seed)
     class_count, d_in = parts[0].class_count, parts[0].feature_dim
     dims = [d_in] if cfg.layers == 1 else [d_in, cfg.hidden_dim]
     if cfg.pretrain_backbone:
@@ -453,7 +464,7 @@ def start(cfg: RunConfig, seed: int) -> tuple[ServerState, list[ClientHandle], d
     else:
         base = model.random_dense_weights(dims, class_count, stream(seed, _TAG_BACKBONE))
     server = init_server(cfg, Strategy(cfg.strategy, cfg.svd_period), base, class_count, seed)
-    return server, build_clients(cfg, list(parts)), heldout
+    return server, build_clients(cfg, list(parts), list(tables)), heldout
 
 
 def rounds(cfg: RunConfig, server: ServerState, clients: list[ClientHandle]):

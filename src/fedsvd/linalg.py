@@ -52,13 +52,22 @@ def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.qr(a, mode="reduced")
 
 
-def _apply_sign_convention(u: np.ndarray, vt: np.ndarray) -> None:
+def _signed(u: np.ndarray, sigma: np.ndarray, vt: np.ndarray) -> SvdResult:
     # Per singular triplet, flip signs so the largest-magnitude entry of the
     # right singular vector is positive (argmax breaks ties at lowest index).
     jmax = np.argmax(np.abs(vt), axis=1)
     flip = vt[np.arange(vt.shape[0]), jmax] < 0.0
     vt[flip] *= -1.0
     u[:, flip] *= -1.0
+    return SvdResult(u, sigma, vt)
+
+
+def _flushed_svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # LAPACK's thin SVD with the rank flush of svd, before any sign pass.
+    a = as_matrix(m)
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    sigma[sigma <= max(a.shape) * np.finfo(np.float64).eps * sigma[0]] = 0.0
+    return u, sigma, vt
 
 
 def svd(m) -> SvdResult:
@@ -70,11 +79,7 @@ def svd(m) -> SvdResult:
     max(m, n) * eps * sigma_max are flushed to exactly zero; u keeps
     orthonormal columns for them.
     """
-    a = as_matrix(m)
-    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    sigma[sigma <= max(a.shape) * np.finfo(np.float64).eps * sigma[0]] = 0.0
-    _apply_sign_convention(u, vt)
-    return SvdResult(u, sigma, vt)
+    return _signed(*_flushed_svd(m))
 
 
 def lowrank_svd(b, a) -> SvdResult:
@@ -82,7 +87,8 @@ def lowrank_svd(b, a) -> SvdResult:
 
     With b of shape d_out x r and a of shape r x d_in (r <= both outer
     dimensions), factor b = Q_b R_b and a.T = Q_a R_a, take the r x r SVD of
-    R_b @ R_a.T and lift the factors back through Q_b and Q_a.
+    R_b @ R_a.T, lift the factors back through Q_b and Q_a, and sign them as
+    svd does, once: a sign pass on the core would change nothing.
     """
     b = as_matrix(b, "b")
     a = as_matrix(a, "a")
@@ -98,11 +104,8 @@ def lowrank_svd(b, a) -> SvdResult:
         )
     qb, rb = qr_thin(b)
     qa, ra = qr_thin(a.T)
-    core = svd(rb @ ra.T)
-    u = qb @ core.u
-    vt = core.vt @ qa.T
-    _apply_sign_convention(u, vt)
-    return SvdResult(u, core.singular_values, vt)
+    core_u, sigma, core_vt = _flushed_svd(rb @ ra.T)
+    return _signed(qb @ core_u, sigma, core_vt @ qa.T)
 
 
 def spectral_norm(m) -> float:

@@ -110,8 +110,10 @@ def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], logits: np.nd
     for idx in range(len(weights) - 1, -1, -1):
         h_in = inputs[idx]
         yield idx, delta, h_in
-        if idx > 0:
-            delta = (delta @ weights[idx]) * (1.0 - h_in * h_in)  # back through tanh
+        if idx > 0:  # back through tanh, in new arrays only: h_in and delta were yielded
+            slope = h_in * h_in
+            delta = delta @ weights[idx]
+            delta *= np.subtract(1.0, slope, out=slope)
 
 
 def grad_factors(

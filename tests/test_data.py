@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsvd import data, model
+from fedsvd import data, linalg, model
 from fedsvd.data import Dataset, PartitionSpec
 
 
@@ -15,6 +15,31 @@ def test_gen_synthetic_deterministic():
         assert da.labels.tobytes() == db.labels.tobytes()
     c = data.gen_synthetic(3, 8, 120, 2.0, seed=6)
     assert a[0].features.tobytes() != c[0].features.tobytes()
+
+
+@pytest.mark.parametrize(
+    "classes, feature_dim, size, seed", [(3, 64, 6000, 0), (32, 40, 1001, 3), (5, 7, 98, 11), (2, 2, 10, 7)]
+)
+def test_gen_synthetic_pinned_to_the_whole_block_expression(classes, feature_dim, size, seed):
+    # oracle: every split is means[labels] + standard_normal((size, dim)),
+    # drawn from gen_synthetic's own spawned streams
+    margin = 2.5
+    root = np.random.SeedSequence(entropy=(seed, 0x5D))
+    r_dirs, *r_splits = [np.random.default_rng(s) for s in root.spawn(4)]
+    basis, _ = linalg.qr_thin(r_dirs.standard_normal((feature_dim, classes)))
+    basis2, _ = linalg.qr_thin(r_dirs.standard_normal((feature_dim, classes)))
+    radius = margin / np.sqrt(2.0)
+    means_pre = radius * basis.T
+    rot = data.FINETUNE_ROTATION
+    shift = data.FINETUNE_SHIFT * radius * r_dirs.standard_normal(feature_dim) / np.sqrt(feature_dim)
+    means_fine = np.cos(rot) * np.roll(means_pre, 1, axis=0) + np.sin(rot) * (radius * basis2.T) + shift
+    sizes = (size, size, max(classes, size // 4))
+    got = data.gen_synthetic(classes, feature_dim, size, margin, seed)
+    for ds, rng, means, n in zip(got, r_splits, (means_pre, means_fine, means_fine), sizes, strict=True):
+        labels = rng.permutation(np.arange(n) % classes).astype(np.int64)
+        feats = means[labels] + rng.standard_normal((n, feature_dim))
+        assert np.array_equal(ds.labels, labels)
+        assert np.array_equal(ds.features, feats) and ds.features.tobytes() == feats.tobytes()
 
 
 def test_gen_synthetic_shapes_and_balance():

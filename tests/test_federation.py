@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,9 @@ def make_client(n=40, seed=0, private=False, q=0.5, d=6):
         class_count=3,
     )
     rdp = privacy.rdp_subsampled_gaussian(q, 1.0) if private else None
-    return ClientHandle(dataset=ds, sample_rate=q, sigma=1.0 if private else None, rdp_per_step=rdp)
+    return ClientHandle(
+        dataset=ds, table=federation.shard_table(ds), sample_rate=q, sigma=1.0 if private else None, rdp_per_step=rdp
+    )
 
 
 def make_layers(seed=0, d=6, c=3, r=2):
@@ -117,7 +120,8 @@ def test_epsilon_spent_is_worst_client_schedule_every_round(privacy_kw):
 @pytest.mark.parametrize("privacy_kw", [{"epsilon": 6.0}, {"noise_multiplier": 1.3}, {}])
 def test_epsilon_column_equals_per_round_accounting(privacy_kw, seed):
     cfg = small_config(local_steps=3, rounds=37, **privacy_kw)
-    clients = federation.build_clients(cfg, federation.datasets(cfg, seed)[1])
+    _, (_, parts, _, tables) = federation._data(cfg, seed)
+    clients = federation.build_clients(cfg, list(parts), list(tables))
     column = federation._epsilon_column(clients, cfg.local_steps, cfg.rounds, cfg.delta)
     if not privacy_kw:
         assert column == [None] * (cfg.rounds + 1)
@@ -151,7 +155,7 @@ def test_local_train_loss_nonincreasing_convex_case():
         labels=labels,
         class_count=3,
     )
-    client = ClientHandle(dataset=ds, sample_rate=1.0, sigma=None, rdp_per_step=None)
+    client = ClientHandle(dataset=ds, table=federation.shard_table(ds), sample_rate=1.0, sigma=None, rdp_per_step=None)
     layers = make_layers(seed=1, d=3, c=3, r=2)
     losses = []
     current = layers
@@ -667,7 +671,7 @@ def test_backbone_fitted_once_per_seed_across_strategies(count_fits):
     # each field the fit reads refits: the seed (here on the same data),
     # pretrain_steps, pretrain_lr and hidden_dim
     cfg = small_config()
-    key, (pre, parts, _) = federation._data(cfg, seed=0)
+    key, (pre, parts, _, _) = federation._data(cfg, seed=0)
     federation._backbone(cfg, key, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
     assert len(count_fits) == 1
     federation._backbone(cfg, key, pre, [parts[0].feature_dim], parts[0].class_count, seed=1)
@@ -683,7 +687,7 @@ def test_backbone_fitted_once_per_seed_across_strategies(count_fits):
 
 def test_cached_backbone_is_read_only():
     cfg = small_config()
-    key, (pre, parts, _) = federation._data(cfg, seed=0)
+    key, (pre, parts, _, _) = federation._data(cfg, seed=0)
     weights = federation._backbone(cfg, key, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
     again = federation._backbone(cfg, key, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
     assert all(w is v for w, v in zip(weights, again))
@@ -775,6 +779,31 @@ def test_datasets_memo_keeps_the_last_build_alone(count_builds, monkeypatch):
     assert held == [0, 0, 0]  # the old build goes before the new one is made
 
 
+def test_start_holds_each_shard_once():
+    path = Path(__file__).resolve().parent.parent / "configs" / "headline.ini"
+    cfg = config.load(path, ["record_timing=false"])
+    federation.start(cfg, seed=0)  # fills the process-wide caches (sigma, RDP tables)
+    federation._DATA.clear()
+    federation._BACKBONES.clear()
+    tracemalloc.start()
+    try:
+        _, clients, heldout = federation.start(cfg, seed=0)
+        tables = [c.table for c in clients]
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    pretrain = federation.datasets(cfg, seed=0)[0]
+    splits = [a for ds in (pretrain, heldout) for a in (ds.features, ds.labels)]
+    assert traced <= sum(a.nbytes for a in splits + tables) + 2**20
+    again = federation.start(cfg, seed=0)[1]
+    assert all(c.table is t for c, t in zip(again, tables, strict=True))
+    for c in clients:
+        assert np.shares_memory(c.dataset.features, c.table)
+        assert np.array_equal(c.table[:, : c.dataset.feature_dim], c.dataset.features)
+    for arr in splits + tables + [a for c in clients for a in (c.dataset.features, c.dataset.labels)]:
+        assert not arr.flags.writeable
+
+
 def test_csv_datasets_keyed_on_the_parsed_table(tmp_path, count_builds):
     path = tmp_path / "table.csv"
     cfg = small_config(source="csv", csv_path=str(path))
@@ -840,7 +869,7 @@ def stack_client(n, q, sigma, seed, d=5, scale=1.0, classes=3):
         class_count=classes,
     )
     rdp = privacy.rdp_subsampled_gaussian(q, sigma) if sigma else None
-    return ClientHandle(dataset=ds, sample_rate=q, sigma=sigma, rdp_per_step=rdp)
+    return ClientHandle(dataset=ds, table=federation.shard_table(ds), sample_rate=q, sigma=sigma, rdp_per_step=rdp)
 
 
 def stack_layers(layers, rank, seed, d=5, classes=3):
@@ -1056,12 +1085,12 @@ def test_run_experiment_names_the_first_diverged_client_in_sorted_order(monkeypa
     sampled = federation.sample_clients(4, 3, federation.stream(0, federation._TAG_SAMPLE, 0))
     real = federation.build_clients
 
-    def blow_up_all_but_the_first(cfg, parts):
-        clients = real(cfg, parts)
+    def blow_up_all_but_the_first(cfg, parts, tables):
+        clients = real(cfg, parts, tables)
         for cid in sampled[1:]:
             ds = clients[cid].dataset
             huge = data.Dataset(1e300 * ds.features, ds.labels, ds.class_count)
-            clients[cid] = dataclasses.replace(clients[cid], dataset=huge)
+            clients[cid] = dataclasses.replace(clients[cid], dataset=huge, table=federation.shard_table(huge))
         return clients
 
     monkeypatch.setattr(federation, "build_clients", blow_up_all_but_the_first)

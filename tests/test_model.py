@@ -172,6 +172,46 @@ def test_per_sample_grads_match_finite_differences(layers):
             np.testing.assert_allclose(grads[key][0], fd, rtol=1e-6, atol=1e-8)
 
 
+def test_tanh_backward_never_writes_into_what_it_yields():
+    # grad_factors returns a layer's input itself as a's V factor, so a
+    # slope formed in place on it would corrupt the gradients of a (fedavg)
+    rng = np.random.default_rng(21)
+    k, m, d, c = 2, 7, 5, 3
+    layers = make_model(rng, d_x=d, c=c, r=2, layers=2, hidden=4).layers
+    params = {
+        (i, n): np.stack([getattr(l, n) + 0.1 * rng.standard_normal(getattr(l, n).shape) for _ in range(k)])
+        for i, l in enumerate(layers) for n in "ab"
+    }
+    x = rng.standard_normal((k, m, d))
+    targets = np.eye(c)[rng.integers(0, c, (k, m))]
+    x_before = x.copy()
+    got = model.grad_factors(layers, params, x, targets, set(params))
+    # oracle: the whole-array expression of the slope
+    w = [l.w0 + l.scale * (params[i, "b"] @ params[i, "a"]) for i, l in enumerate(layers)]
+    h = np.tanh(x @ w[0].mT)
+    delta1 = model.softmax(h @ w[1].mT) - targets
+    delta0 = (delta1 @ w[1]) * (1.0 - h * h)
+    s0, s1 = layers[0].scale, layers[1].scale
+    want = {
+        (1, "b"): (s1 * delta1, h @ params[1, "a"].mT),
+        (1, "a"): (s1 * (delta1 @ params[1, "b"]), h),
+        (0, "b"): (s0 * delta0, x @ params[0, "a"].mT),
+        (0, "a"): (s0 * (delta0 @ params[0, "b"]), x),
+    }
+    assert got.keys() == want.keys()
+    for key, pair in want.items():
+        assert [f.tobytes() for f in got[key]] == [f.tobytes() for f in pair], key
+    assert x.tobytes() == x_before.tobytes()
+    # after the whole walk, the forward's inputs and the yielded deltas are as made
+    inputs, logits = model._forward(w, x)
+    before = [a.copy() for a in inputs]
+    walked = list(model._backward(w, inputs, logits, targets))
+    assert [idx for idx, _, _ in walked] == [1, 0]
+    assert all(h_in is inputs[idx] for idx, _, h_in in walked)
+    assert [a.tobytes() for a in inputs] == [a.tobytes() for a in before]
+    assert [dl.tobytes() for _, dl, _ in walked] == [delta1.tobytes(), delta0.tobytes()]
+
+
 @settings(max_examples=150, deadline=None)
 @given(c=st.integers(2, 7), d_x=st.integers(1, 8), data=st.data())
 def test_verify_central_differences_equal_the_scalar_loop_bit_for_bit(c, d_x, data):
