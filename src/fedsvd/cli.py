@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -140,7 +141,7 @@ def cmd_calibrate(args) -> int:
 def cmd_partition_stats(args) -> int:
     cfg = _load_config(args)
     seed = cfg.seeds[0]
-    _, parts, _ = federation.datasets(cfg, seed)
+    parts, _ = federation.datasets(cfg, seed)
     classes = parts[0].class_count
     print(f"seed {seed}, alpha {cfg.dirichlet_alpha}, {cfg.clients} clients, "
           f"{sum(map(len, parts))} examples, {classes} classes")
@@ -190,7 +191,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:  # the reader is gone; the flush at exit goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except federation.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

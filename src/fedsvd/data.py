@@ -1,11 +1,12 @@
-"""Synthetic dataset generation, Dirichlet non-iid partitioning, CSV loading.
+"""Synthetic splits, Dirichlet non-iid partitioning, CSV loading.
 
 The synthetic task is Gaussian class clusters at configurable separation.
 The fine-tuning distribution is a rotated and shifted variant of the
 pre-training one, so a backbone trained on the pre-training split is useful
 but imperfect on the fine-tuning data. Partitioning follows the per-class
 label-skew convention: each class's examples are split across clients by
-proportions drawn from Dirichlet(alpha * 1_K).
+proportions drawn from Dirichlet(alpha * 1_K). It reads the labels alone,
+so the features can follow, chunk by chunk, straight into the shards.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from . import linalg
 # tilted toward fresh directions by a small angle, and globally shifted.
 FINETUNE_ROTATION = 0.1
 FINETUNE_SHIFT = 0.05
+
+# Rows per draw of a split's features: a chunked standard_normal continues
+# its stream exactly as one whole-block draw would, so it changes no value.
+CHUNK_ROWS = 512
 
 
 class CsvFormatError(ValueError):
@@ -53,11 +58,6 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices) -> "Dataset":
-        """The rows at `indices`, as new arrays (one copy: the gather's)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(features=self.features[idx], labels=self.labels[idx], class_count=self.class_count)
-
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -72,24 +72,26 @@ class PartitionSpec:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
 
 
-def _sample_split(rng, means, size, dim):
-    labels = rng.permutation(np.arange(size) % len(means)).astype(np.int64)
-    feats = rng.standard_normal((size, dim))
-    for cls, mean in enumerate(means):  # in place: no (size, dim) means[labels]
-        feats[labels == cls] += mean
-    return feats, labels
+def _rows(rng, means, labels):
+    for start in range(0, len(labels), CHUNK_ROWS):
+        part = labels[start : start + CHUNK_ROWS]
+        chunk = rng.standard_normal((len(part), means.shape[1]))
+        for cls, mean in enumerate(means):  # in place: no (rows, dim) means[labels]
+            chunk[part == cls] += mean
+        yield start, chunk
 
 
-def gen_synthetic(
-    class_count: int, feature_dim: int, size: int, margin: float, seed: int
-) -> tuple[Dataset, Dataset, Dataset]:
-    """(pretrain, finetune, eval) datasets of Gaussian class clusters.
+def synthetic_split(split: int, class_count: int, feature_dim: int, size: int, margin: float, seed: int):
+    """Split `split` (0 pretrain, 1 finetune, 2 eval) of the synthetic task
+    as (labels, rows): `rows` draws the features on demand, yielding (start,
+    the rows from start on) CHUNK_ROWS rows at a time, in order.
 
     Class means sit margin apart (in units of the unit cluster deviation) on
     orthonormal directions. The fine-tuning means are the pre-training means
     rotated toward fresh directions and shifted, and the eval split is drawn
     from the fine-tuning distribution. The eval split holds size // 4
-    examples (at least one per class); everything is deterministic in seed.
+    examples (at least one per class), the others size. Each split draws
+    from its own stream of seed, so drawing one, or none, changes no other.
     """
     if class_count < 2:
         raise ValueError(f"need at least 2 classes, got {class_count}")
@@ -98,7 +100,7 @@ def gen_synthetic(
     if margin < 0.0:
         raise ValueError(f"margin must be >= 0, got {margin}")
     root = np.random.SeedSequence(entropy=(int(seed), 0x5D))
-    r_dirs, r_pre, r_fine, r_eval = [np.random.default_rng(s) for s in root.spawn(4)]
+    r_dirs, *r_splits = [np.random.default_rng(s) for s in root.spawn(4)]
 
     basis, _ = linalg.qr_thin(r_dirs.standard_normal((feature_dim, class_count)))
     basis2, _ = linalg.qr_thin(r_dirs.standard_normal((feature_dim, class_count)))
@@ -110,18 +112,42 @@ def gen_synthetic(
     shift = FINETUNE_SHIFT * radius * r_dirs.standard_normal(feature_dim) / np.sqrt(feature_dim)
     means_fine = cos * permuted + sin * fresh + shift
 
-    eval_size = max(class_count, size // 4)
-    pre = Dataset(*_sample_split(r_pre, means_pre, size, feature_dim), class_count)
-    fine = Dataset(*_sample_split(r_fine, means_fine, size, feature_dim), class_count)
-    heldout = Dataset(*_sample_split(r_eval, means_fine, eval_size, feature_dim), class_count)
-    return pre, fine, heldout
+    rng, n = r_splits[split], (size, size, max(class_count, size // 4))[split]
+    labels = rng.permutation(np.arange(n) % class_count).astype(np.int64)
+    return labels, _rows(rng, (means_pre, means_fine, means_fine)[split], labels)
+
+
+def split_dataset(labels: np.ndarray, rows, class_count: int, feature_dim: int) -> Dataset:
+    """The split (labels, rows), as synthetic_split gives it, drawn whole."""
+    features = np.empty((len(labels), feature_dim))
+    for start, chunk in rows:
+        features[start : start + len(chunk)] = chunk
+    return Dataset(features, labels, class_count)
+
+
+def shard_tables(labels: np.ndarray, rows, cells: list[np.ndarray], class_count: int, feature_dim: int) -> list[np.ndarray]:
+    """Cell k of the split (labels, rows) as a [features | one-hot labels]
+    table whose row i is the split's row cells[k][i]. The features are
+    written chunk by chunk as `rows` yields them: the split is never whole."""
+    owner, tables = np.empty(len(labels), dtype=np.int64), []
+    slot = np.empty_like(owner)
+    for k, cell in enumerate(cells):
+        owner[cell], slot[cell] = k, np.arange(len(cell))
+        tables.append(np.zeros((len(cell), feature_dim + class_count)))
+        tables[k][np.arange(len(cell)), feature_dim + labels[cell]] = 1.0
+    for start, chunk in rows:
+        span = slice(start, start + len(chunk))
+        for k, table in enumerate(tables):
+            mine = owner[span] == k
+            table[slot[span][mine], :feature_dim] = chunk[mine]
+    return tables
 
 
 def class_proportions(spec: PartitionSpec, class_count: int) -> np.ndarray:
     """Per-class Dirichlet client proportions, shape (class_count, clients).
 
     Uses its own seed stream so callers can re-derive the exact draws that
-    partition_dirichlet consumed.
+    partition_cells consumed.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, 0xD1)))
     return rng.dirichlet(np.full(spec.clients, spec.alpha), size=class_count)
@@ -136,26 +162,27 @@ def _largest_remainder(targets: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def partition_dirichlet(data: Dataset, spec: PartitionSpec) -> list[Dataset]:
-    """Split a dataset across clients by per-class Dirichlet proportions.
+def partition_cells(labels: np.ndarray, class_count: int, spec: PartitionSpec) -> list[np.ndarray]:
+    """Split the row indices of a split with these labels across clients by
+    per-class Dirichlet proportions.
 
-    Each class's (shuffled) examples are divided by largest-remainder
-    rounding of the drawn proportions. The cells are disjoint and cover the
-    dataset; a client that would end up empty receives one example moved
-    from the largest cell.
+    Each class's (shuffled) rows are divided by largest-remainder rounding
+    of the drawn proportions. The cells are disjoint and cover the rows; a
+    client that would end up empty receives one row moved from the largest
+    cell.
     """
-    counts = np.bincount(data.labels, minlength=data.class_count)
+    counts = np.bincount(labels, minlength=class_count)
     if counts.min() < spec.clients:
         raise ValueError(
             f"every class needs at least {spec.clients} examples, "
             f"smallest class has {int(counts.min())}"
         )
-    props = class_proportions(spec, data.class_count)
+    props = class_proportions(spec, class_count)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, 0xD2)))
 
     cells: list[list[np.ndarray]] = [[] for _ in range(spec.clients)]
-    for cls in range(data.class_count):
-        idx = shuffle_rng.permutation(np.nonzero(data.labels == cls)[0])
+    for cls in range(class_count):
+        idx = shuffle_rng.permutation(np.nonzero(labels == cls)[0])
         sizes = _largest_remainder(props[cls] * len(idx), len(idx))
         cuts = np.cumsum(sizes)[:-1]
         for client, chunk in enumerate(np.split(idx, cuts)):
@@ -170,7 +197,7 @@ def partition_dirichlet(data: Dataset, spec: PartitionSpec) -> list[Dataset]:
         donor = int(np.argmax([len(c) for c in merged]))
         merged[empty] = merged[donor][-1:]
         merged[donor] = merged[donor][:-1]
-    return [data.subset(cell) for cell in merged]
+    return merged
 
 
 def load_csv(path) -> Dataset:

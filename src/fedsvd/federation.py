@@ -152,17 +152,13 @@ class Strategy:
         return self.kind
 
 
-def shard_table(ds: data_mod.Dataset) -> np.ndarray:
-    """The shard as [features | one-hot labels] rows, (n_k, d + classes): a
-    step gathers a batch's inputs and targets in one take."""
-    return np.concatenate([ds.features, np.eye(ds.class_count)[ds.labels]], axis=1)
-
-
 @dataclass(frozen=True)
 class ClientHandle:
-    """One client's shard and its shard_table (the data memo's, one copy per
-    seed: see _data), Poisson rate and noise multiplier sigma (None: no
-    privacy); with privacy, `steps` steps spend steps * rdp_per_step (at
+    """One client's shard and its table, the shard as [features | one-hot
+    labels] rows, (n_k, d + classes), so that a step gathers a batch's inputs
+    and targets in one take (the data memo's, one copy per seed: see _data);
+    its Poisson rate and noise multiplier sigma (None: no privacy). With
+    privacy, `steps` steps spend steps * rdp_per_step (at
     privacy.DEFAULT_ORDERS). The run sets the clip norm and the step count."""
 
     dataset: data_mod.Dataset
@@ -279,27 +275,61 @@ def _calibrated_sigma(epsilon: float, delta: float, q: float, steps: int) -> flo
     return privacy.calibrate_sigma(epsilon, delta, q, steps)
 
 
+@lru_cache(maxsize=None)
+def _schedule(seed: int, clients: int, participants: int, rounds: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sample_clients(clients, participants, stream(seed, _TAG_SAMPLE, rnd))) for rnd in range(rounds))
+
+
+def schedule(cfg: RunConfig, seed: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted ids of the clients sampled in each round, drawn once per
+    process: a function of (seed, clients, participants, rounds) alone."""
+    return _schedule(seed, cfg.clients, cfg.participants, cfg.rounds)
+
+
+def _source(cfg: RunConfig, seed: int) -> tuple[tuple, data_mod.Dataset | None, int, int]:
+    """(key, table, classes, feature_dim) of the data of (cfg, seed). The key
+    holds everything the data build reads: the synthetic settings, or a
+    sha256 of the parsed CSV table (so a rewritten file reads as new data),
+    then the seed, dirichlet_alpha and clients. The table is the parsed one."""
+    common = (seed, cfg.dirichlet_alpha, cfg.clients)
+    if cfg.source != "csv":
+        return ("synthetic", cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, *common), None, cfg.classes, cfg.feature_dim
+    full = data_mod.load_csv(cfg.csv_path)
+    digest = hashlib.sha256(np.ascontiguousarray(full.features))
+    digest.update(np.ascontiguousarray(full.labels))
+    return ("csv", digest.hexdigest(), *common), full, full.class_count, full.feature_dim
+
+
+def _split(cfg: RunConfig, full: data_mod.Dataset | None, seed: int, split: int):
+    """Split `split` (0 pretrain, 1 finetune, 2 held-out) of (cfg, seed) as
+    (labels, rows), like data.synthetic_split: the synthetic split, or the
+    1/4, 1/2, 1/4 split of the parsed CSV table `full`."""
+    if full is None:
+        return data_mod.synthetic_split(split, cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, seed)
+    perm = stream(seed, _TAG_SPLIT).permutation(len(full))
+    idx = np.split(perm, [len(full) // 4, len(full) // 4 + len(full) // 2])[split]
+    return full.labels[idx], [(0, full.features[idx])]
+
+
 # Fitted backbones, keyed by everything the fit reads (see _backbone).
 _BACKBONES: dict[tuple, list[np.ndarray]] = {}
 
 
-def _backbone(cfg: RunConfig, data_key: tuple, pretrain: data_mod.Dataset, dims: list[int], class_count: int, seed: int) -> list[np.ndarray]:
-    """The pre-trained backbone of (data, seed), fitted once per process.
+def _backbone(cfg: RunConfig, source: tuple, dims: list[int], seed: int) -> list[np.ndarray]:
+    """The pre-trained backbone of (source, seed), fitted once per process.
 
-    The key holds the data memo's key of the pretrain split (see _data), so
-    a rewritten CSV source is refitted. The cached weights are read-only
-    and shared by every strategy of the seed.
+    A fit draws the pretrain split and drops it when done: nothing else
+    holds it. The key holds the source's key (see _source), so a rewritten
+    CSV source is refitted. The cached weights are read-only and shared by
+    every strategy of the seed.
     """
-    key = (data_key, seed, tuple(dims), class_count, cfg.pretrain_steps, cfg.pretrain_lr)
+    source_key, full, classes, dim = source
+    key = (source_key, seed, tuple(dims), cfg.pretrain_steps, cfg.pretrain_lr)
     if key not in _BACKBONES:
+        pretrain = data_mod.split_dataset(*_split(cfg, full, seed, 0), classes, dim)
         weights = model.fit_dense_weights(
-            pretrain.features,
-            pretrain.labels,
-            dims,
-            class_count,
-            steps=cfg.pretrain_steps,
-            lr=cfg.pretrain_lr,
-            seed=stream(seed, _TAG_BACKBONE),
+            pretrain.features, pretrain.labels, dims, classes,
+            steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=stream(seed, _TAG_BACKBONE),
         )
         for w in weights:
             w.flags.writeable = False
@@ -307,71 +337,41 @@ def _backbone(cfg: RunConfig, data_key: tuple, pretrain: data_mod.Dataset, dims:
     return list(_BACKBONES[key])
 
 
-def _split_csv_dataset(full: data_mod.Dataset, seed: int):
-    # csv sources carry one table; deterministically split it
-    # 1/4 pretrain, 1/2 finetune, 1/4 eval.
-    perm = stream(seed, _TAG_SPLIT).permutation(len(full))
-    n_pre = len(full) // 4
-    n_fine = len(full) // 2
-    pre = full.subset(perm[:n_pre])
-    fine = full.subset(perm[n_pre : n_pre + n_fine])
-    heldout = full.subset(perm[n_pre + n_fine :])
-    return pre, fine, heldout
-
-
 # The last data build, keyed by everything it reads (see _data).
 _DATA: dict[tuple, tuple] = {}
 
 
-def _data(cfg: RunConfig, seed: int) -> tuple[tuple, tuple]:
-    """(key, (pretrain, parts, heldout, tables)) of (cfg, seed), built once
-    per key.
+def _data(cfg: RunConfig, seed: int, source: tuple) -> tuple:
+    """(parts, heldout, tables) of (cfg, seed), built once per key of
+    `source` (see _source).
 
-    The key holds the synthetic settings, or a sha256 of the parsed CSV
-    table (so a rewritten file is rebuilt), then the seed, dirichlet_alpha
-    and clients. Only the last build is kept: a sweep reuses it across the
+    Only the last build is kept: a sweep reuses it across the
     strategies of one seed, and a run over many seeds holds one build. Its
-    arrays are read-only. tables[k] is parts[k]'s shard_table, built once the
-    fine-tune split (and a CSV source's table) is gone, and the shard's only
-    copy: parts[k].features is a view of its first d columns.
+    arrays are read-only. The finetune split's labels are partitioned first,
+    then its features drawn straight into the shard_tables; tables[k] is the
+    shard's only copy: parts[k].features is a view of its first d columns.
     """
-    full = data_mod.load_csv(cfg.csv_path) if cfg.source == "csv" else None
-    if full is None:
-        key = ("synthetic", cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin)
-    else:
-        digest = hashlib.sha256(np.ascontiguousarray(full.features))
-        digest.update(np.ascontiguousarray(full.labels))
-        key = ("csv", digest.hexdigest())
-    key += (seed, cfg.dirichlet_alpha, cfg.clients)
+    key, full, classes, dim = source
     if key not in _DATA:
         _DATA.clear()  # before the build, so two builds are never held at once
-        if full is None:
-            pretrain, finetune, heldout = data_mod.gen_synthetic(
-                cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, seed=seed
-            )
-        else:
-            pretrain, finetune, heldout = _split_csv_dataset(full, seed)
+        labels, rows = _split(cfg, full, seed, 1)
         spec = data_mod.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=seed)
-        parts = data_mod.partition_dirichlet(finetune, spec)
-        del finetune, full
-        tables = []
-        for k, part in enumerate(parts):  # each part's own copy goes as its table comes
-            tables.append(shard_table(part))
-            tables[k].flags.writeable = False
-            parts[k] = data_mod.Dataset(tables[k][:, : part.feature_dim], part.labels, part.class_count)
-        for ds in (pretrain, heldout, *parts):
-            ds.features.flags.writeable = ds.labels.flags.writeable = False
-        _DATA[key] = (pretrain, tuple(parts), heldout, tuple(tables))
-    return key, _DATA[key]
+        cells = data_mod.partition_cells(labels, classes, spec)
+        tables = data_mod.shard_tables(labels, rows, cells, classes, dim)
+        heldout = data_mod.split_dataset(*_split(cfg, full, seed, 2), classes, dim)
+        parts = [data_mod.Dataset(t[:, :dim], labels[cell], classes) for t, cell in zip(tables, cells)]
+        for arr in (*tables, *(a for ds in (heldout, *parts) for a in (ds.features, ds.labels))):
+            arr.flags.writeable = False
+        _DATA[key] = (tuple(parts), heldout, tuple(tables))
+    return _DATA[key]
 
 
-def datasets(cfg: RunConfig, seed: int) -> tuple[data_mod.Dataset, list[data_mod.Dataset], data_mod.Dataset]:
-    """(pretrain, parts, heldout) of (cfg, seed): the synthetic splits or the
-    1/4, 1/2, 1/4 split of the CSV table, the middle split partitioned over
-    the clients by partition_dirichlet. Memoized by _data: read-only arrays,
-    each shard's features a view of its table (built once per seed)."""
-    pretrain, parts, heldout, _ = _data(cfg, seed)[1]
-    return pretrain, list(parts), heldout
+def datasets(cfg: RunConfig, seed: int) -> tuple[list[data_mod.Dataset], data_mod.Dataset]:
+    """(parts, heldout) of (cfg, seed): the clients' Dirichlet partition of
+    the finetune split and the held-out split (see _split). Memoized by
+    _data: read-only arrays, each shard's features a view of its table."""
+    parts, heldout, _ = _data(cfg, seed, _source(cfg, seed))
+    return list(parts), heldout
 
 
 def init_server(cfg: RunConfig, strategy: Strategy, base_weights: list[np.ndarray], class_count: int, seed: int) -> ServerState:
@@ -451,19 +451,23 @@ def build_clients(cfg: RunConfig, parts: list[data_mod.Dataset], tables: list[np
 def start(cfg: RunConfig, seed: int) -> tuple[ServerState, list[ClientHandle], data_mod.Dataset]:
     """(server, clients, heldout) of a seeded run before its first round.
 
-    The pre-trained backbone depends on the data and the seed, not on the
-    strategy: a process fits each seed's backbone once and reuses it
-    across strategies (see _backbone).
+    A CSV source is parsed once per call. The backbone comes first, so a
+    fit's pretrain split is gone before the shards are built. It depends on
+    the data and the seed, not on the strategy: a process fits each seed's
+    backbone once and reuses it across strategies (see _backbone).
     """
     cfg.validate()
-    data_key, (pretrain, parts, heldout, tables) = _data(cfg, seed)
-    class_count, d_in = parts[0].class_count, parts[0].feature_dim
+    source = _source(cfg, seed)
+    if source[0] not in _DATA:
+        _DATA.clear()  # a stale build goes before the fit, never beside a pretrain split
+    _, _, class_count, d_in = source
     dims = [d_in] if cfg.layers == 1 else [d_in, cfg.hidden_dim]
     if cfg.pretrain_backbone:
-        base = _backbone(cfg, data_key, pretrain, dims, class_count, seed)
+        base = _backbone(cfg, source, dims, seed)
     else:
         base = model.random_dense_weights(dims, class_count, stream(seed, _TAG_BACKBONE))
     server = init_server(cfg, Strategy(cfg.strategy, cfg.svd_period), base, class_count, seed)
+    parts, heldout, tables = _data(cfg, seed, source)
     return server, build_clients(cfg, list(parts), list(tables)), heldout
 
 
@@ -471,16 +475,17 @@ def rounds(cfg: RunConfig, server: ServerState, clients: list[ClientHandle]):
     """Step the run from `server` to round cfg.rounds, one round per request.
 
     Yields (sampled, adapters, server) per round: the sorted ids of the
-    sampled clients, their (K, ...) adapters from train_clients (trained
-    from the state yielded before, or from the given one) and the
-    aggregated state. A client update or an aggregate with a non-finite
-    adapter (or shipped w0) raises DivergenceError naming the strategy,
-    the round, the client or "aggregate" and the layer.
+    sampled clients (the round's row of schedule), their (K, ...) adapters
+    from train_clients (trained from the state yielded before, or from the
+    given one) and the aggregated state. A client update or an aggregate
+    with a non-finite adapter (or shipped w0) raises DivergenceError naming
+    the strategy, the round, the client or "aggregate" and the layer.
     """
     strategy, seed = server.strategy, server.master_seed
     clip = cfg.clip_norm if cfg.private else np.inf
+    plan = schedule(cfg, seed)
     for rnd in range(server.round_index, cfg.rounds):
-        sampled = sample_clients(cfg.clients, cfg.participants, stream(seed, _TAG_SAMPLE, rnd))
+        sampled = plan[rnd]
         batch = [clients[cid] for cid in sampled]
         adapters = train_clients(
             batch, server.layers, strategy.trains_a, cfg.learning_rate,

@@ -1,14 +1,17 @@
 """Shared test fixtures: small, fast run configurations, one client's local
-training, the independent per-example clipping oracle that the DP-SGD step
-is checked against, and the scalar forward and loss of one example that
-finite-difference gradient checks perturb one entry at a time."""
+training, the dense data references that the streamed shard build is
+checked against, the independent per-example clipping oracle that the
+DP-SGD step is checked against, and the scalar forward and loss of one
+example that finite-difference gradient checks perturb one entry at a
+time."""
 
 import math
 
 import numpy as np
 
-from fedsvd import federation, model
+from fedsvd import data, federation, model
 from fedsvd.config import RunConfig
+from fedsvd.data import Dataset
 
 
 def small_config(**kw):
@@ -34,6 +37,33 @@ def small_config(**kw):
     )
     base.update(kw)
     return RunConfig(**base)
+
+
+def gen_synthetic(class_count, feature_dim, size, margin, seed):
+    """(pretrain, finetune, eval) Datasets of the synthetic task, each split
+    drawn whole by data.synthetic_split's chunked draw."""
+    return tuple(
+        data.split_dataset(
+            *data.synthetic_split(split, class_count, feature_dim, size, margin, seed), class_count, feature_dim
+        )
+        for split in range(3)
+    )
+
+
+def subset(ds, indices):
+    """The rows of `ds` at `indices`, as new arrays."""
+    return Dataset(ds.features[indices], ds.labels[indices], ds.class_count)
+
+
+def partition_dirichlet(ds, spec):
+    """`ds` split across clients by data.partition_cells, one gather per cell:
+    the dense partition of a whole split."""
+    return [subset(ds, cell) for cell in data.partition_cells(ds.labels, ds.class_count, spec)]
+
+
+def shard_table(ds):
+    """A shard as its [features | one-hot labels] rows (see ClientHandle)."""
+    return np.concatenate([ds.features, np.eye(ds.class_count)[ds.labels]], axis=1)
 
 
 def solo_train(client, layers, trains_a, lr, rng, steps, clip):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import gen_synthetic
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -392,7 +393,7 @@ client,n,q,class_0,class_1,class_2
 
 def test_cmd_partition_stats(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    data.save_csv(data.gen_synthetic(3, 4, 120, 3.0, seed=0)[1], "table.csv")
+    data.save_csv(gen_synthetic(3, 4, 120, 3.0, seed=0)[1], "table.csv")
     for overrides, expected in [
         ([], SMALL_PARTITION),
         # unreachable (see test_cmd_run_unreachable_epsilon_names_client): the
@@ -547,3 +548,29 @@ def test_cmd_run_csv_independent_of_blas_thread_variables(tmp_path):
         )
         csvs.append(out.read_bytes())
     assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--epsilon", "6", "--delta", "1e-5", "--q", "0.0357", "--steps", "1000"],
+    ["verify", "--scope", "linalg", "--trials", "2"],
+    ["partition-stats", str(Path(__file__).resolve().parent.parent / "configs" / "headline.ini")],
+])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_quietly(argv, unbuffered):
+    # `fedsvd calibrate ... | head -c 10`, with the reader gone before the
+    # first write: exit status 0, not 1 (the invariant-violation code) or
+    # 120 (a failed flush at exit), and nothing on stderr. A buffered stdout
+    # fails on its flush, an unbuffered one on the first print.
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedsvd.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, b"")

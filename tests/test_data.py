@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import gen_synthetic, partition_dirichlet
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,12 +9,12 @@ from fedsvd.data import Dataset, PartitionSpec
 
 
 def test_gen_synthetic_deterministic():
-    a = data.gen_synthetic(3, 8, 120, 2.0, seed=5)
-    b = data.gen_synthetic(3, 8, 120, 2.0, seed=5)
+    a = gen_synthetic(3, 8, 120, 2.0, seed=5)
+    b = gen_synthetic(3, 8, 120, 2.0, seed=5)
     for da, db in zip(a, b):
         assert da.features.tobytes() == db.features.tobytes()
         assert da.labels.tobytes() == db.labels.tobytes()
-    c = data.gen_synthetic(3, 8, 120, 2.0, seed=6)
+    c = gen_synthetic(3, 8, 120, 2.0, seed=6)
     assert a[0].features.tobytes() != c[0].features.tobytes()
 
 
@@ -34,7 +35,7 @@ def test_gen_synthetic_pinned_to_the_whole_block_expression(classes, feature_dim
     shift = data.FINETUNE_SHIFT * radius * r_dirs.standard_normal(feature_dim) / np.sqrt(feature_dim)
     means_fine = np.cos(rot) * np.roll(means_pre, 1, axis=0) + np.sin(rot) * (radius * basis2.T) + shift
     sizes = (size, size, max(classes, size // 4))
-    got = data.gen_synthetic(classes, feature_dim, size, margin, seed)
+    got = gen_synthetic(classes, feature_dim, size, margin, seed)
     for ds, rng, means, n in zip(got, r_splits, (means_pre, means_fine, means_fine), sizes, strict=True):
         labels = rng.permutation(np.arange(n) % classes).astype(np.int64)
         feats = means[labels] + rng.standard_normal((n, feature_dim))
@@ -43,7 +44,7 @@ def test_gen_synthetic_pinned_to_the_whole_block_expression(classes, feature_dim
 
 
 def test_gen_synthetic_shapes_and_balance():
-    pre, fine, heldout = data.gen_synthetic(4, 10, 200, 3.0, seed=0)
+    pre, fine, heldout = gen_synthetic(4, 10, 200, 3.0, seed=0)
     assert len(pre) == 200 and len(fine) == 200 and len(heldout) == 50
     assert pre.feature_dim == 10
     counts = np.bincount(fine.labels, minlength=4)
@@ -54,7 +55,7 @@ def test_gen_synthetic_zero_margin_is_chance_level():
     # No signal: a model fit on the data stays near 1/c accuracy.
     from fedsvd.lora import LoraLayer
 
-    pre, fine, heldout = data.gen_synthetic(4, 8, 2000, 0.0, seed=1)
+    pre, fine, heldout = gen_synthetic(4, 8, 2000, 0.0, seed=1)
     weights = model.fit_dense_weights(
         fine.features, fine.labels, [8], 4, steps=150, lr=0.1, seed=0
     )
@@ -67,7 +68,7 @@ def test_gen_synthetic_zero_margin_is_chance_level():
 
 
 def test_gen_synthetic_large_margin_separable():
-    pre, fine, heldout = data.gen_synthetic(3, 8, 1500, 6.0, seed=2)
+    pre, fine, heldout = gen_synthetic(3, 8, 1500, 6.0, seed=2)
     weights = model.fit_dense_weights(
         fine.features, fine.labels, [8], 3, steps=300, lr=0.2, seed=0
     )
@@ -82,7 +83,7 @@ def test_gen_synthetic_large_margin_separable():
 
 
 def test_gen_synthetic_finetune_differs_from_pretrain():
-    pre, fine, _ = data.gen_synthetic(3, 16, 3000, 4.0, seed=3)
+    pre, fine, _ = gen_synthetic(3, 16, 3000, 4.0, seed=3)
     mean_pre = np.stack([pre.features[pre.labels == c].mean(axis=0) for c in range(3)])
     mean_fine = np.stack([fine.features[fine.labels == c].mean(axis=0) for c in range(3)])
     # rotated/shifted, not identical distributions
@@ -91,9 +92,9 @@ def test_gen_synthetic_finetune_differs_from_pretrain():
 
 def test_gen_synthetic_validation():
     with pytest.raises(ValueError):
-        data.gen_synthetic(1, 8, 10, 1.0, 0)
+        gen_synthetic(1, 8, 10, 1.0, 0)
     with pytest.raises(ValueError):
-        data.gen_synthetic(4, 3, 10, 1.0, 0)
+        gen_synthetic(4, 3, 10, 1.0, 0)
 
 
 # --- partitioning ---
@@ -110,13 +111,13 @@ def make_labelled(n=600, c=3, d=4, seed=0):
 
 def test_partition_single_client_gets_everything():
     ds = make_labelled()
-    parts = data.partition_dirichlet(ds, PartitionSpec(alpha=0.5, clients=1, seed=0))
+    parts = partition_dirichlet(ds, PartitionSpec(alpha=0.5, clients=1, seed=0))
     assert len(parts) == 1 and len(parts[0]) == len(ds)
 
 
 def test_partition_disjoint_cover():
     ds = make_labelled(n=500)
-    parts = data.partition_dirichlet(ds, PartitionSpec(alpha=0.5, clients=6, seed=4))
+    parts = partition_dirichlet(ds, PartitionSpec(alpha=0.5, clients=6, seed=4))
     assert sum(len(p) for p in parts) == len(ds)
     assert all(len(p) >= 1 for p in parts)
     # multiset equality of the union with the input
@@ -142,7 +143,7 @@ def test_partition_cells_disjoint_and_covering_generated(clients, class_sizes, a
         labels=labels,
         class_count=len(class_sizes),
     )
-    parts = data.partition_dirichlet(ds, PartitionSpec(alpha=alpha, clients=clients, seed=seed))
+    parts = partition_dirichlet(ds, PartitionSpec(alpha=alpha, clients=clients, seed=seed))
     assert len(parts) == clients
     assert all(len(p) >= 1 for p in parts)
     ids = np.concatenate([p.features[:, 0] for p in parts]).astype(np.int64)
@@ -154,7 +155,7 @@ def test_partition_cells_disjoint_and_covering_generated(clients, class_sizes, a
 def test_partition_matches_drawn_proportions():
     ds = make_labelled(n=3000, c=3)
     spec = PartitionSpec(alpha=0.5, clients=6, seed=11)
-    parts = data.partition_dirichlet(ds, spec)
+    parts = partition_dirichlet(ds, spec)
     props = data.class_proportions(spec, ds.class_count)
     assert np.allclose(props.sum(axis=1), 1.0, atol=1e-12)
     for cls in range(ds.class_count):
@@ -168,7 +169,7 @@ def test_partition_concentrated_alpha_is_near_uniform():
     # Dirichlet with huge alpha concentrates on equal proportions.
     for seed in range(20):
         ds = make_labelled(n=1200, c=3, seed=seed)
-        parts = data.partition_dirichlet(
+        parts = partition_dirichlet(
             ds, PartitionSpec(alpha=1e6, clients=4, seed=seed)
         )
         global_hist = np.bincount(ds.labels, minlength=3) / len(ds)
@@ -180,8 +181,8 @@ def test_partition_concentrated_alpha_is_near_uniform():
 def test_partition_deterministic():
     ds = make_labelled()
     spec = PartitionSpec(alpha=0.3, clients=5, seed=9)
-    a = data.partition_dirichlet(ds, spec)
-    b = data.partition_dirichlet(ds, spec)
+    a = partition_dirichlet(ds, spec)
+    b = partition_dirichlet(ds, spec)
     for pa, pb in zip(a, b):
         assert pa.features.tobytes() == pb.features.tobytes()
         assert pa.labels.tobytes() == pb.labels.tobytes()
@@ -190,7 +191,7 @@ def test_partition_deterministic():
 def test_partition_rejects_too_small_classes():
     ds = make_labelled(n=10, c=5)
     with pytest.raises(ValueError):
-        data.partition_dirichlet(ds, PartitionSpec(alpha=0.5, clients=6, seed=0))
+        partition_dirichlet(ds, PartitionSpec(alpha=0.5, clients=6, seed=0))
 
 
 def test_partition_empty_client_rebalance():
@@ -198,7 +199,7 @@ def test_partition_empty_client_rebalance():
     # every client with at least one example
     ds = make_labelled(n=60, c=3)
     for seed in range(10):
-        parts = data.partition_dirichlet(
+        parts = partition_dirichlet(
             ds, PartitionSpec(alpha=0.01, clients=6, seed=seed)
         )
         assert all(len(p) >= 1 for p in parts)
@@ -254,7 +255,7 @@ def test_load_csv_missing_label_column(tmp_path):
 
 
 def test_csv_round_trip(tmp_path):
-    _, fine, _ = data.gen_synthetic(3, 5, 60, 2.0, seed=8)
+    _, fine, _ = gen_synthetic(3, 5, 60, 2.0, seed=8)
     p = tmp_path / "round.csv"
     data.save_csv(fine, p)
     back = data.load_csv(p)

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import clip_gradient, outer_products, small_config, solo_train, stack_rows
+from helpers import (
+    clip_gradient, gen_synthetic, outer_products, partition_dirichlet, shard_table, small_config, solo_train,
+    stack_rows, subset,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +29,7 @@ def make_client(n=40, seed=0, private=False, q=0.5, d=6):
     )
     rdp = privacy.rdp_subsampled_gaussian(q, 1.0) if private else None
     return ClientHandle(
-        dataset=ds, table=federation.shard_table(ds), sample_rate=q, sigma=1.0 if private else None, rdp_per_step=rdp
+        dataset=ds, table=shard_table(ds), sample_rate=q, sigma=1.0 if private else None, rdp_per_step=rdp
     )
 
 
@@ -97,7 +100,7 @@ def test_local_train_leaves_client_unchanged():
 def test_epsilon_spent_is_worst_client_schedule_every_round(privacy_kw):
     cfg = small_config(strategy="fedsvd", rounds=3, **privacy_kw)
     rows = federation.run_experiment(cfg, 0, record_timing=False)
-    _, parts, _ = federation.datasets(cfg, 0)
+    parts, _ = federation.datasets(cfg, 0)
     qs = [min(1.0, cfg.batch_size / len(part)) for part in parts]
     if cfg.epsilon is None:
         sigmas = [cfg.noise_multiplier] * len(qs)
@@ -120,7 +123,7 @@ def test_epsilon_spent_is_worst_client_schedule_every_round(privacy_kw):
 @pytest.mark.parametrize("privacy_kw", [{"epsilon": 6.0}, {"noise_multiplier": 1.3}, {}])
 def test_epsilon_column_equals_per_round_accounting(privacy_kw, seed):
     cfg = small_config(local_steps=3, rounds=37, **privacy_kw)
-    _, (_, parts, _, tables) = federation._data(cfg, seed)
+    parts, _, tables = federation._data(cfg, seed, federation._source(cfg, seed))
     clients = federation.build_clients(cfg, list(parts), list(tables))
     column = federation._epsilon_column(clients, cfg.local_steps, cfg.rounds, cfg.delta)
     if not privacy_kw:
@@ -155,7 +158,7 @@ def test_local_train_loss_nonincreasing_convex_case():
         labels=labels,
         class_count=3,
     )
-    client = ClientHandle(dataset=ds, table=federation.shard_table(ds), sample_rate=1.0, sigma=None, rdp_per_step=None)
+    client = ClientHandle(dataset=ds, table=shard_table(ds), sample_rate=1.0, sigma=None, rdp_per_step=None)
     layers = make_layers(seed=1, d=3, c=3, r=2)
     losses = []
     current = layers
@@ -192,7 +195,7 @@ def reference_local_train(client, layers, trains_a, lr, rng, steps, clip):
         if not mask.any():
             empty += 1
             continue
-        batch = ds.subset(np.flatnonzero(mask))
+        batch = subset(ds, np.flatnonzero(mask))
         params = model.adapter_params(clf.layers)
         targets = np.eye(clf.class_count)[batch.labels]
         grads = outer_products(model.grad_factors(clf.layers, params, batch.features, targets, trainable))
@@ -650,9 +653,10 @@ def test_memoized_backbone_rows_equal_a_direct_fit(monkeypatch):
     cold = federation.run_experiment(cfg, seed=3, record_timing=False)
     warm = federation.run_experiment(cfg, seed=3, record_timing=False)
 
-    def direct(cfg, data_key, pretrain, dims, class_count, seed):
+    def direct(cfg, source, dims, seed):
+        pretrain = gen_synthetic(cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, seed)[0]
         return model.fit_dense_weights(
-            pretrain.features, pretrain.labels, dims, class_count,
+            pretrain.features, pretrain.labels, dims, cfg.classes,
             steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=federation.stream(seed, federation._TAG_BACKBONE),
         )
 
@@ -671,10 +675,10 @@ def test_backbone_fitted_once_per_seed_across_strategies(count_fits):
     # each field the fit reads refits: the seed (here on the same data),
     # pretrain_steps, pretrain_lr and hidden_dim
     cfg = small_config()
-    key, (pre, parts, _, _) = federation._data(cfg, seed=0)
-    federation._backbone(cfg, key, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
+    source = federation._source(cfg, 0)
+    federation._backbone(cfg, source, [cfg.feature_dim], seed=0)
     assert len(count_fits) == 1
-    federation._backbone(cfg, key, pre, [parts[0].feature_dim], parts[0].class_count, seed=1)
+    federation._backbone(cfg, source, [cfg.feature_dim], seed=1)
     assert len(count_fits) == 2
     federation.run_experiment(small_config(rounds=1, pretrain_steps=30), seed=0, record_timing=False)
     assert len(count_fits) == 3
@@ -687,9 +691,9 @@ def test_backbone_fitted_once_per_seed_across_strategies(count_fits):
 
 def test_cached_backbone_is_read_only():
     cfg = small_config()
-    key, (pre, parts, _, _) = federation._data(cfg, seed=0)
-    weights = federation._backbone(cfg, key, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
-    again = federation._backbone(cfg, key, pre, [parts[0].feature_dim], parts[0].class_count, seed=0)
+    source = federation._source(cfg, 0)
+    weights = federation._backbone(cfg, source, [cfg.feature_dim], seed=0)
+    again = federation._backbone(cfg, source, [cfg.feature_dim], seed=0)
     assert all(w is v for w, v in zip(weights, again))
     with pytest.raises(ValueError):
         weights[0][0, 0] = 1.0
@@ -697,47 +701,67 @@ def test_cached_backbone_is_read_only():
         weights[0] += 1.0
 
 
-def test_rewritten_csv_source_is_refitted(tmp_path, count_fits):
+@pytest.fixture
+def count_parses(monkeypatch):
+    """Wrap data.load_csv; returns the list of its calls' paths."""
+    calls = []
+    real = data.load_csv
+    monkeypatch.setattr(data, "load_csv", lambda path: calls.append(path) or real(path))
+    return calls
+
+
+def test_rewritten_csv_source_is_refitted(tmp_path, count_fits, count_parses):
     path = tmp_path / "table.csv"
     cfg = small_config(source="csv", csv_path=str(path), rounds=1)
-    first, _, _ = data.gen_synthetic(3, 8, 240, 3.0, seed=0)
+    first, _, _ = gen_synthetic(3, 8, 240, 3.0, seed=0)
     data.save_csv(first, path)
     rows1 = federation.run_experiment(cfg, seed=0, record_timing=False)
+    assert len(count_parses) == 1  # one parse serves the backbone and the data
     federation.run_experiment(cfg, seed=0, record_timing=False)
-    assert len(count_fits) == 1
-    second, _, _ = data.gen_synthetic(3, 8, 240, 3.0, seed=1)
+    assert len(count_fits) == 1 and len(count_parses) == 2
+    second, _, _ = gen_synthetic(3, 8, 240, 3.0, seed=1)
     data.save_csv(second, path)
     rows2 = federation.run_experiment(cfg, seed=0, record_timing=False)
-    assert len(count_fits) == 2
+    assert len(count_fits) == 2 and len(count_parses) == 3
     assert rows1 != rows2
 
 
 @pytest.fixture
 def count_builds(monkeypatch):
-    """Wrap data.gen_synthetic and data.partition_dirichlet; returns the
-    list of the names of their calls."""
+    """Wrap data.synthetic_split and data.partition_cells; returns the list
+    of their calls, as "split <index>" and "cells"."""
     calls = []
-    for name in ("gen_synthetic", "partition_dirichlet"):
-        def counting(*args, real=getattr(data, name), name=name, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
+    real_split, real_cells = data.synthetic_split, data.partition_cells
 
-        monkeypatch.setattr(data, name, counting)
+    def split(index, *args, **kwargs):
+        calls.append(f"split {index}")
+        return real_split(index, *args, **kwargs)
+
+    def cells(*args, **kwargs):
+        calls.append("cells")
+        return real_cells(*args, **kwargs)
+
+    monkeypatch.setattr(data, "synthetic_split", split)
+    monkeypatch.setattr(data, "partition_cells", cells)
     return calls
+
+
+# One data build: the finetune split's labels, their cells, the held-out split.
+BUILD = ["split 1", "cells", "split 2"]
 
 
 def test_datasets_built_once_per_key(count_builds):
     cfg = small_config()
-    pre, parts, heldout = federation.datasets(cfg, seed=0)
+    parts, heldout = federation.datasets(cfg, seed=0)
     # settings the build does not read share one build, and its objects
     for other in (
         cfg, small_config(strategy="fedavg"), small_config(rounds=7), small_config(epsilon=2.0),
         small_config(learning_rate=0.1), small_config(rank=2), small_config(pretrain_steps=9),
     ):
         again = federation.datasets(other, seed=0)
-        assert again[0] is pre and again[2] is heldout
-        assert all(a is b for a, b in zip(again[1], parts, strict=True))
-    assert count_builds == ["gen_synthetic", "partition_dirichlet"]
+        assert again[1] is heldout
+        assert all(a is b for a, b in zip(again[0], parts, strict=True))
+    assert count_builds == BUILD
     # each field the build reads builds anew
     for field, value in [
         ("classes", 4), ("feature_dim", 9), ("train_size", 300), ("margin", 2.0),
@@ -745,76 +769,180 @@ def test_datasets_built_once_per_key(count_builds):
     ]:
         del count_builds[:]
         other = federation.datasets(small_config(**{field: value}), seed=0)
-        assert count_builds == ["gen_synthetic", "partition_dirichlet"], field
-        assert other[0] is not pre, field
+        assert count_builds == BUILD, field
+        assert other[1] is not heldout, field
     del count_builds[:]
     federation.datasets(cfg, seed=1)
-    assert count_builds == ["gen_synthetic", "partition_dirichlet"]
+    assert count_builds == BUILD
 
 
 def test_cached_datasets_are_read_only():
-    pre, parts, heldout = federation.datasets(small_config(), seed=0)
-    for ds in (pre, heldout, *parts):
-        for arr in (ds.features, ds.labels):
-            with pytest.raises(ValueError):
-                arr[0] = 1
+    parts, heldout = federation.datasets(small_config(), seed=0)
+    _, _, tables = federation._DATA[next(iter(federation._DATA))]
+    for arr in (*tables, *(a for ds in (heldout, *parts) for a in (ds.features, ds.labels))):
+        with pytest.raises(ValueError):
+            arr[0] = 1
     # the returned list is the caller's own
     parts.pop()
-    assert len(federation.datasets(small_config(), seed=0)[1]) == 3
+    assert len(federation.datasets(small_config(), seed=0)[0]) == 3
 
 
 def test_datasets_memo_keeps_the_last_build_alone(count_builds, monkeypatch):
-    held = []  # builds in the memo while the next one is made
-    counting = data.gen_synthetic
-    monkeypatch.setattr(data, "gen_synthetic", lambda *a, **k: held.append(len(federation._DATA)) or counting(*a, **k))
+    held = []  # builds in the memo while the next one is drawn
+    counting = data.synthetic_split
+    monkeypatch.setattr(data, "synthetic_split", lambda *a, **k: held.append(len(federation._DATA)) or counting(*a, **k))
     cfg = small_config()
     first = federation.datasets(cfg, seed=0)
     federation.datasets(cfg, seed=1)
     assert len(federation._DATA) == 1
     del count_builds[:]
-    assert federation.datasets(cfg, seed=1)[0] is federation.datasets(cfg, seed=1)[0]
+    assert federation.datasets(cfg, seed=1)[1] is federation.datasets(cfg, seed=1)[1]
     assert count_builds == []
-    assert federation.datasets(cfg, seed=0)[0] is not first[0]  # seed 0 was dropped
-    assert count_builds == ["gen_synthetic", "partition_dirichlet"]
-    assert held == [0, 0, 0]  # the old build goes before the new one is made
+    assert federation.datasets(cfg, seed=0)[1] is not first[1]  # seed 0 was dropped
+    assert count_builds == BUILD
+    assert held == [0] * 6  # the old build goes before the new one is drawn
 
 
-def test_start_holds_each_shard_once():
-    path = Path(__file__).resolve().parent.parent / "configs" / "headline.ini"
-    cfg = config.load(path, ["record_timing=false"])
-    federation.start(cfg, seed=0)  # fills the process-wide caches (sigma, RDP tables)
+HEADLINE = Path(__file__).resolve().parent.parent / "configs" / "headline.ini"
+
+
+def cold_start(cfg, seed):
+    """start(cfg, seed) on empty data and backbone memos, traced, after a
+    first start filled the process-wide caches (sigma, RDP tables): its
+    result, and the traced bytes (held, peak) when it returned."""
+    federation.start(cfg, seed)
     federation._DATA.clear()
     federation._BACKBONES.clear()
     tracemalloc.start()
     try:
-        _, clients, heldout = federation.start(cfg, seed=0)
-        tables = [c.table for c in clients]
-        traced = tracemalloc.get_traced_memory()[0]
+        started = federation.start(cfg, seed)
+        return started, tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    pretrain = federation.datasets(cfg, seed=0)[0]
-    splits = [a for ds in (pretrain, heldout) for a in (ds.features, ds.labels)]
-    assert traced <= sum(a.nbytes for a in splits + tables) + 2**20
+
+
+def test_start_holds_each_shard_once():
+    cfg = config.load(HEADLINE, ["record_timing=false"])
+    (_, clients, heldout), (held, _) = cold_start(cfg, seed=0)
+    tables = [c.table for c in clients]
+    # the memo holds the held-out split, the tables and the shards' labels
+    kept = [heldout.features, heldout.labels, *tables, *(c.dataset.labels for c in clients)]
+    assert held <= sum(a.nbytes for a in kept) + 2**18
     again = federation.start(cfg, seed=0)[1]
     assert all(c.table is t for c, t in zip(again, tables, strict=True))
     for c in clients:
         assert np.shares_memory(c.dataset.features, c.table)
         assert np.array_equal(c.table[:, : c.dataset.feature_dim], c.dataset.features)
-    for arr in splits + tables + [a for c in clients for a in (c.dataset.features, c.dataset.labels)]:
+    for arr in kept + [c.dataset.features for c in clients]:
         assert not arr.flags.writeable
+
+
+def test_cold_start_never_holds_the_pretrain_split_with_the_shards():
+    # the traced peak of a start on a first seed, and on a second one that
+    # replaces the first one's build
+    cfg = config.load(HEADLINE, ["record_timing=false"])
+    pretrain = cfg.train_size * (cfg.feature_dim + 1) * 8  # float64 features, int64 labels
+    for seed in (0, 1):
+        federation.start(cfg, seed)  # fills the process-wide caches (sigma, RDP tables)
+    federation._DATA.clear()
+    federation._BACKBONES.clear()
+    tracemalloc.start()
+    try:
+        for seed in (0, 1):
+            tracemalloc.reset_peak()
+            tables = sum(c.table.nbytes for c in federation.start(cfg, seed)[1])
+            assert tracemalloc.get_traced_memory()[1] < pretrain + tables, seed
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("pretrain_backbone", [True, False])
+def test_only_a_backbone_fit_draws_the_pretrain_split(count_builds, pretrain_backbone):
+    cfg = small_config(pretrain_backbone=pretrain_backbone, rounds=1)
+    federation.run_experiment(cfg, seed=0, record_timing=False)
+    assert count_builds.count("split 0") == pretrain_backbone
+    del count_builds[:]
+    federation.run_experiment(dataclasses.replace(cfg, strategy="fedavg"), seed=0, record_timing=False)
+    assert count_builds == []  # both memos hit
+
+
+def assert_streamed_build_is_dense(cfg, seed, splits):
+    """A cold federation.start(cfg, seed) against `splits`, the dense
+    (pretrain, finetune, held-out) Datasets: its shard tables equal those of
+    the dense partition of the finetune split, its held-out split and the
+    split its backbone fit reads equal theirs, bit for bit."""
+    federation._DATA.clear()
+    federation._BACKBONES.clear()
+    fits, real = [], model.fit_dense_weights
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "fit_dense_weights", lambda x, y, *a, **k: fits.append((x, y)) or real(x, y, *a, **k))
+        _, clients, heldout = federation.start(cfg, seed)
+    pre, fine, eval_ = splits
+    spec = data.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=seed)
+    dense = [shard_table(part) for part in partition_dirichlet(fine, spec)]
+    assert [c.table.tobytes() for c in clients] == [t.tobytes() for t in dense]
+    assert heldout.features.tobytes() == eval_.features.tobytes()
+    assert np.array_equal(heldout.labels, eval_.labels)
+    [(x, y)] = fits
+    assert x.tobytes() == pre.features.tobytes() and np.array_equal(y, pre.labels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    classes=st.integers(2, 5),
+    clients=st.integers(1, 8),
+    train_size=st.sampled_from([
+        data.CHUNK_ROWS - 1, data.CHUNK_ROWS, data.CHUNK_ROWS + 1, 3 * data.CHUNK_ROWS + 7, 4 * data.CHUNK_ROWS,
+    ]),
+    seed=st.integers(0, 2**16),
+)
+def test_streamed_build_equals_the_dense_reference(classes, clients, train_size, seed):
+    cfg = small_config(
+        classes=classes, clients=clients, participants=1, feature_dim=classes + 2, train_size=train_size, pretrain_steps=1,
+    )
+    assert_streamed_build_is_dense(cfg, seed, gen_synthetic(classes, cfg.feature_dim, train_size, cfg.margin, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_streamed_csv_build_equals_the_dense_reference(tmp_path, seed):
+    path = tmp_path / "table.csv"
+    data.save_csv(gen_synthetic(3, 5, 2 * data.CHUNK_ROWS + 3, 3.0, seed=seed)[1], path)
+    full = data.load_csv(path)
+    # the 1/4, 1/2, 1/4 split of the parsed table, each split gathered whole
+    perm = federation.stream(seed, federation._TAG_SPLIT).permutation(len(full))
+    cuts = [len(full) // 4, len(full) // 4 + len(full) // 2]
+    splits = [subset(full, rows) for rows in np.split(perm, cuts)]
+    cfg = small_config(source="csv", csv_path=str(path), clients=4, pretrain_steps=1)
+    assert_streamed_build_is_dense(cfg, seed, splits)
 
 
 def test_csv_datasets_keyed_on_the_parsed_table(tmp_path, count_builds):
     path = tmp_path / "table.csv"
     cfg = small_config(source="csv", csv_path=str(path))
-    table, _, _ = data.gen_synthetic(3, 8, 240, 3.0, seed=0)
+    table, _, _ = gen_synthetic(3, 8, 240, 3.0, seed=0)
     data.save_csv(table, path)
-    pre = federation.datasets(cfg, seed=0)[0]
+    heldout = federation.datasets(cfg, seed=0)[1]
     data.save_csv(table, path)  # the same table again
-    assert federation.datasets(cfg, seed=0)[0] is pre
-    data.save_csv(data.gen_synthetic(3, 8, 240, 3.0, seed=1)[0], path)
-    assert federation.datasets(cfg, seed=0)[0] is not pre
-    assert count_builds.count("partition_dirichlet") == 2
+    assert federation.datasets(cfg, seed=0)[1] is heldout
+    data.save_csv(gen_synthetic(3, 8, 240, 3.0, seed=1)[0], path)
+    assert federation.datasets(cfg, seed=0)[1] is not heldout
+    assert count_builds.count("cells") == 2
+
+
+@pytest.mark.parametrize(
+    "clients, participants, rounds, seed", [(3, 2, 3, 0), (6, 3, 100, 4), (9, 9, 5, 1), (1, 1, 2, 7), (8, 1, 40, 3)]
+)
+def test_schedule_is_the_per_round_sample_clients_draws(clients, participants, rounds, seed):
+    cfg = small_config(clients=clients, participants=participants, rounds=rounds)
+    drawn = tuple(
+        tuple(federation.sample_clients(clients, participants, federation.stream(seed, federation._TAG_SAMPLE, rnd)))
+        for rnd in range(rounds)
+    )
+    assert federation.schedule(cfg, seed) == drawn
+    assert federation.schedule(small_config(clients=clients, participants=participants, rounds=rounds, epsilon=2.0), seed) is federation.schedule(cfg, seed)
+    if rounds <= 5:  # the run samples what the schedule says
+        server, handles, _ = federation.start(cfg, seed)
+        assert tuple(sampled for sampled, _, _ in federation.rounds(cfg, server, handles)) == drawn
 
 
 # --- divergence is reported by name ---
@@ -869,7 +997,7 @@ def stack_client(n, q, sigma, seed, d=5, scale=1.0, classes=3):
         class_count=classes,
     )
     rdp = privacy.rdp_subsampled_gaussian(q, sigma) if sigma else None
-    return ClientHandle(dataset=ds, table=federation.shard_table(ds), sample_rate=q, sigma=sigma, rdp_per_step=rdp)
+    return ClientHandle(dataset=ds, table=shard_table(ds), sample_rate=q, sigma=sigma, rdp_per_step=rdp)
 
 
 def stack_layers(layers, rank, seed, d=5, classes=3):
@@ -1090,7 +1218,7 @@ def test_run_experiment_names_the_first_diverged_client_in_sorted_order(monkeypa
         for cid in sampled[1:]:
             ds = clients[cid].dataset
             huge = data.Dataset(1e300 * ds.features, ds.labels, ds.class_count)
-            clients[cid] = dataclasses.replace(clients[cid], dataset=huge, table=federation.shard_table(huge))
+            clients[cid] = dataclasses.replace(clients[cid], dataset=huge, table=shard_table(huge))
         return clients
 
     monkeypatch.setattr(federation, "build_clients", blow_up_all_but_the_first)
