@@ -287,17 +287,18 @@ def schedule(cfg: RunConfig, seed: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _source(cfg: RunConfig, seed: int) -> tuple[tuple, data_mod.Dataset | None, int, int]:
-    """(key, table, classes, feature_dim) of the data of (cfg, seed). The key
-    holds everything the data build reads: the synthetic settings, or a
+    """(key, table, classes, feature_dim) of the data of (cfg, seed). The key,
+    (splits, dirichlet_alpha, clients), holds everything the data build
+    reads; splits, all that _split reads, is the synthetic settings or a
     sha256 of the parsed CSV table (so a rewritten file reads as new data),
-    then the seed, dirichlet_alpha and clients. The table is the parsed one."""
-    common = (seed, cfg.dirichlet_alpha, cfg.clients)
+    then the seed. The table is the parsed one."""
+    tail = (cfg.dirichlet_alpha, cfg.clients)
     if cfg.source != "csv":
-        return ("synthetic", cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, *common), None, cfg.classes, cfg.feature_dim
+        return (("synthetic", cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, seed), *tail), None, cfg.classes, cfg.feature_dim
     full = data_mod.load_csv(cfg.csv_path)
     digest = hashlib.sha256(np.ascontiguousarray(full.features))
     digest.update(np.ascontiguousarray(full.labels))
-    return ("csv", digest.hexdigest(), *common), full, full.class_count, full.feature_dim
+    return (("csv", digest.hexdigest(), seed), *tail), full, full.class_count, full.feature_dim
 
 
 def _split(cfg: RunConfig, full: data_mod.Dataset | None, seed: int, split: int):
@@ -319,12 +320,13 @@ def _backbone(cfg: RunConfig, source: tuple, dims: list[int], seed: int) -> list
     """The pre-trained backbone of (source, seed), fitted once per process.
 
     A fit draws the pretrain split and drops it when done: nothing else
-    holds it. The key holds the source's key (see _source), so a rewritten
-    CSV source is refitted. The cached weights are read-only and shared by
-    every strategy of the seed.
+    holds it. The key holds what the fit reads: the source key's splits
+    (see _source; a rewritten CSV source is refitted, a new dirichlet_alpha
+    or client count is not), seed, dims, pretrain_steps and pretrain_lr. The
+    cached weights are read-only and shared by every strategy of the seed.
     """
-    source_key, full, classes, dim = source
-    key = (source_key, seed, tuple(dims), cfg.pretrain_steps, cfg.pretrain_lr)
+    (splits, _, _), full, classes, dim = source
+    key = (splits, seed, tuple(dims), cfg.pretrain_steps, cfg.pretrain_lr)
     if key not in _BACKBONES:
         pretrain = data_mod.split_dataset(*_split(cfg, full, seed, 0), classes, dim)
         weights = model.fit_dense_weights(

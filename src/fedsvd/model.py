@@ -52,14 +52,22 @@ def adapter_params(layers: list[LoraLayer]) -> dict[GradKey, np.ndarray]:
     return {(idx, name): getattr(layer, name) for idx, layer in enumerate(layers) for name in "ab"}
 
 
-def _forward(weights: list[np.ndarray], x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _buf(work: dict | None, key, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray | None:
+    """work[key], made on first use shaped like a @ b (a without b); None without a workspace."""
+    if work is not None and key not in work:
+        work[key] = np.empty(a.shape if b is None else a.shape[:-1] + b.shape[-1:])
+    return None if work is None else work[key]
+
+
+def _forward(weights: list[np.ndarray], x: np.ndarray, work: dict | None = None) -> tuple[list[np.ndarray], np.ndarray]:
     """Tanh stack over dense weights: (the input of every layer, the logits).
-    (K, d_out, d_in) weights and (K, n, d_in) inputs run K stacks at once."""
+    (K, d_out, d_in) weights and (K, n, d_in) inputs run K stacks at once.
+    With a workspace (see _buf) the outputs go to its arrays, one per layer."""
     inputs = [x]
-    for w in weights[:-1]:
-        z = inputs[-1] @ w.mT
-        inputs.append(np.tanh(z, out=z))
-    return inputs, inputs[-1] @ weights[-1].mT
+    for idx, wt in enumerate([w.mT for w in weights]):
+        z = np.matmul(inputs[-1], wt, out=_buf(work, ("z", idx), inputs[-1], wt))
+        inputs.append(np.tanh(z, out=z) if idx < len(weights) - 1 else z)
+    return inputs[:-1], inputs[-1]
 
 
 def forward_batch(model: Classifier, x: np.ndarray) -> np.ndarray:
@@ -72,23 +80,25 @@ def forward_batch(model: Classifier, x: np.ndarray) -> np.ndarray:
     return _forward([effective_weight(layer) for layer in model.layers], x)[1]
 
 
-def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _shifted_exp(z: np.ndarray, work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(exp(z - max over the last axis), that max), both over the reversed
-    axes (z.T): a copy with the classes first, so a reduction over them is
-    one call over whole rows, left to right, not a loop per example."""
-    zt = z.T.copy()
+    axes (z.T): a copy with the classes first (in `work`, see _buf), so a reduction
+    over them is one call over whole rows, left to right, not a loop per example."""
+    zt = z.T.copy() if work is None else np.positive(z.T, out=_buf(work, "exp", z.T))  # positive copies exactly
     m = np.maximum.reduce(zt)
     zt -= m
     return np.exp(zt, out=zt), m
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
+def softmax(logits: np.ndarray, work: dict | None = None) -> np.ndarray:
     """Softmax over the last axis, with max subtraction. Its sum adds the
     classes left to right (_shifted_exp): NumPy's per-row sum bit for bit
-    below 8 classes; from 8 on NumPy sums pairwise, and rounding may differ."""
-    e, _ = _shifted_exp(np.asarray(logits, dtype=np.float64))
+    below 8 classes; from 8 on NumPy sums pairwise, and rounding may differ.
+    With a workspace (see _buf) it is written into its arrays."""
+    z = np.asarray(logits, dtype=np.float64)
+    e, _ = _shifted_exp(z, work)
     e /= np.add.reduce(e)
-    return e.T.copy()
+    return e.T.copy() if work is None else np.positive(e.T, out=_buf(work, "softmax", z))
 
 
 def _batch_losses(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -96,7 +106,7 @@ def _batch_losses(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return m + np.log(np.add.reduce(e)) - logits[np.arange(len(y)), y]
 
 
-def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], logits: np.ndarray, targets: np.ndarray):
+def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], logits: np.ndarray, targets: np.ndarray, work=None):
     """Walk the tanh stack of _forward backwards, last layer first.
 
     Yields (idx, delta, h_in): the per-example cross-entropy gradient at
@@ -104,15 +114,16 @@ def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], logits: np.nd
     the walk ends: the next delta is formed from them after each yield.
     targets are one-hot rows of the shape of logits (leading axes broadcast
     as in _forward); a zero row gives that example softmax as its delta.
+    With a workspace (see _buf) each delta has its own array, until the next walk.
     """
-    delta = softmax(logits)  # d loss / d logits, per sample
+    delta = softmax(logits, work)  # d loss / d logits, per sample
     delta -= targets
     for idx in range(len(weights) - 1, -1, -1):
         h_in = inputs[idx]
         yield idx, delta, h_in
-        if idx > 0:  # back through tanh, in new arrays only: h_in and delta were yielded
-            slope = h_in * h_in
-            delta = delta @ weights[idx]
+        if idx > 0:  # back through tanh, never into the yielded h_in and delta
+            slope = np.multiply(h_in, h_in, out=_buf(work, ("slope", idx), h_in))
+            delta = np.matmul(delta, weights[idx], out=_buf(work, ("delta", idx), h_in))
             delta *= np.subtract(1.0, slope, out=slope)
 
 
@@ -172,11 +183,13 @@ def fit_dense_weights(
     [d_x, hidden] for one tanh hidden layer; the final output is class_count
     wide. Used to produce the frozen backbone weights.
     """
+    if len(x) == 0:
+        raise ValueError("empty training split: the backbone fit needs at least one example")
     weights = random_dense_weights(dims, class_count, seed)
-    n, targets = len(x), np.eye(class_count)[y]
-    for _ in range(steps):
-        inputs, logits = _forward(weights, x)
-        walk = _backward(weights, inputs, logits, targets)
+    n, targets, work = len(x), np.eye(class_count)[y], {}
+    for _ in range(steps):  # every step reuses the arrays in work
+        inputs, logits = _forward(weights, x, work)
+        walk = _backward(weights, inputs, logits, targets, work)
         grads = [(idx, delta.T @ h_in / n) for idx, delta, h_in in walk]
         for idx, grad in grads:
             weights[idx] = weights[idx] - lr * grad

@@ -1,9 +1,10 @@
 """Shared test fixtures: small, fast run configurations, one client's local
 training, the dense data references that the streamed shard build is
 checked against, the independent per-example clipping oracle that the
-DP-SGD step is checked against, and the scalar forward and loss of one
-example that finite-difference gradient checks perturb one entry at a
-time."""
+DP-SGD step is checked against, the whole-array backbone fit that the
+fit's reused work arrays are checked against, and the scalar forward and
+loss of one example that finite-difference gradient checks perturb one
+entry at a time."""
 
 import math
 
@@ -110,6 +111,25 @@ def clip_gradient(grad, clip_norm: float):
     if isinstance(grad, dict):
         return {k: factor * g for k, g in grad.items()}
     return factor * np.asarray(grad, dtype=np.float64)
+
+
+def reference_fit(x, y, dims, class_count, steps, lr, seed):
+    """model.fit_dense_weights with every array made afresh each step: the
+    whole-array tanh forward, softmax delta and backward written out."""
+    weights = model.random_dense_weights(dims, class_count, seed)
+    n, targets = len(x), np.eye(class_count)[y]
+    for _ in range(steps):
+        inputs = [x]
+        for w in weights[:-1]:
+            inputs.append(np.tanh(inputs[-1] @ w.T))
+        delta = model.softmax(inputs[-1] @ weights[-1].T) - targets
+        grads = []
+        for idx in range(len(weights) - 1, -1, -1):
+            grads.append((idx, delta.T @ inputs[idx] / n))
+            if idx > 0:
+                delta = (delta @ weights[idx]) * (1.0 - inputs[idx] * inputs[idx])
+        weights = [w - lr * g for w, (_, g) in zip(weights, reversed(grads))]
+    return weights
 
 
 def forward(m, x) -> np.ndarray:

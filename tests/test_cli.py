@@ -203,6 +203,19 @@ def test_cmd_run_rejects_epsilon_with_noise_multiplier(tmp_path, capsys, sigma):
     assert not out.exists()
 
 
+def test_cmd_run_names_an_empty_pretrain_split(tmp_path, capsys, monkeypatch):
+    # a 3-row CSV leaves the backbone fit no row: the configuration-error
+    # exit code, with the fit's message rather than the partition's
+    monkeypatch.chdir(tmp_path)
+    data.save_csv(data.Dataset(np.arange(24.0).reshape(3, 8), np.arange(3), 3), "tiny.csv")
+    out = tmp_path / "metrics.csv"
+    rc = cli.main(["--output", str(out), "run", write_cfg(tmp_path), "source=csv", "csv_path=tiny.csv"])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "empty training split" in err and "every class needs" not in err
+    assert not out.exists()
+
+
 def test_cmd_run_unreachable_epsilon_names_client(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "metrics.csv"

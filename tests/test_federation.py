@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsvd import config, data, federation, linalg, lora, model, privacy
+from fedsvd.data import Dataset
 from fedsvd.federation import ClientHandle, ServerState, Strategy
 
 
@@ -669,8 +671,12 @@ def test_backbone_fitted_once_per_seed_across_strategies(count_fits):
     for kind in ("fedsvd", "ffa_lora", "fedavg"):
         federation.run_experiment(small_config(strategy=kind, rounds=1), seed=0, record_timing=False)
     assert len(count_fits) == 1
-    # settings the fit does not read share it
+    # settings the fit does not read share it, the partition's among them
     federation.run_experiment(small_config(rounds=2, svd_period=2, epsilon=3.0), seed=0, record_timing=False)
+    for alpha, clients in ((0.9, 3), (0.1, 3), (0.5, 4)):
+        federation.run_experiment(
+            small_config(rounds=1, dirichlet_alpha=alpha, clients=clients), seed=0, record_timing=False
+        )
     assert len(count_fits) == 1
     # each field the fit reads refits: the seed (here on the same data),
     # pretrain_steps, pretrain_lr and hidden_dim
@@ -699,6 +705,19 @@ def test_cached_backbone_is_read_only():
         weights[0][0, 0] = 1.0
     with pytest.raises(ValueError):
         weights[0] += 1.0
+
+
+def test_csv_source_without_a_pretrain_row_is_named(tmp_path, count_fits):
+    # 3 rows split 0/1/2 (1/4, 1/2, 1/4, rounded down): the fit is refused
+    # before its first step, not run on 0/0 into NaN weights
+    path = tmp_path / "tiny.csv"
+    data.save_csv(Dataset(np.arange(24.0).reshape(3, 8), np.arange(3), 3), path)
+    cfg = small_config(source="csv", csv_path=str(path), epsilon=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty training split"):
+            federation.start(cfg, 0)
+    assert count_fits == [[8]]
 
 
 @pytest.fixture

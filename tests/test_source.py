@@ -1,6 +1,7 @@
-"""Source-tree guard: every top-level function and class of the fedsvd
+"""Source-tree guards: every top-level function and class of the fedsvd
 package has a reader in the package besides its own definition, so code that
-only tests call lives in tests/, not in src/."""
+only tests call lives in tests/, not in src/; and model.py has one
+forward/backward pass."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,24 @@ def test_guard_flags_a_definition_read_only_by_itself(tmp_path):
     )
     (tmp_path / "b.py").write_text("from . import a\n\n\nclass Orphan:\n    pass\n")
     assert unreferenced_definitions(tmp_path) == {("a", "recursive"), ("b", "Orphan")}
+
+
+def readers(path: Path, name: str) -> set[str]:
+    """The top-level definitions in the module at `path`, other than `name`'s
+    own, that read `name` as a bare name or an attribute."""
+    return {
+        stmt.name
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(stmt, _DEFINITIONS) and stmt.name != name
+        and any(getattr(node, "id", getattr(node, "attr", None)) == name for node in ast.walk(stmt))
+    }
+
+
+def test_model_has_one_forward_backward_pass():
+    # the tanh runs in _forward alone and the softmax in _backward alone (its
+    # exp in _shifted_exp, which the loss shares): a second pass, e.g. one
+    # that reuses work arrays beside the first, shows here
+    path = SRC / "model.py"
+    assert readers(path, "tanh") == {"_forward"}
+    assert readers(path, "softmax") == {"_backward"}
+    assert readers(path, "exp") == {"_shifted_exp"}
