@@ -46,7 +46,6 @@ class HessianReport:
 class ConditioningCheck:
     status: str                        # "pass" | "fail" | "inconclusive"
     margins: dict
-    report: HessianReport
 
 
 def hessian_logreg(a, b, w, features, labels) -> HessianReport:
@@ -133,7 +132,7 @@ def conditioning_bounds_check(report: HessianReport, tol: float = BOUND_REL_TOL)
         or r.lambda_min_m_restricted <= 0.0
         or not np.isfinite(r.kappa_a)
     ):
-        return ConditioningCheck(status="inconclusive", margins={}, report=r)
+        return ConditioningCheck(status="inconclusive", margins={})
 
     margins = {
         "a_lambda_max": _rel_margin(r.lambda_max_h, r.sigma_max_a**2 * r.lambda_max_m),
@@ -145,7 +144,7 @@ def conditioning_bounds_check(report: HessianReport, tol: float = BOUND_REL_TOL)
     if r.a_orthonormal:
         margins["d_kappa_orthonormal"] = _rel_margin(r.kappa_h, r.bound_orthonormal)
     status = "pass" if all(v >= -tol for v in margins.values()) else "fail"
-    return ConditioningCheck(status=status, margins=margins, report=r)
+    return ConditioningCheck(status=status, margins=margins)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,13 @@
 
 A config is a flat set of uniquely named keys grouped into sections. Every
 key can be overridden on the command line as ``key=value`` (or
-``section.key=value``). ``dump`` and ``parse`` round-trip.
+``section.key=value``).
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import math
 from dataclasses import dataclass, fields
 
@@ -74,8 +73,9 @@ class RunConfig:
             problems.append(f"participants ({self.participants}) exceeds clients ({self.clients})")
         if self.layers not in (1, 2):
             problems.append(f"layers must be 1 or 2, got {self.layers}")
-        if self.learning_rate <= 0:
-            problems.append(f"learning_rate must be positive, got {self.learning_rate}")
+        for key in ("learning_rate", "pretrain_lr"):
+            if getattr(self, key) <= 0:
+                problems.append(f"{key} must be positive, got {getattr(self, key)}")
         if self.lora_alpha <= 0:
             problems.append(f"lora_alpha must be positive, got {self.lora_alpha}")
         if self.source not in ("synthetic", "csv"):
@@ -108,6 +108,8 @@ class RunConfig:
             problems.append("seeds must not be empty")
         if any(s < 0 for s in self.seeds):
             problems.append("seeds must be non-negative")
+        if len(set(self.seeds)) < len(self.seeds):
+            problems.append(f"seeds must not repeat, got {','.join(map(str, self.seeds))}")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -180,18 +182,6 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {exc}") from None
 
 
-def _format_value(key: str, value) -> str:
-    if value is None:
-        return ""
-    if key == "seeds":
-        return ",".join(str(s) for s in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
     """Apply ``key=value`` (or ``section.key=value``) strings in order."""
     for item in overrides:
@@ -233,13 +223,3 @@ def load(path, overrides: list[str] | None = None) -> RunConfig:
         apply_overrides(cfg, overrides)
     cfg.validate()
     return cfg
-
-
-def dump(cfg: RunConfig) -> str:
-    out = io.StringIO()
-    for section, keys in _SECTIONS.items():
-        out.write(f"[{section}]\n")
-        for key in keys:
-            out.write(f"{key} = {_format_value(key, getattr(cfg, key))}\n")
-        out.write("\n")
-    return out.getvalue()

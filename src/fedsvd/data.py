@@ -256,12 +256,3 @@ def load_csv(path) -> Dataset:
         labels=labels,
         class_count=len(mapping),
     )
-
-
-def save_csv(data: Dataset, path) -> None:
-    """Write a dataset with full float64 text precision (repr round-trips)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"feature_{i}" for i in range(data.feature_dim)] + ["label"])
-        for x, y in zip(data.features, data.labels):
-            writer.writerow([repr(float(v)) for v in x] + [int(y)])

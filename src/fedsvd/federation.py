@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
@@ -154,14 +154,13 @@ class Strategy:
 
 @dataclass(frozen=True)
 class ClientHandle:
-    """One client's shard and its table, the shard as [features | one-hot
-    labels] rows, (n_k, d + classes), so that a step gathers a batch's inputs
-    and targets in one take (the data memo's, one copy per seed: see _data);
-    its Poisson rate and noise multiplier sigma (None: no privacy). With
-    privacy, `steps` steps spend steps * rdp_per_step (at
+    """One client: its shard as a table of [features | one-hot labels] rows,
+    (n_k, d + classes), so that a step gathers a batch's inputs and targets
+    in one take (the data memo's, one copy per seed: see _data), and n_k is
+    its row count; its Poisson rate and noise multiplier sigma (None: no
+    privacy). With privacy, `steps` steps spend steps * rdp_per_step (at
     privacy.DEFAULT_ORDERS). The run sets the clip norm and the step count."""
 
-    dataset: data_mod.Dataset
     table: np.ndarray
     sample_rate: float
     sigma: float | None
@@ -174,10 +173,9 @@ class ServerState:
     round_index: int
     strategy: Strategy
     master_seed: int
-    class_count: int
 
     def classifier(self) -> Classifier:
-        return Classifier(layers=list(self.layers), class_count=self.class_count)
+        return Classifier(layers=list(self.layers), class_count=self.layers[-1].d_out)
 
 
 def sample_clients(total: int, count: int, rng: np.random.Generator) -> list[int]:
@@ -316,17 +314,19 @@ def _split(cfg: RunConfig, full: data_mod.Dataset | None, seed: int, split: int)
 _BACKBONES: dict[tuple, list[np.ndarray]] = {}
 
 
-def _backbone(cfg: RunConfig, source: tuple, dims: list[int], seed: int) -> list[np.ndarray]:
-    """The pre-trained backbone of (source, seed), fitted once per process.
+def _backbone(cfg: RunConfig, source: tuple, dims: list[int]) -> list[np.ndarray]:
+    """The pre-trained backbone of `source`, fitted once per process.
 
     A fit draws the pretrain split and drops it when done: nothing else
     holds it. The key holds what the fit reads: the source key's splits
-    (see _source; a rewritten CSV source is refitted, a new dirichlet_alpha
-    or client count is not), seed, dims, pretrain_steps and pretrain_lr. The
-    cached weights are read-only and shared by every strategy of the seed.
+    (see _source), which end with the seed (a rewritten CSV source is
+    refitted, a new dirichlet_alpha or client count is not), dims,
+    pretrain_steps and pretrain_lr. The cached weights are read-only and
+    shared by every strategy of the seed.
     """
     (splits, _, _), full, classes, dim = source
-    key = (splits, seed, tuple(dims), cfg.pretrain_steps, cfg.pretrain_lr)
+    seed = splits[-1]
+    key = (splits, tuple(dims), cfg.pretrain_steps, cfg.pretrain_lr)
     if key not in _BACKBONES:
         pretrain = data_mod.split_dataset(*_split(cfg, full, seed, 0), classes, dim)
         weights = model.fit_dense_weights(
@@ -376,19 +376,13 @@ def datasets(cfg: RunConfig, seed: int) -> tuple[list[data_mod.Dataset], data_mo
     return list(parts), heldout
 
 
-def init_server(cfg: RunConfig, strategy: Strategy, base_weights: list[np.ndarray], class_count: int, seed: int) -> ServerState:
+def init_server(cfg: RunConfig, strategy: Strategy, base_weights: list[np.ndarray], seed: int) -> ServerState:
     """Round-zero server state: strategy-specific adapter initialization."""
     rng = stream(seed, _TAG_INIT)
-    layers = model.build_classifier(base_weights, cfg.rank, cfg.lora_alpha, rng, class_count).layers
+    layers = model.build_classifier(base_weights, cfg.rank, cfg.lora_alpha, rng, len(base_weights[-1])).layers
     if strategy.rule.init is not None:
         layers = [strategy.rule.init(layer, rng) for layer in layers]
-    return ServerState(
-        layers=layers,
-        round_index=0,
-        strategy=strategy,
-        master_seed=seed,
-        class_count=class_count,
-    )
+    return ServerState(layers=layers, round_index=0, strategy=strategy, master_seed=seed)
 
 
 def _check_finite(strategy: Strategy, rnd: int, where: str, layers: list[tuple]) -> None:
@@ -424,16 +418,17 @@ def _epsilon_column(clients: list[ClientHandle], steps: int, rounds: int, delta:
     return [0.0, *np.max(eps, axis=0)[1:].tolist()]
 
 
-def sampling_rate(cfg: RunConfig, shard: data_mod.Dataset) -> float:
-    """Poisson sampling rate q = batch_size / n_k of a client's shard, at most 1."""
+def sampling_rate(cfg: RunConfig, shard: data_mod.Dataset | np.ndarray) -> float:
+    """Poisson sampling rate q = batch_size / n_k of a client's shard (or its
+    table: n_k is its length), at most 1."""
     return min(1.0, cfg.batch_size / len(shard))
 
 
-def build_clients(cfg: RunConfig, parts: list[data_mod.Dataset], tables: list[np.ndarray]) -> list[ClientHandle]:
+def build_clients(cfg: RunConfig, tables: Sequence[np.ndarray]) -> list[ClientHandle]:
     total_steps = max(1, cfg.rounds * cfg.local_steps)
     clients = []
-    for k, (part, table) in enumerate(zip(parts, tables, strict=True)):
-        q = sampling_rate(cfg, part)
+    for k, table in enumerate(tables):
+        q = sampling_rate(cfg, table)
         sigma = rdp = None
         if cfg.private:
             if cfg.noise_multiplier is not None:
@@ -443,10 +438,10 @@ def build_clients(cfg: RunConfig, parts: list[data_mod.Dataset], tables: list[np
                     sigma = _calibrated_sigma(cfg.epsilon, cfg.delta, q, total_steps)
                 except privacy.CalibrationError as exc:
                     raise privacy.CalibrationError(
-                        f"client {k} (shard of {len(part)} examples, q={q}): {exc}"
+                        f"client {k} (shard of {len(table)} examples, q={q}): {exc}"
                     ) from exc
             rdp = privacy.rdp_subsampled_gaussian(q, sigma)
-        clients.append(ClientHandle(dataset=part, table=table, sample_rate=q, sigma=sigma, rdp_per_step=rdp))
+        clients.append(ClientHandle(table=table, sample_rate=q, sigma=sigma, rdp_per_step=rdp))
     return clients
 
 
@@ -465,12 +460,12 @@ def start(cfg: RunConfig, seed: int) -> tuple[ServerState, list[ClientHandle], d
     _, _, class_count, d_in = source
     dims = [d_in] if cfg.layers == 1 else [d_in, cfg.hidden_dim]
     if cfg.pretrain_backbone:
-        base = _backbone(cfg, source, dims, seed)
+        base = _backbone(cfg, source, dims)
     else:
         base = model.random_dense_weights(dims, class_count, stream(seed, _TAG_BACKBONE))
-    server = init_server(cfg, Strategy(cfg.strategy, cfg.svd_period), base, class_count, seed)
-    parts, heldout, tables = _data(cfg, seed, source)
-    return server, build_clients(cfg, list(parts), list(tables)), heldout
+    server = init_server(cfg, Strategy(cfg.strategy, cfg.svd_period), base, seed)
+    _, heldout, tables = _data(cfg, seed, source)
+    return server, build_clients(cfg, tables), heldout
 
 
 def rounds(cfg: RunConfig, server: ServerState, clients: list[ClientHandle]):
@@ -498,7 +493,7 @@ def rounds(cfg: RunConfig, server: ServerState, clients: list[ClientHandle]):
                 (adapters[idx, "a"][k] if strategy.trains_a else None, adapters[idx, "b"][k], None)
                 for idx in range(len(server.layers))
             ])
-        server = aggregate([len(c.dataset) for c in batch], adapters, server)
+        server = aggregate([len(c.table) for c in batch], adapters, server)
         _check_finite(
             strategy, rnd + 1, "aggregate",
             [(l.a, l.b, l.w0 if strategy.rule.ships_w0 else None) for l in server.layers],

@@ -1,16 +1,19 @@
-"""Shared test fixtures: small, fast run configurations, one client's local
-training, the dense data references that the streamed shard build is
-checked against, the independent per-example clipping oracle that the
-DP-SGD step is checked against, the whole-array backbone fit that the
+"""Shared test fixtures: small, fast run configurations and their INI
+writer, a CSV writer for dataset files, one client's local training, the
+dense data references that the streamed shard build is checked against,
+the independent per-example clipping oracle that the DP-SGD step is
+checked against, the whole-array backbone fit that the
 fit's reused work arrays are checked against, and the scalar forward and
 loss of one example that finite-difference gradient checks perturb one
 entry at a time."""
 
+import csv
+import io
 import math
 
 import numpy as np
 
-from fedsvd import data, federation, model
+from fedsvd import config, data, federation, model
 from fedsvd.config import RunConfig
 from fedsvd.data import Dataset
 
@@ -38,6 +41,41 @@ def small_config(**kw):
     )
     base.update(kw)
     return RunConfig(**base)
+
+
+def format_value(key, value) -> str:
+    """A RunConfig value as config.parse reads it back."""
+    if value is None:
+        return ""
+    if key == "seeds":
+        return ",".join(str(s) for s in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def dump_config(cfg) -> str:
+    """`cfg` as an INI manifest, every key in its section: config.parse
+    round-trips it."""
+    out = io.StringIO()
+    for section, keys in config._SECTIONS.items():
+        out.write(f"[{section}]\n")
+        for key in keys:
+            out.write(f"{key} = {format_value(key, getattr(cfg, key))}\n")
+        out.write("\n")
+    return out.getvalue()
+
+
+def save_csv(ds, path) -> None:
+    """Write a Dataset as a file data.load_csv reads, with full float64 text
+    precision (repr round-trips)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"feature_{i}" for i in range(ds.feature_dim)] + ["label"])
+        for x, y in zip(ds.features, ds.labels):
+            writer.writerow([repr(float(v)) for v in x] + [int(y)])
 
 
 def gen_synthetic(class_count, feature_dim, size, margin, seed):

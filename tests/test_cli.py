@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import gen_synthetic
+from helpers import dump_config, format_value, gen_synthetic, save_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -56,7 +56,7 @@ def write_cfg(tmp_path, text=SMALL_INI):
 def test_config_round_trip():
     cfg = config.parse(SMALL_INI)
     cfg.validate()
-    dumped = config.dump(cfg)
+    dumped = dump_config(cfg)
     again = config.parse(dumped)
     assert cfg == again
 
@@ -181,9 +181,21 @@ def test_cmd_run_config_error_exit_code(tmp_path):
 
 @pytest.mark.parametrize(
     "override, message",
-    [("clip_norm=0", "clip_norm must be positive"), ("noise_multiplier=-1", "noise_multiplier must be >= 0")],
+    [
+        ("clip_norm=0", "clip_norm must be positive"),
+        ("noise_multiplier=-1", "noise_multiplier must be >= 0"),
+        # gradient ascent on the pretrain split, which used to run and exit 0
+        ("pretrain_lr=-1000", "pretrain_lr must be positive, got -1000.0"),
+        ("pretrain_lr=0", "pretrain_lr must be positive, got 0.0"),
+        # seed 0 twice: its rows twice and a "CI over 2 seeds" of one run
+        ("seeds=0,0", "seeds must not repeat, got 0,0"),
+        ("seeds=3,1,3", "seeds must not repeat, got 3,1,3"),
+    ],
 )
 def test_cmd_run_rejects_a_bad_mechanism(tmp_path, capsys, override, message):
+    cfg = config.apply_overrides(config.parse(SMALL_INI), [override])
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfg.validate()
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "metrics.csv"
     assert cli.main(["--output", str(out), "run", cfg_path, override]) == cli.EXIT_CONFIG
@@ -207,7 +219,7 @@ def test_cmd_run_names_an_empty_pretrain_split(tmp_path, capsys, monkeypatch):
     # a 3-row CSV leaves the backbone fit no row: the configuration-error
     # exit code, with the fit's message rather than the partition's
     monkeypatch.chdir(tmp_path)
-    data.save_csv(data.Dataset(np.arange(24.0).reshape(3, 8), np.arange(3), 3), "tiny.csv")
+    save_csv(data.Dataset(np.arange(24.0).reshape(3, 8), np.arange(3), 3), "tiny.csv")
     out = tmp_path / "metrics.csv"
     rc = cli.main(["--output", str(out), "run", write_cfg(tmp_path), "source=csv", "csv_path=tiny.csv"])
     assert rc == cli.EXIT_CONFIG
@@ -377,7 +389,7 @@ def test_config_rejects_paths_with_outer_whitespace():
         cfg = config.parse(SMALL_INI)
         setattr(cfg, key, "my runs/x.csv")  # interior whitespace is kept
         cfg.validate()
-        assert getattr(config.parse(config.dump(cfg)), key) == "my runs/x.csv"
+        assert getattr(config.parse(dump_config(cfg)), key) == "my runs/x.csv"
 
 
 def test_cmd_run_rejects_output_with_outer_whitespace(tmp_path, capsys, monkeypatch):
@@ -406,7 +418,7 @@ client,n,q,class_0,class_1,class_2
 
 def test_cmd_partition_stats(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    data.save_csv(gen_synthetic(3, 4, 120, 3.0, seed=0)[1], "table.csv")
+    save_csv(gen_synthetic(3, 4, 120, 3.0, seed=0)[1], "table.csv")
     for overrides, expected in [
         ([], SMALL_PARTITION),
         # unreachable (see test_cmd_run_unreachable_epsilon_names_client): the
@@ -525,7 +537,7 @@ def valid_configs(draw):
         clip_norm=draw(_POSITIVE),
         noise_multiplier=None if epsilon is not None else draw(st.none() | st.floats(0.0, 100.0)),
         metrics_path=draw(_PATHS),
-        seeds=tuple(draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=6))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=6, unique=True))),
         threads=draw(st.integers(1, 16)),
         record_timing=draw(st.booleans()),
     )
@@ -536,8 +548,8 @@ def valid_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(valid_configs())
 def test_config_dump_parse_and_overrides_round_trip_generated_configs(cfg):
-    assert config.parse(config.dump(cfg)) == cfg
-    overrides = [f"{key}={config._format_value(key, getattr(cfg, key))}" for key in config._KEY_SECTION]
+    assert config.parse(dump_config(cfg)) == cfg
+    overrides = [f"{key}={format_value(key, getattr(cfg, key))}" for key in config._KEY_SECTION]
     assert config.apply_overrides(RunConfig(), overrides) == cfg
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import gen_synthetic, partition_dirichlet
+from helpers import gen_synthetic, partition_dirichlet, save_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -257,7 +257,7 @@ def test_load_csv_missing_label_column(tmp_path):
 def test_csv_round_trip(tmp_path):
     _, fine, _ = gen_synthetic(3, 5, 60, 2.0, seed=8)
     p = tmp_path / "round.csv"
-    data.save_csv(fine, p)
+    save_csv(fine, p)
     back = data.load_csv(p)
     np.testing.assert_array_equal(back.features, fine.features)  # repr round-trips exactly
     # loader relabels by first appearance; compare through that mapping

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import (
-    clip_gradient, gen_synthetic, outer_products, partition_dirichlet, shard_table, small_config, solo_train,
-    stack_rows, subset,
+    clip_gradient, gen_synthetic, outer_products, partition_dirichlet, save_csv, shard_table, small_config,
+    solo_train, stack_rows, subset,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,9 +30,7 @@ def make_client(n=40, seed=0, private=False, q=0.5, d=6):
         class_count=3,
     )
     rdp = privacy.rdp_subsampled_gaussian(q, 1.0) if private else None
-    return ClientHandle(
-        dataset=ds, table=shard_table(ds), sample_rate=q, sigma=1.0 if private else None, rdp_per_step=rdp
-    )
+    return ClientHandle(table=shard_table(ds), sample_rate=q, sigma=1.0 if private else None, rdp_per_step=rdp)
 
 
 def make_layers(seed=0, d=6, c=3, r=2):
@@ -84,8 +82,7 @@ def test_local_train_empty_draws_leave_adapters_unchanged():
 def client_state(client):
     return (
         client.sample_rate, client.sigma,
-        client.rdp_per_step.tobytes(), client.dataset.features.tobytes(),
-        client.dataset.labels.tobytes(), client.dataset.class_count,
+        client.rdp_per_step.tobytes(), client.table.tobytes(), client.table.shape,
     )
 
 
@@ -125,8 +122,8 @@ def test_epsilon_spent_is_worst_client_schedule_every_round(privacy_kw):
 @pytest.mark.parametrize("privacy_kw", [{"epsilon": 6.0}, {"noise_multiplier": 1.3}, {}])
 def test_epsilon_column_equals_per_round_accounting(privacy_kw, seed):
     cfg = small_config(local_steps=3, rounds=37, **privacy_kw)
-    parts, _, tables = federation._data(cfg, seed, federation._source(cfg, seed))
-    clients = federation.build_clients(cfg, list(parts), list(tables))
+    _, _, tables = federation._data(cfg, seed, federation._source(cfg, seed))
+    clients = federation.build_clients(cfg, tables)
     column = federation._epsilon_column(clients, cfg.local_steps, cfg.rounds, cfg.delta)
     if not privacy_kw:
         assert column == [None] * (cfg.rounds + 1)
@@ -160,7 +157,7 @@ def test_local_train_loss_nonincreasing_convex_case():
         labels=labels,
         class_count=3,
     )
-    client = ClientHandle(dataset=ds, table=shard_table(ds), sample_rate=1.0, sigma=None, rdp_per_step=None)
+    client = ClientHandle(table=shard_table(ds), sample_rate=1.0, sigma=None, rdp_per_step=None)
     layers = make_layers(seed=1, d=3, c=3, r=2)
     losses = []
     current = layers
@@ -190,17 +187,16 @@ def reference_local_train(client, layers, trains_a, lr, rng, steps, clip):
     clf = model.Classifier(list(layers), layers[-1].d_out)
     trainable = trainable_keys(layers, trains_a)
     noise = 0.0 if client.sigma is None else client.sigma * clip
-    ds = client.dataset
+    table, d = client.table, layers[0].d_in  # [features | one-hot labels] rows
     empty = 0
     for _ in range(steps):
-        mask = rng.random(len(ds)) < client.sample_rate
+        mask = rng.random(len(table)) < client.sample_rate
         if not mask.any():
             empty += 1
             continue
-        batch = subset(ds, np.flatnonzero(mask))
+        batch = table[mask]
         params = model.adapter_params(clf.layers)
-        targets = np.eye(clf.class_count)[batch.labels]
-        grads = outer_products(model.grad_factors(clf.layers, params, batch.features, targets, trainable))
+        grads = outer_products(model.grad_factors(clf.layers, params, batch[:, :d], batch[:, d:], trainable))
         m = int(mask.sum())
         total = {k: 0.0 for k in trainable}
         for n in range(m):
@@ -250,7 +246,6 @@ def server_for(kind, seed=0, period=1, **layer_kw):
         round_index=0,
         strategy=Strategy(kind, period),
         master_seed=seed,
-        class_count=layers[-1].d_out,
     )
 
 
@@ -410,7 +405,7 @@ def test_aggregate_equals_per_client_oracle(kind, period, round_index, sizes, la
     dims = [d] if layers == 1 else [d, hidden]
     clf = model.build_classifier(model.random_dense_weights(dims, classes, rng), rank, 2.0, rng, classes)
     start = [l.with_adapters(b=rng.standard_normal(l.b.shape)) for l in clf.layers]
-    server = ServerState(start, round_index, Strategy(kind, period), seed, classes)
+    server = ServerState(start, round_index, Strategy(kind, period), seed)
     trains_a = server.strategy.trains_a
     trained = trainable_keys(start, trains_a)
     rows = [
@@ -562,7 +557,7 @@ def test_fedsvd_value_invariance_every_round_and_layer():
     cfg = small_config(strategy="fedsvd", rounds=6, epsilon=4.0, feature_dim=10)
     before, clients, _ = federation.start(cfg, 7)
     for sampled, adapters, server in federation.rounds(cfg, before, clients):
-        sizes = [len(clients[cid].dataset) for cid in sampled]
+        sizes = [len(clients[cid].table) for cid in sampled]
         plain = federation.aggregate(sizes, adapters, dataclasses.replace(before, strategy=Strategy("ffa_lora")))
         before = server
         for reparam_layer, plain_layer in zip(server.layers, plain.layers):
@@ -614,7 +609,7 @@ def test_every_strategy_entry_flags_labels_and_round_zero_state():
         strategy = Strategy(kind, 3)
         assert strategy.trains_a is trains_a, kind
         assert strategy.label == label, kind
-        server = federation.init_server(small_config(strategy=kind), strategy, base, 3, seed=4)
+        server = federation.init_server(small_config(strategy=kind), strategy, base, seed=4)
         out = solo_train(client, server.layers, strategy.trains_a, 0.5, np.random.default_rng(0), 2, np.inf)
         for idx, (layer, w0) in enumerate(zip(server.layers, base)):
             if trains_a:
@@ -655,11 +650,11 @@ def test_memoized_backbone_rows_equal_a_direct_fit(monkeypatch):
     cold = federation.run_experiment(cfg, seed=3, record_timing=False)
     warm = federation.run_experiment(cfg, seed=3, record_timing=False)
 
-    def direct(cfg, source, dims, seed):
-        pretrain = gen_synthetic(cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, seed)[0]
+    def direct(cfg, source, dims):  # the fit of seed 3, the run's
+        pretrain = gen_synthetic(cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, 3)[0]
         return model.fit_dense_weights(
             pretrain.features, pretrain.labels, dims, cfg.classes,
-            steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=federation.stream(seed, federation._TAG_BACKBONE),
+            steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=federation.stream(3, federation._TAG_BACKBONE),
         )
 
     monkeypatch.setattr(federation, "_backbone", direct)
@@ -678,13 +673,13 @@ def test_backbone_fitted_once_per_seed_across_strategies(count_fits):
             small_config(rounds=1, dirichlet_alpha=alpha, clients=clients), seed=0, record_timing=False
         )
     assert len(count_fits) == 1
-    # each field the fit reads refits: the seed (here on the same data),
+    # each field the fit reads refits: the seed (the source's, on the same cfg),
     # pretrain_steps, pretrain_lr and hidden_dim
     cfg = small_config()
     source = federation._source(cfg, 0)
-    federation._backbone(cfg, source, [cfg.feature_dim], seed=0)
+    federation._backbone(cfg, source, [cfg.feature_dim])
     assert len(count_fits) == 1
-    federation._backbone(cfg, source, [cfg.feature_dim], seed=1)
+    federation._backbone(cfg, federation._source(cfg, 1), [cfg.feature_dim])
     assert len(count_fits) == 2
     federation.run_experiment(small_config(rounds=1, pretrain_steps=30), seed=0, record_timing=False)
     assert len(count_fits) == 3
@@ -698,8 +693,8 @@ def test_backbone_fitted_once_per_seed_across_strategies(count_fits):
 def test_cached_backbone_is_read_only():
     cfg = small_config()
     source = federation._source(cfg, 0)
-    weights = federation._backbone(cfg, source, [cfg.feature_dim], seed=0)
-    again = federation._backbone(cfg, source, [cfg.feature_dim], seed=0)
+    weights = federation._backbone(cfg, source, [cfg.feature_dim])
+    again = federation._backbone(cfg, source, [cfg.feature_dim])
     assert all(w is v for w, v in zip(weights, again))
     with pytest.raises(ValueError):
         weights[0][0, 0] = 1.0
@@ -711,7 +706,7 @@ def test_csv_source_without_a_pretrain_row_is_named(tmp_path, count_fits):
     # 3 rows split 0/1/2 (1/4, 1/2, 1/4, rounded down): the fit is refused
     # before its first step, not run on 0/0 into NaN weights
     path = tmp_path / "tiny.csv"
-    data.save_csv(Dataset(np.arange(24.0).reshape(3, 8), np.arange(3), 3), path)
+    save_csv(Dataset(np.arange(24.0).reshape(3, 8), np.arange(3), 3), path)
     cfg = small_config(source="csv", csv_path=str(path), epsilon=None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -733,13 +728,13 @@ def test_rewritten_csv_source_is_refitted(tmp_path, count_fits, count_parses):
     path = tmp_path / "table.csv"
     cfg = small_config(source="csv", csv_path=str(path), rounds=1)
     first, _, _ = gen_synthetic(3, 8, 240, 3.0, seed=0)
-    data.save_csv(first, path)
+    save_csv(first, path)
     rows1 = federation.run_experiment(cfg, seed=0, record_timing=False)
     assert len(count_parses) == 1  # one parse serves the backbone and the data
     federation.run_experiment(cfg, seed=0, record_timing=False)
     assert len(count_fits) == 1 and len(count_parses) == 2
     second, _, _ = gen_synthetic(3, 8, 240, 3.0, seed=1)
-    data.save_csv(second, path)
+    save_csv(second, path)
     rows2 = federation.run_experiment(cfg, seed=0, record_timing=False)
     assert len(count_fits) == 2 and len(count_parses) == 3
     assert rows1 != rows2
@@ -843,16 +838,19 @@ def cold_start(cfg, seed):
 def test_start_holds_each_shard_once():
     cfg = config.load(HEADLINE, ["record_timing=false"])
     (_, clients, heldout), (held, _) = cold_start(cfg, seed=0)
-    tables = [c.table for c in clients]
+    parts, _, tables = federation._data(cfg, 0, federation._source(cfg, 0))
     # the memo holds the held-out split, the tables and the shards' labels
-    kept = [heldout.features, heldout.labels, *tables, *(c.dataset.labels for c in clients)]
+    kept = [heldout.features, heldout.labels, *tables, *(part.labels for part in parts)]
     assert held <= sum(a.nbytes for a in kept) + 2**18
+    # each client is the memo's table, on every start of the seed
     again = federation.start(cfg, seed=0)[1]
-    assert all(c.table is t for c, t in zip(again, tables, strict=True))
-    for c in clients:
-        assert np.shares_memory(c.dataset.features, c.table)
-        assert np.array_equal(c.table[:, : c.dataset.feature_dim], c.dataset.features)
-    for arr in kept + [c.dataset.features for c in clients]:
+    for handles in (clients, again):
+        assert all(c.table is t for c, t in zip(handles, tables, strict=True))
+    for c, part in zip(clients, parts, strict=True):
+        assert c.sample_rate == min(1.0, cfg.batch_size / len(c.table))
+        assert np.shares_memory(part.features, c.table)
+        assert np.array_equal(c.table[:, : part.feature_dim], part.features)
+    for arr in kept + [part.features for part in parts]:
         assert not arr.flags.writeable
 
 
@@ -925,7 +923,7 @@ def test_streamed_build_equals_the_dense_reference(classes, clients, train_size,
 @pytest.mark.parametrize("seed", [0, 5])
 def test_streamed_csv_build_equals_the_dense_reference(tmp_path, seed):
     path = tmp_path / "table.csv"
-    data.save_csv(gen_synthetic(3, 5, 2 * data.CHUNK_ROWS + 3, 3.0, seed=seed)[1], path)
+    save_csv(gen_synthetic(3, 5, 2 * data.CHUNK_ROWS + 3, 3.0, seed=seed)[1], path)
     full = data.load_csv(path)
     # the 1/4, 1/2, 1/4 split of the parsed table, each split gathered whole
     perm = federation.stream(seed, federation._TAG_SPLIT).permutation(len(full))
@@ -939,11 +937,11 @@ def test_csv_datasets_keyed_on_the_parsed_table(tmp_path, count_builds):
     path = tmp_path / "table.csv"
     cfg = small_config(source="csv", csv_path=str(path))
     table, _, _ = gen_synthetic(3, 8, 240, 3.0, seed=0)
-    data.save_csv(table, path)
+    save_csv(table, path)
     heldout = federation.datasets(cfg, seed=0)[1]
-    data.save_csv(table, path)  # the same table again
+    save_csv(table, path)  # the same table again
     assert federation.datasets(cfg, seed=0)[1] is heldout
-    data.save_csv(gen_synthetic(3, 8, 240, 3.0, seed=1)[0], path)
+    save_csv(gen_synthetic(3, 8, 240, 3.0, seed=1)[0], path)
     assert federation.datasets(cfg, seed=0)[1] is not heldout
     assert count_builds.count("cells") == 2
 
@@ -1016,7 +1014,7 @@ def stack_client(n, q, sigma, seed, d=5, scale=1.0, classes=3):
         class_count=classes,
     )
     rdp = privacy.rdp_subsampled_gaussian(q, sigma) if sigma else None
-    return ClientHandle(dataset=ds, table=shard_table(ds), sample_rate=q, sigma=sigma, rdp_per_step=rdp)
+    return ClientHandle(table=shard_table(ds), sample_rate=q, sigma=sigma, rdp_per_step=rdp)
 
 
 def stack_layers(layers, rank, seed, d=5, classes=3):
@@ -1232,12 +1230,12 @@ def test_run_experiment_names_the_first_diverged_client_in_sorted_order(monkeypa
     sampled = federation.sample_clients(4, 3, federation.stream(0, federation._TAG_SAMPLE, 0))
     real = federation.build_clients
 
-    def blow_up_all_but_the_first(cfg, parts, tables):
-        clients = real(cfg, parts, tables)
+    def blow_up_all_but_the_first(cfg, tables):
+        clients = real(cfg, tables)
         for cid in sampled[1:]:
-            ds = clients[cid].dataset
-            huge = data.Dataset(1e300 * ds.features, ds.labels, ds.class_count)
-            clients[cid] = dataclasses.replace(clients[cid], dataset=huge, table=shard_table(huge))
+            table = clients[cid].table.copy()
+            table[:, : cfg.feature_dim] *= 1e300
+            clients[cid] = dataclasses.replace(clients[cid], table=table)
         return clients
 
     monkeypatch.setattr(federation, "build_clients", blow_up_all_but_the_first)
@@ -1282,7 +1280,7 @@ def serial_reference(cfg, seed):
             )
             for cid in sampled
         ]
-        sizes = [len(clients[cid].dataset) for cid in sampled]
+        sizes = [len(clients[cid].table) for cid in sampled]
         server = federation.aggregate(sizes, stack_rows(updates, strategy.trains_a), server)
         comm = federation.comm_params_per_round(strategy, server.layers, len(sampled), cfg.transmit_a)
         rows.append((

@@ -1,16 +1,17 @@
 """Source-tree guards: every top-level function and class of the fedsvd
 package has a reader in the package besides its own definition, so code that
-only tests call lives in tests/, not in src/; and model.py has one
-forward/backward pass."""
+only tests call lives in tests/, not in src/; every field of a package
+dataclass is read somewhere, so no record stores a value nobody reads; and
+model.py has one forward/backward pass."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fedsvd"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fedsvd"
 
-# Entry points with no caller inside the package: a user-facing config
-# writer, a user-facing CSV writer, and a diagnostic the tests call.
-UNREFERENCED_OK = {("config", "dump"), ("data", "save_csv"), ("linalg", "condition_number")}
+# Entry points with no caller inside the package: a diagnostic the tests call.
+UNREFERENCED_OK = {("linalg", "condition_number")}
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -43,6 +44,44 @@ def test_guard_flags_a_definition_read_only_by_itself(tmp_path):
     )
     (tmp_path / "b.py").write_text("from . import a\n\n\nclass Orphan:\n    pass\n")
     assert unreferenced_definitions(tmp_path) == {("a", "recursive"), ("b", "Orphan")}
+
+
+def unread_fields(src: Path, sources: list[Path]) -> set[tuple[str, str, str]]:
+    """(module, class, field) of each field declared on a dataclass under
+    `src` that none of `sources` reads as an attribute (`x.field`); a
+    constructor keyword or an assignment is a write, not a read."""
+    read = {
+        node.attr
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return {
+        (path.stem, cls.name, stmt.target.id)
+        for path in sorted(src.glob("*.py"))
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(cls, ast.ClassDef)
+        and any(ast.unparse(dec).startswith("dataclass") for dec in cls.decorator_list)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) and stmt.target.id not in read
+    }
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(SRC, sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))) == set()
+
+
+def test_guard_flags_a_field_only_written(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\nclass Rec:\n"
+        "    kept: int\n    passed: int\n    written: int\n\n\n"
+        "class Plain:\n    ignored: int\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from a import Rec\n\n\ndef f(rec):\n    rec.written = rec.kept\n"
+        "    return Rec(kept=1, passed=2, written=3)\n"
+    )
+    assert unread_fields(tmp_path, sorted(tmp_path.glob("*.py"))) == {("a", "Rec", "passed"), ("a", "Rec", "written")}
 
 
 def readers(path: Path, name: str) -> set[str]:
