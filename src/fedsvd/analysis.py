@@ -66,21 +66,22 @@ def hessian_logreg(a, b, w, features, labels) -> HessianReport:
         raise ValueError("empty dataset")
     if b.shape[0] != 1 or w.shape[0] != 1:
         raise ValueError("scalar-logit setting requires 1-row b and w")
-    if set(np.unique(y)) - {0, 1}:
+    if np.any((y != 0) & (y != 1)):
         raise ValueError("labels must be binary")
 
-    z = x @ (w + b @ a).T
-    weight = sigmoid(z) * (1.0 - sigmoid(z))
+    p = sigmoid(x @ (w + b @ a).T)
+    weight = p * (1.0 - p)
     m = (x.T * weight.ravel()) @ x / len(x)
     m = (m + m.T) / 2.0
     h = a @ m @ a.T
     h = (h + h.T) / 2.0
 
-    q, _ = linalg.qr_thin(a.T)
+    q, _ = np.linalg.qr(a.T)
     restricted = q.T @ m @ q
-    eig_h, _ = linalg.eig_sym(h)
-    eig_m, _ = linalg.eig_sym(m)
-    eig_restricted, _ = linalg.eig_sym((restricted + restricted.T) / 2.0)
+    # eigenvalues nonincreasing; each matrix is exactly symmetric
+    eig_h = np.linalg.eigh(h)[0][::-1]
+    eig_m = np.linalg.eigh(m)[0][::-1]
+    eig_restricted = np.linalg.eigh((restricted + restricted.T) / 2.0)[0][::-1]
     s_a = linalg.svd(a).singular_values
     kappa_a = float(s_a[0] / s_a[-1]) if s_a[-1] > 0 else np.inf
     lambda_min_restricted = float(eig_restricted[-1])
@@ -176,7 +177,7 @@ def grad_norm_identity_check(a, b, w, x, y: int) -> GradNormReport:
         dz = model.softmax(z)
         dz[y] -= 1.0
     grad_b = np.outer(dz, a @ x)
-    spec_a = linalg.spectral_norm(a)
+    spec_a = float(linalg.svd(a).singular_values[0])
     dz_norm = float(np.linalg.norm(dz))
     return GradNormReport(
         lhs=float(np.linalg.norm(grad_b)),

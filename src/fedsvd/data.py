@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-
 # Fine-tuning distribution: class means are cyclically permuted (the
 # backbone still resolves every cluster but assigns it to the wrong class),
 # tilted toward fresh directions by a small angle, and globally shifted.
@@ -102,8 +100,8 @@ def synthetic_split(split: int, class_count: int, feature_dim: int, size: int, m
     root = np.random.SeedSequence(entropy=(int(seed), 0x5D))
     r_dirs, *r_splits = [np.random.default_rng(s) for s in root.spawn(4)]
 
-    basis, _ = linalg.qr_thin(r_dirs.standard_normal((feature_dim, class_count)))
-    basis2, _ = linalg.qr_thin(r_dirs.standard_normal((feature_dim, class_count)))
+    basis, _ = np.linalg.qr(r_dirs.standard_normal((feature_dim, class_count)))
+    basis2, _ = np.linalg.qr(r_dirs.standard_normal((feature_dim, class_count)))
     radius = margin / np.sqrt(2.0)  # pairwise mean distance = margin
     means_pre = radius * basis.T
     fresh = radius * basis2.T

@@ -202,8 +202,9 @@ def train_clients(
     (K, M, d + classes) block, whose column views are the inputs and the
     one-hot targets. Client k draws its batch, then its noise, from rngs[k]
     alone: its row equals its result trained alone up to rounding. An empty
-    draw skips the step and draws no noise; the privacy spend counts it all
-    the same (see _epsilon_column).
+    draw leaves the client's row unchanged and draws no noise (see
+    dp_sgd_step_flat), even when no client drew; the privacy spend counts it
+    all the same (see _epsilon_column).
     """
     count, d_in, width = len(clients), layers[0].d_in, layers[0].d_in + layers[-1].d_out
     adapters = model.adapter_params(layers)
@@ -215,8 +216,6 @@ def train_clients(
     for _ in range(steps):
         picks = [(rng.random(len(table)) < q).nonzero()[0] for (table, q), rng in zip(shards, rngs)]
         sizes = [len(p) for p in picks]
-        if not any(sizes):
-            continue
         block = np.zeros((count, max(sizes), width))
         for k, ((table, _), p) in enumerate(zip(shards, picks)):
             table.take(p, axis=0, out=block[k, : len(p)])

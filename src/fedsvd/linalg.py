@@ -1,10 +1,10 @@
-"""Dense linear algebra: thin SVD, QR and symmetric eigensolver on LAPACK.
+"""Dense linear algebra: the signed, rank-flushed thin SVD on LAPACK.
 
-Everything operates on plain 2-D float64 ndarrays. The routines are thin
-wrappers over numpy.linalg that validate their input and fix what LAPACK
-leaves open: singular vectors follow a deterministic sign convention,
-singular values below the numerical rank are flushed to exactly zero, and
-eigenvalues come in nonincreasing order. LAPACK failures surface as
+Everything operates on plain 2-D float64 ndarrays. svd and lowrank_svd fix
+what LAPACK leaves open: singular vectors follow a deterministic sign
+convention and singular values below the numerical rank are flushed to
+exactly zero. QR and symmetric eigenvalues need no such fix, so callers use
+numpy.linalg.qr and numpy.linalg.eigh directly. LAPACK failures surface as
 numpy.linalg.LinAlgError, a ValueError. All functions are pure and safe to
 call concurrently.
 """
@@ -36,20 +36,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR of an m x n matrix with m >= n (LAPACK Householder QR).
-
-    Returns (q, r) with q of shape m x n (orthonormal columns) and r of
-    shape n x n upper triangular such that q @ r reconstructs the input.
-    The signs of r's diagonal are not part of the contract.
-    """
-    a = as_matrix(m)
-    rows, cols = a.shape
-    if rows < cols:
-        raise ValueError(f"qr_thin requires rows >= cols, got {rows}x{cols}")
-    return np.linalg.qr(a, mode="reduced")
 
 
 def _signed(u: np.ndarray, sigma: np.ndarray, vt: np.ndarray) -> SvdResult:
@@ -102,15 +88,10 @@ def lowrank_svd(b, a) -> SvdResult:
         raise ValueError(
             f"rank {r} exceeds outer dimensions {b.shape[0]}x{a.shape[1]}"
         )
-    qb, rb = qr_thin(b)
-    qa, ra = qr_thin(a.T)
+    qb, rb = np.linalg.qr(b)
+    qa, ra = np.linalg.qr(a.T)
     core_u, sigma, core_vt = _flushed_svd(rb @ ra.T)
     return _signed(qb @ core_u, sigma, core_vt @ qa.T)
-
-
-def spectral_norm(m) -> float:
-    """Largest singular value."""
-    return float(svd(m).singular_values[0])
 
 
 def condition_number(m, rank_tol: float = DEFAULT_RANK_TOL) -> float:
@@ -127,28 +108,6 @@ def condition_number(m, rank_tol: float = DEFAULT_RANK_TOL) -> float:
         raise ValueError("condition number is undefined for an all-zero matrix")
     kept = s[s > rank_tol * s[0]]
     return float(kept[0] / kept[-1])
-
-
-def eig_sym(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix (LAPACK).
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues nonincreasing and
-    eigenvectors in matching columns. Input must be symmetric to within
-    1e-10 relative to its largest entry; it is symmetrized before solving.
-    The all-zero and 1 x 1 matrices return the identity as eigenvectors.
-    """
-    a = as_matrix(m)
-    n, ncols = a.shape
-    if n != ncols:
-        raise ValueError(f"eig_sym requires a square matrix, got {n}x{ncols}")
-    amax = float(np.max(np.abs(a)))
-    if float(np.max(np.abs(a - a.T))) > 1e-10 * max(1.0, amax):
-        raise ValueError("eig_sym requires a symmetric matrix")
-    a = (a + a.T) / 2.0
-    if amax == 0.0 or n == 1:
-        return np.diag(a).copy(), np.eye(n)
-    w, vecs = np.linalg.eigh(a)
-    return w[::-1], vecs[:, ::-1]
 
 
 def frobenius(m) -> float:

@@ -81,7 +81,7 @@ def orthonormal_init(d_out: int, d_in: int, r: int, seed) -> tuple[np.ndarray, n
     if r < 1 or r > min(d_out, d_in):
         raise ValueError(f"invalid rank {r} for {d_out}x{d_in}")
     rng = np.random.default_rng(seed)
-    q, _ = linalg.qr_thin(rng.standard_normal((d_in, r)))
+    q, _ = np.linalg.qr(rng.standard_normal((d_in, r)))
     return np.ascontiguousarray(q.T), np.zeros((d_out, r))
 
 

@@ -91,7 +91,7 @@ def verify_conditioning(trials: int, seed: int) -> list[MarginRow]:
         d_x = int(rng.choice([8, 16, 32]))
         orthonormal = bool(rng.integers(0, 2))
         if orthonormal:
-            q, _ = linalg.qr_thin(rng.standard_normal((d_x, r)))
+            q, _ = np.linalg.qr(rng.standard_normal((d_x, r)))
             a = np.ascontiguousarray(q.T)
         else:
             a = rng.standard_normal((r, d_x)) * rng.uniform(0.5, 2.0)

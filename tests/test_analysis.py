@@ -1,13 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fedsvd import analysis, linalg, model
+from fedsvd import analysis, model
 from fedsvd.lora import LoraLayer
 
 
 def random_instance(rng, r=3, d_x=8, n=40, orthonormal=False):
     if orthonormal:
-        q, _ = linalg.qr_thin(rng.standard_normal((d_x, r)))
+        q, _ = np.linalg.qr(rng.standard_normal((d_x, r)))
         a = np.ascontiguousarray(q.T)
     else:
         a = rng.standard_normal((r, d_x)) * rng.uniform(0.5, 2.0)
@@ -80,8 +85,8 @@ def test_hessian_psd_and_symmetric():
         a, b, w, x, y = random_instance(rng)
         rep = analysis.hessian_logreg(a, b, w, x, y)
         assert np.max(np.abs(rep.h - rep.h.T)) <= 1e-10
-        eig_h, _ = linalg.eig_sym(rep.h)
-        eig_m, _ = linalg.eig_sym(rep.m)
+        eig_h = np.linalg.eigvalsh(rep.h)
+        eig_m = np.linalg.eigvalsh(rep.m)
         assert np.all(eig_h >= -1e-10)
         assert np.all(eig_m >= -1e-10)
 
@@ -89,10 +94,34 @@ def test_hessian_psd_and_symmetric():
 def test_hessian_validation():
     rng = np.random.default_rng(4)
     a, b, w, x, y = random_instance(rng)
-    with pytest.raises(ValueError):
-        analysis.hessian_logreg(a, b, w, x, np.array([0, 2] * (len(y) // 2)))
+    for bad in (2.0, 0.5, np.nan):
+        labels = np.where(np.arange(len(y)) % 2, bad, 0.0)
+        with pytest.raises(ValueError, match="labels must be binary"):
+            analysis.hessian_logreg(a, b, w, x, labels)
     with pytest.raises(ValueError):
         analysis.hessian_logreg(a, b, w, x[:0], y[:0])
+    # boolean labels are binary
+    assert analysis.hessian_logreg(a, b, w, x, y.astype(bool)).h.tobytes() == (
+        analysis.hessian_logreg(a, b, w, x, y).h.tobytes()
+    )
+
+
+def test_verify_never_imports_numpy_ma():
+    # np.unique goes through numpy.ma, whose import costs a fresh process
+    # about 10 ms and 1 MB; the label check needs only comparisons.
+    script = """
+import sys
+from fedsvd import verify
+verify.run_scope("all", 1, 0)
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_conditioning_orthonormal_rows():
@@ -179,7 +208,7 @@ def test_grad_norm_identity_and_bound_random():
 def test_grad_norm_orthonormal_equality_on_row_space():
     # x inside the row space of orthonormal a: |a x| = |x|, identity == bound
     rng = np.random.default_rng(11)
-    q, _ = linalg.qr_thin(rng.standard_normal((8, 3)))
+    q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
     a = np.ascontiguousarray(q.T)
     b = rng.standard_normal((2, 3))
     w = rng.standard_normal((2, 8)) * 0.1

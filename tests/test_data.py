@@ -4,7 +4,7 @@ from helpers import gen_synthetic, partition_dirichlet, save_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsvd import data, linalg, model
+from fedsvd import data, model
 from fedsvd.data import Dataset, PartitionSpec
 
 
@@ -27,8 +27,8 @@ def test_gen_synthetic_pinned_to_the_whole_block_expression(classes, feature_dim
     margin = 2.5
     root = np.random.SeedSequence(entropy=(seed, 0x5D))
     r_dirs, *r_splits = [np.random.default_rng(s) for s in root.spawn(4)]
-    basis, _ = linalg.qr_thin(r_dirs.standard_normal((feature_dim, classes)))
-    basis2, _ = linalg.qr_thin(r_dirs.standard_normal((feature_dim, classes)))
+    basis, _ = np.linalg.qr(r_dirs.standard_normal((feature_dim, classes)))
+    basis2, _ = np.linalg.qr(r_dirs.standard_normal((feature_dim, classes)))
     radius = margin / np.sqrt(2.0)
     means_pre = radius * basis.T
     rot = data.FINETUNE_ROTATION

@@ -1147,6 +1147,13 @@ def test_train_clients_ragged_and_empty_batches(trains_a):
     for idx, layer in enumerate(layers):
         assert got[idx, "b"][2].tobytes() == layer.b.tobytes()  # client 2 never drew
         assert got[idx, "b"][1].tobytes() != layer.b.tobytes()
+    # no client draws, private or not: every step runs on an empty (K, 0, .)
+    # block, changes nothing and draws no noise
+    idle = [stack_client(40, 1e-12, 1.1, 7), stack_client(40, 1e-12, None, 8)]
+    got = assert_stacked_equals_solo(idle, layers, trains_a, 9, 3, STACK_CLIP, exact=True)
+    for key in trainable_keys(layers, trains_a):
+        for row in got[key]:
+            assert row.tobytes() == getattr(layers[key[0]], key[1]).tobytes(), key
 
 
 @pytest.mark.parametrize("trains_a", [False, True])

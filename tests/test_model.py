@@ -278,10 +278,8 @@ def test_verify_central_differences_reject_non_finite_logits(bad):
 def test_gradient_norm_identity_orthonormal_a():
     # ||dl/dB||_F = ||dl/dz|| * ||A x|| and <= ||dl/dz|| * ||x|| for orthonormal A.
     rng = np.random.default_rng(9)
-    from fedsvd import linalg
-
     for _ in range(20):
-        q, _ = linalg.qr_thin(rng.standard_normal((8, 3)))
+        q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         a = q.T
         b = rng.standard_normal((4, 3))
         w0 = rng.standard_normal((4, 8))
