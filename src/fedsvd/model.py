@@ -114,15 +114,17 @@ def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], logits: np.nd
     the walk ends: the next delta is formed from them after each yield.
     targets are one-hot rows of the shape of logits (leading axes broadcast
     as in _forward); a zero row gives that example softmax as its delta.
-    With a workspace (see _buf) each delta has its own array, until the next walk.
+    Without a workspace nothing yielded is written to. With one (see _buf)
+    each delta has its own array until the next walk, and each yielded h_in
+    stays as made only until the walk resumes: the tanh slope overwrites it.
     """
     delta = softmax(logits, work)  # d loss / d logits, per sample
     delta -= targets
     for idx in range(len(weights) - 1, -1, -1):
         h_in = inputs[idx]
         yield idx, delta, h_in
-        if idx > 0:  # back through tanh, never into the yielded h_in and delta
-            slope = np.multiply(h_in, h_in, out=_buf(work, ("slope", idx), h_in))
+        if idx > 0:  # back through tanh; with a workspace h_in is one of its arrays here, never x
+            slope = np.multiply(h_in, h_in, out=None if work is None else h_in)
             delta = np.matmul(delta, weights[idx], out=_buf(work, ("delta", idx), h_in))
             delta *= np.subtract(1.0, slope, out=slope)
 
@@ -190,7 +192,7 @@ def fit_dense_weights(
     for _ in range(steps):  # every step reuses the arrays in work
         inputs, logits = _forward(weights, x, work)
         walk = _backward(weights, inputs, logits, targets, work)
-        grads = [(idx, delta.T @ h_in / n) for idx, delta, h_in in walk]
+        grads = [(idx, delta.T @ h_in / n) for idx, delta, h_in in walk]  # each before the walk overwrites h_in
         for idx, grad in grads:
             weights[idx] = weights[idx] - lr * grad
     return weights

@@ -569,6 +569,34 @@ def test_fedsvd_value_invariance_every_round_and_layer():
             assert np.max(np.abs(a_hat @ a_hat.T - np.eye(a_hat.shape[0]))) < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    strategy=st.sampled_from(["fedsvd", "fedsvd_nonortho"]),
+    layers=st.sampled_from([1, 2]),
+    rank=st.integers(1, 4),
+    svd_period=st.integers(1, 3),
+    private=st.booleans(),
+    seed=st.integers(0, 3),
+)
+def test_reparam_keeps_every_a_in_the_span_of_its_round_zero_rows(strategy, layers, rank, svd_period, private, seed):
+    # b_avg @ a_prev has its rows in span(a_prev), and lowrank_svd lifts the
+    # new rows through a basis of a_prev's rows: a refactorization only turns
+    # a inside span(a_0), and fedsvd's orthonormal rows never lose its rank
+    cfg = small_config(
+        strategy=strategy, layers=layers, hidden_dim=5, rank=rank, svd_period=svd_period,
+        rounds=4, epsilon=6.0 if private else None,
+    )
+    server, clients, _ = federation.start(cfg, seed)
+    firsts = [layer.a for layer in server.layers]
+    bases = [np.linalg.svd(a0)[2][:np.linalg.matrix_rank(a0)] for a0 in firsts]
+    for _, _, server in federation.rounds(cfg, server, clients):
+        for a, a0, basis in zip([layer.a for layer in server.layers], firsts, bases):
+            outside = a - (a @ basis.T) @ basis
+            assert np.all(np.linalg.norm(outside, axis=1) <= 1e-12 * np.maximum(1.0, np.linalg.norm(a, axis=1)))
+            if strategy == "fedsvd":
+                assert np.linalg.matrix_rank(a) == np.linalg.matrix_rank(a0)
+
+
 def test_run_experiment_ffa_broadcast_a_never_changes():
     cfg = small_config(strategy="ffa_lora", rounds=3, epsilon=5.0)
     server, clients, _ = federation.start(cfg, 2)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -216,7 +217,9 @@ def test_tanh_backward_never_writes_into_what_it_yields():
     assert [a.tobytes() for a in inputs] == [a.tobytes() for a in before]
     assert [dl.tobytes() for _, dl, _ in walked] == [delta1.tobytes(), delta0.tobytes()]
     # the same with a workspace, on a stack of two equally wide hidden
-    # layers: every yielded delta and input has its own array in it
+    # layers: each yielded pair is the fresh-array walk's until the walk
+    # resumes; then the tanh slope 1 - h*h lands in the yielded hidden
+    # input's own array, never in x, and the deltas stay as made
     ws = [rng.standard_normal(shape) for shape in ((4, d), (4, 4), (c, 4))]
     want_inputs, want_logits = model._forward(ws, x)
     want = [(idx, dl.copy(), h.copy()) for idx, dl, h in model._backward(ws, want_inputs, want_logits, targets)]
@@ -224,13 +227,19 @@ def test_tanh_backward_never_writes_into_what_it_yields():
     for _ in range(2):  # a second walk reuses the first one's arrays
         inputs, logits = model._forward(ws, x, work)
         assert logits.tobytes() == want_logits.tobytes()
-        walked = list(model._backward(ws, inputs, logits, targets, work))
-        assert [idx for idx, _, _ in walked] == [2, 1, 0]
-        assert all(h_in is inputs[idx] for idx, _, h_in in walked)
-        for (idx, dl, h_in), (_, want_dl, want_h) in zip(walked, want):
+        walked = []
+        for (idx, dl, h_in), (_, want_dl, want_h) in zip(model._backward(ws, inputs, logits, targets, work), want):
+            assert h_in is inputs[idx]
             assert (dl.tobytes(), h_in.tobytes()) == (want_dl.tobytes(), want_h.tobytes()), idx
-    # 3 layer outputs, the softmax's 2 arrays, 2 slopes and 2 deltas: reused, never shared
-    assert len({id(a) for a in work.values()}) == len(work) == 9
+            walked.append((idx, dl, h_in))
+        assert [idx for idx, _, _ in walked] == [2, 1, 0]
+        assert inputs[0] is x and x.tobytes() == x_before.tobytes()
+        for (idx, dl, h_in), (_, want_dl, want_h) in zip(walked, want):
+            assert dl.tobytes() == want_dl.tobytes(), idx
+            if idx > 0:
+                assert h_in.tobytes() == (1.0 - want_h * want_h).tobytes(), idx
+    # 3 layer outputs, the softmax's 2 arrays and 2 deltas: reused, never shared
+    assert len({id(a) for a in work.values()}) == len(work) == 7
     assert x.tobytes() == x_before.tobytes()
 
 
@@ -370,6 +379,22 @@ def test_fit_dense_weights_pinned_to_whole_array_reference(dims):
 def test_fit_dense_weights_rejects_an_empty_split():
     with pytest.raises(ValueError, match="empty training split"):
         model.fit_dense_weights(np.zeros((0, 4)), np.zeros(0, dtype=int), [4], 3)
+
+
+def test_hidden_32_fit_holds_two_work_arrays_per_hidden_layer():
+    # The fit's working set beside x: the hidden layer's (6000, 32) array,
+    # which the tanh slope reuses, the delta sent back through it, and the
+    # small softmax arrays (3.62 MiB traced). A separate slope array made
+    # it 5.09 MiB. Every work array is made on the first step.
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((6000, 64)), rng.integers(0, 3, 6000)
+    tracemalloc.start()
+    try:
+        model.fit_dense_weights(x, y, [64, 32], 3, steps=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.3 * 2**20
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
