@@ -218,7 +218,8 @@ def train_clients(
         sizes = [len(p) for p in picks]
         block = np.zeros((count, max(sizes), width))
         for k, ((table, _), p) in enumerate(zip(shards, picks)):
-            table.take(p, axis=0, out=block[k, : len(p)])
+            # p indexes the table's own rows, so "clip" clips nothing; "raise" would buffer out
+            table.take(p, axis=0, out=block[k, : len(p)], mode="clip")
         factors = model.grad_factors(layers, params, block[..., :d_in], block[..., d_in:], trainable)
         privacy.dp_sgd_step_flat(theta, views, factors, clip, noise, lr, rngs, np.array(sizes))
     return params

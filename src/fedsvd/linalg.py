@@ -48,9 +48,8 @@ def _signed(u: np.ndarray, sigma: np.ndarray, vt: np.ndarray) -> SvdResult:
     return SvdResult(u, sigma, vt)
 
 
-def _flushed_svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # LAPACK's thin SVD with the rank flush of svd, before any sign pass.
-    a = as_matrix(m)
+def _flushed_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # LAPACK's thin SVD of a validated matrix with svd's rank flush, before any sign pass.
     u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     sigma[sigma <= max(a.shape) * np.finfo(np.float64).eps * sigma[0]] = 0.0
     return u, sigma, vt
@@ -65,7 +64,7 @@ def svd(m) -> SvdResult:
     max(m, n) * eps * sigma_max are flushed to exactly zero; u keeps
     orthonormal columns for them.
     """
-    return _signed(*_flushed_svd(m))
+    return _signed(*_flushed_svd(as_matrix(m)))
 
 
 def lowrank_svd(b, a) -> SvdResult:
@@ -91,6 +90,8 @@ def lowrank_svd(b, a) -> SvdResult:
     qb, rb = np.linalg.qr(b)
     qa, ra = np.linalg.qr(a.T)
     core_u, sigma, core_vt = _flushed_svd(rb @ ra.T)
+    if not math.isfinite(sigma[0]):  # finite b and a whose product overflows
+        raise ValueError("b @ a has non-finite entries")
     return _signed(qb @ core_u, sigma, core_vt @ qa.T)
 
 
@@ -121,8 +122,25 @@ def frobenius(m) -> float:
     return math.sqrt(total)
 
 
-def rel_frobenius_error(actual, expected) -> float:
-    """|actual - expected|_F / |expected|_F (absolute error if expected = 0)."""
-    diff = frobenius(np.asarray(actual) - np.asarray(expected))
-    denom = frobenius(expected)
+def _error(work: np.ndarray, expected: np.ndarray, rebuild) -> float:
+    # rel_frobenius_error, writing only work, a fresh float64 array holding actual
+    # (it ends holding expected squared); squares that overflow are formed anew
+    # from rebuild(), which returns actual
+    np.subtract(work, expected, out=work)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.multiply(work, work, out=work)))
+        diff = frobenius(rebuild() - expected) if total == math.inf else math.sqrt(total)
+        total = float(np.sum(np.multiply(expected, expected, out=work)))
+    denom = frobenius(expected) if total == math.inf else math.sqrt(total)
     return diff / denom if denom > 0.0 else diff
+
+
+def rel_frobenius_error(actual, expected) -> float:
+    """|actual - expected|_F / |expected|_F (absolute error if expected = 0).
+    Writes only its own float64 copy of actual, not either input."""
+    return _error(np.array(actual, dtype=np.float64), np.asarray(expected, dtype=np.float64), lambda: actual)
+
+
+def product_error(b: np.ndarray, a: np.ndarray, expected: np.ndarray) -> float:
+    """rel_frobenius_error(b @ a, expected) of float64 matrices, writing only the fresh b @ a."""
+    return _error(b @ a, expected, lambda: b @ a)

@@ -85,8 +85,13 @@ def orthonormal_init(d_out: int, d_in: int, r: int, seed) -> tuple[np.ndarray, n
     return np.ascontiguousarray(q.T), np.zeros((d_out, r))
 
 
-def _is_degenerate(sigma: np.ndarray, b: np.ndarray) -> bool:
-    return float(sigma[0]) <= DEGENERATE_SIGMA_TOL * max(1.0, linalg.frobenius(b))
+def _refactor(b, a_prev, split) -> tuple[np.ndarray, np.ndarray]:
+    # split(u, sigma, vt) of the SVD of b @ a_prev, which lowrank_svd validates;
+    # a numerically zero product keeps a_prev and zeroes b
+    u, sigma, vt = linalg.lowrank_svd(b, a_prev)
+    if float(sigma[0]) <= DEGENERATE_SIGMA_TOL * max(1.0, linalg.frobenius(b)):
+        return np.zeros(np.shape(b)), np.asarray(a_prev, dtype=np.float64).copy()
+    return split(u, sigma, vt)
 
 
 def fedsvd_reparam(b, a_prev) -> tuple[np.ndarray, np.ndarray]:
@@ -97,13 +102,7 @@ def fedsvd_reparam(b, a_prev) -> tuple[np.ndarray, np.ndarray]:
     the product is numerically zero the previous basis is kept and b_hat is
     zeroed, matching the round-zero state.
     """
-    b = linalg.as_matrix(b, "b")
-    a_prev = linalg.as_matrix(a_prev, "a_prev")
-    res = linalg.lowrank_svd(b, a_prev)
-    if _is_degenerate(res.singular_values, b):
-        return np.zeros_like(b), a_prev.copy()
-    b_hat = res.u * res.singular_values[None, :]
-    return b_hat, res.vt.copy()
+    return _refactor(b, a_prev, lambda u, sigma, vt: (u * sigma[None, :], vt.copy()))
 
 
 def nonorthonormal_reparam(b, a_prev) -> tuple[np.ndarray, np.ndarray]:
@@ -112,15 +111,7 @@ def nonorthonormal_reparam(b, a_prev) -> tuple[np.ndarray, np.ndarray]:
     Recovery of b @ a_prev still holds but the rows of a_hat are generally
     not orthonormal: the row norms carry sqrt of the singular values.
     """
-    b = linalg.as_matrix(b, "b")
-    a_prev = linalg.as_matrix(a_prev, "a_prev")
-    res = linalg.lowrank_svd(b, a_prev)
-    if _is_degenerate(res.singular_values, b):
-        return np.zeros_like(b), a_prev.copy()
-    root = np.sqrt(res.singular_values)
-    b_hat = res.u * root[None, :]
-    a_hat = root[:, None] * res.vt
-    return b_hat, a_hat
+    return _refactor(b, a_prev, lambda u, sigma, vt: (u * np.sqrt(sigma)[None, :], np.sqrt(sigma)[:, None] * vt))
 
 
 def pissa_init(w0, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

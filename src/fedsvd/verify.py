@@ -64,7 +64,7 @@ def verify_linalg(trials: int, seed: int) -> list[MarginRow]:
         b = rng.standard_normal((d_out, r))
         a_prev = rng.standard_normal((r, d_in))
         b_hat, a_hat = lora.fedsvd_reparam(b, a_prev)
-        err = linalg.rel_frobenius_error(b_hat @ a_hat, b @ a_prev)
+        err = linalg.product_error(b_hat, a_hat, b @ a_prev)
         rows.append(_row("linalg", "reparam_recovery", t, err, 1e-10, err <= 1e-10))
         orth = float(np.max(np.abs(a_hat @ a_hat.T - np.eye(r))))
         rows.append(_row("linalg", "reparam_orthonormal", t, orth, 1e-10, orth <= 1e-10))

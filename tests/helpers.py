@@ -3,9 +3,10 @@ writer, a CSV writer for dataset files, one client's local training, the
 dense data references that the streamed shard build is checked against,
 the independent per-example clipping oracle that the DP-SGD step is
 checked against, the whole-array backbone fit that the
-fit's reused work arrays are checked against, and the scalar forward and
-loss of one example that finite-difference gradient checks perturb one
-entry at a time."""
+fit's reused work arrays are checked against, the whole-array relative
+Frobenius error that the in-place error is checked against, and the scalar
+forward and loss of one example that finite-difference gradient checks
+perturb one entry at a time."""
 
 import csv
 import io
@@ -168,6 +169,16 @@ def reference_fit(x, y, dims, class_count, steps, lr, seed):
                 delta = (delta @ weights[idx]) * (1.0 - inputs[idx] * inputs[idx])
         weights = [w - lr * g for w, (_, g) in zip(weights, reversed(grads))]
     return weights
+
+
+def reference_rel_error(actual, expected) -> float:
+    """sqrt(sum((actual - expected)**2)) / sqrt(sum(expected**2)), each square
+    formed in a new array (the absolute error if expected is zero), with no
+    overflow rescale."""
+    d = actual - expected
+    diff = math.sqrt(float(np.sum(d * d)))
+    denom = math.sqrt(float(np.sum(expected * expected)))
+    return diff / denom if denom > 0.0 else diff
 
 
 def forward(m, x) -> np.ndarray:

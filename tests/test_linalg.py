@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsvd import linalg, lora
+from helpers import reference_rel_error
 
 
 def check_svd_invariants(m, res, recon_tol=1e-9):
@@ -162,6 +167,19 @@ def test_lowrank_svd_dimension_mismatch():
         linalg.lowrank_svd(np.ones((4, 3)), np.ones((2, 5)))
     with pytest.raises(ValueError):
         linalg.lowrank_svd(np.ones((2, 3)), np.ones((3, 5)))  # r > d_out
+
+
+def test_lowrank_svd_refuses_a_product_that_overflows():
+    # finite factors whose r x r core overflows: a ValueError, not NaN factors
+    b = np.full((4, 2), 1e200)
+    b[0, 1] = -3e200
+    a = np.full((2, 5), 1e200)
+    a[1, 0] = 2e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            linalg.lowrank_svd(b, a)
+        with pytest.raises(ValueError):
+            lora.fedsvd_reparam(b, a)
 
 
 # --- spectral norm (the largest singular value of svd) / condition number ---
@@ -358,3 +376,73 @@ def test_svd_and_fedsvd_reparam_bitwise_deterministic():
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(lambda _: run_all(), range(8)))
     assert all(res == reference for res in results)
+
+
+# --- relative Frobenius error: one scratch array, inputs never written ---
+
+
+@st.composite
+def recovery_shapes(draw):
+    r = draw(st.integers(1, 16))
+    return r, draw(st.integers(r, 256)), draw(st.integers(r, 256)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=recovery_shapes(), zero=st.booleans())
+@example(shape=(16, 16, 16, 0), zero=False)
+@example(shape=(3, 3, 200, 1), zero=True)
+@example(shape=(1, 1, 1, 2), zero=True)
+def test_product_error_bit_for_bit_the_whole_array_formula(shape, zero):
+    # verify's reparam_recovery row: the error of b_hat @ a_hat against
+    # b @ a_prev, and against a zero target, where it is the absolute error
+    r, d_out, d_in, seed = shape
+    rng = np.random.default_rng(seed)
+    b, a_prev = rng.standard_normal((d_out, r)), rng.standard_normal((r, d_in))
+    b_hat, a_hat = lora.fedsvd_reparam(b, a_prev)
+    target = np.zeros((d_out, d_in)) if zero else b @ a_prev
+    inputs = [x.copy() for x in (b_hat, a_hat, target)]
+    err = linalg.product_error(b_hat, a_hat, target)
+    assert err == reference_rel_error(b_hat @ a_hat, target)
+    assert linalg.rel_frobenius_error(b_hat @ a_hat, target) == err
+    assert all(np.array_equal(x, y) for x, y in zip(inputs, (b_hat, a_hat, target)))
+
+
+def test_rel_frobenius_error_rescales_when_squares_overflow():
+    # at 1e160 the squares of the difference and of expected overflow, so
+    # both norms are formed anew from the inputs and rescaled
+    rng = np.random.default_rng(5)
+    actual, expected = rng.standard_normal((6, 9)), rng.standard_normal((6, 9))
+    b, a = rng.standard_normal((6, 3)), rng.standard_normal((3, 9))
+    plain = linalg.rel_frobenius_error(actual, expected)
+    plain_product = linalg.product_error(b, a, expected)
+    big = [1e160 * x for x in (actual, expected, b)]
+    before = [x.tobytes() for x in big]
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.sum(big[0] * big[0])) and np.isinf(np.sum(big[1] * big[1]))
+    assert abs(linalg.rel_frobenius_error(big[0], big[1]) - plain) <= 1e-14 * plain
+    assert abs(linalg.product_error(big[2], a, big[1]) - plain_product) <= 1e-14 * plain_product
+    assert [x.tobytes() for x in big] == before
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_verify_linalg_does_not_refault_its_product_arrays():
+    # The recovery check held up to four (d_out, d_in) arrays at once; glibc
+    # returned the heap top to the OS after every trial and the next trial
+    # faulted it in again: 4,100-4,400 minor faults for these 40 seeds. With
+    # the two product-sized arrays of product_error, 900-1,250; three arrays
+    # (product_error copying its product) read about 1,950-2,150.
+    script = """
+import resource
+from fedsvd import verify
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for s in range(40):
+    verify.verify_linalg(1, s)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    assert int(proc.stdout) < 2000
