@@ -16,7 +16,6 @@ import numpy as np
 
 from . import config as config_mod
 from . import federation, metrics, privacy, verify
-from .config import ConfigError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -105,7 +104,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     rows = verify.run_scope(args.scope, args.trials, args.seed or 0)
     if args.output:
-        verify.write_margins_csv(args.output, rows)
+        metrics.write_csv(args.output, rows)
         print(f"margins written to {args.output}")
     bad = verify.violations(rows)
     by_check: dict[str, int] = {}
@@ -200,10 +199,7 @@ def main(argv=None) -> int:
     except federation.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, FileNotFoundError, privacy.CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, privacy.CalibrationError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

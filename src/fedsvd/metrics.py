@@ -1,17 +1,17 @@
-"""Per-round metrics rows and their CSV serialization.
+"""CSV rows: the per-round metrics record and the one row format every CSV
+of the package uses (run's metrics, verify's margins).
 
-The column set and order are part of the external interface; floats are
-written with repr so equal runs produce byte-identical files.
+A record's header is its dataclass field names in declaration order. A
+field declared `float` or `float | None` is written with repr (an empty
+field for None), so equal runs produce byte-identical files; any other
+field with str. The metrics column set and order are part of the external
+interface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-CSV_HEADER = (
-    "run_id,seed,strategy,round,eval_accuracy,eval_loss,"
-    "epsilon_spent,uploaded_params,downloaded_params,wall_ms"
-)
+import functools
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -28,28 +28,35 @@ class MetricsRow:
     wall_ms: int
 
 
-def format_row(row: MetricsRow) -> str:
-    eps = "" if row.epsilon_spent is None else repr(float(row.epsilon_spent))
-    return ",".join(
-        [
-            row.run_id,
-            str(row.seed),
-            row.strategy,
-            str(row.round),
-            repr(float(row.eval_accuracy)),
-            repr(float(row.eval_loss)),
-            eps,
-            str(row.uploaded_params),
-            str(row.downloaded_params),
-            str(row.wall_ms),
-        ]
+def _float_field(value) -> str:
+    return "" if value is None else repr(float(value))
+
+
+@functools.cache
+def _columns(record_type) -> tuple[tuple[str, object], ...]:
+    """(name, formatter) of each field of `record_type`, in declaration order."""
+    return tuple(
+        (f.name, _float_field if f.type in ("float", "float | None") else str)
+        for f in fields(record_type)
     )
 
 
-def write_csv(path, rows: list[MetricsRow], append: bool = False) -> None:
-    """Write the header and `rows` to `path`, or add `rows` to its end."""
+def header(record_type) -> str:
+    return ",".join(name for name, _ in _columns(record_type))
+
+
+CSV_HEADER = header(MetricsRow)
+
+
+def format_row(row) -> str:
+    return ",".join([fmt(getattr(row, name)) for name, fmt in _columns(type(row))])
+
+
+def write_csv(path, rows: list, append: bool = False) -> None:
+    """Write the header of the rows' record type and `rows` to `path`, or
+    add `rows` to its end."""
     with open(path, "a" if append else "w", encoding="utf-8", newline="\n") as fh:
         if not append:
-            fh.write(CSV_HEADER + "\n")
+            fh.write(header(type(rows[0])) + "\n")
         for row in rows:
             fh.write(format_row(row) + "\n")

@@ -1,8 +1,9 @@
 """Runtime verification suites behind the `verify` subcommand.
 
 Each suite runs randomized trials of one family of invariants and returns
-margin rows suitable for a CSV, plus a violation count. Suites are pure
-given (trials, seed).
+margin rows, plus a violation count. Suites are pure given (trials, seed).
+`--output` writes the rows with metrics.write_csv, the formatter of the
+metrics CSV: floats by repr, and the header from MarginRow's fields.
 """
 
 from __future__ import annotations
@@ -11,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, linalg, lora, model, privacy
-
-SCOPES = ("linalg", "theorem", "privacy", "gradients", "all")
-
-MARGIN_CSV_HEADER = "scope,check,trial,value,bound,margin,status"
+from . import analysis, linalg, lora, metrics, model, privacy
 
 
 @dataclass(frozen=True)
@@ -29,17 +26,7 @@ class MarginRow:
     status: str  # "ok" | "violation" | "inconclusive"
 
     def format(self) -> str:
-        return ",".join(
-            [
-                self.scope,
-                self.check,
-                str(self.trial),
-                repr(float(self.value)),
-                repr(float(self.bound)),
-                repr(float(self.margin)),
-                self.status,
-            ]
-        )
+        return metrics.format_row(self)
 
 
 def _row(scope, check, trial, value, bound, ok) -> MarginRow:
@@ -217,6 +204,7 @@ _SUITES = {
     "privacy": verify_privacy,
     "gradients": verify_gradients,
 }
+SCOPES = (*_SUITES, "all")
 
 
 def run_scope(scope: str, trials: int, seed: int) -> list[MarginRow]:
@@ -233,10 +221,3 @@ def run_scope(scope: str, trials: int, seed: int) -> list[MarginRow]:
 
 def violations(rows: list[MarginRow]) -> int:
     return sum(1 for r in rows if r.status == "violation")
-
-
-def write_margins_csv(path, rows: list[MarginRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(MARGIN_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.format() + "\n")

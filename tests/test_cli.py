@@ -250,7 +250,26 @@ def test_cmd_verify_scopes(tmp_path):
     assert rc == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "scope,check,trial,value,bound,margin,status"
-    assert len(lines) > 5
+    assert lines[1:] == [r.format() for r in verify.run_scope("gradients", 5, 1)]
+
+
+def test_run_scope_numbers_the_trials_of_each_check_and_keeps_its_margins():
+    trials = 6
+    rows = verify.run_scope("all", trials, 3)
+    seen: dict[tuple[str, str], list[int]] = {}
+    for r in rows:
+        seen.setdefault((r.scope, r.check), []).append(r.trial)
+        if r.status != "inconclusive":
+            assert r.margin == r.bound - r.value, r
+    for (scope, check), numbers in seen.items():
+        # the theorem suite skips degenerate trials, and its orthonormal-only
+        # check the trials with a general a
+        if scope == "theorem":
+            assert numbers == sorted(set(numbers)) and set(numbers) <= set(range(trials)), check
+        else:
+            assert numbers == list(range(trials)), check
+    for scope in verify.SCOPES[:-1]:
+        assert {t for (s, _), numbers in seen.items() if s == scope for t in numbers} == set(range(trials))
 
 
 def test_verify_gradients_checks_the_training_gradient(monkeypatch):
@@ -463,6 +482,42 @@ def test_metrics_header_stable():
         "run_id,seed,strategy,round,eval_accuracy,eval_loss,"
         "epsilon_spent,uploaded_params,downloaded_params,wall_ms"
     )
+
+
+@pytest.mark.parametrize("row, header, line", [
+    (
+        metrics.MetricsRow("3f2a", 0, "fedsvd_p1", 2, 0.875, 0.3125, None, 40, 48, 7),
+        metrics.CSV_HEADER,
+        "3f2a,0,fedsvd_p1,2,0.875,0.3125,,40,48,7",
+    ),
+    (  # numpy scalars, as the run computes them: never "np.float64(...)"
+        metrics.MetricsRow(
+            "3f2a", np.int64(1), "fedavg", np.int64(3), np.float64(0.1), np.float64(2.5),
+            np.float64(1e-3), np.int64(657), np.int64(657), np.int64(0),
+        ),
+        metrics.CSV_HEADER,
+        "3f2a,1,fedavg,3,0.1,2.5,0.001,657,657,0",
+    ),
+    (
+        verify.MarginRow("linalg", "reparam_recovery", 4, np.float64(2.5e-11), 1e-10, 7.5e-11, "ok"),
+        "scope,check,trial,value,bound,margin,status",
+        "linalg,reparam_recovery,4,2.5e-11,1e-10,7.5e-11,ok",
+    ),
+    (
+        verify.MarginRow("theorem", "inconclusive", 0, 0.0, 0.0, 0.0, "inconclusive"),
+        "scope,check,trial,value,bound,margin,status",
+        "theorem,inconclusive,0,0.0,0.0,0.0,inconclusive",
+    ),
+])
+def test_one_row_format_for_metrics_and_margins(tmp_path, row, header, line):
+    # both CSVs: the header is the record's fields, floats by repr, None empty
+    assert metrics.format_row(row) == line
+    if isinstance(row, verify.MarginRow):
+        assert row.format() == line
+    path = tmp_path / "rows.csv"
+    metrics.write_csv(path, [row])
+    metrics.write_csv(path, [row, row], append=True)
+    assert path.read_bytes() == f"{header}\n{line}\n{line}\n{line}\n".encode()
 
 
 @pytest.mark.parametrize("strategy, label", [("fedsvd", "fedsvd_p1"), ("fedavg", "fedavg")])

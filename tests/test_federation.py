@@ -519,6 +519,7 @@ def test_run_experiment_row_count_and_monotone_epsilon():
     assert eps[0] == 0.0
     assert all(a < b for a, b in zip(eps, eps[1:]))
     assert all(r.uploaded_params > 0 for r in rows[1:])
+    assert all(r.wall_ms == 0 for r in rows)  # record_timing=False: no clock in the rows
 
 
 def test_run_experiment_determinism_and_thread_independence():
@@ -596,6 +597,28 @@ def test_reparam_keeps_every_a_in_the_span_of_its_round_zero_rows(strategy, laye
             if strategy == "fedsvd":
                 assert np.linalg.matrix_rank(a) == np.linalg.matrix_rank(a0)
 
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("svd_period", [1, 2, 3])
+def test_fedsvd_from_an_orthonormal_start_equals_ffa_frozen_there(layers, svd_period):
+    # a refactorization of orthonormal rows turns a inside span(a_0) and b by
+    # the inverse turn; without noise plain SGD on b cannot see it, so fedsvd
+    # started from ffa_orthonormal's round-zero state follows that frozen start
+    cfg = small_config(
+        strategy="ffa_orthonormal", svd_period=svd_period, layers=layers, hidden_dim=5, rounds=4,
+    )
+    frozen, clients, _ = federation.start(cfg, 1)
+    refactored = dataclasses.replace(frozen, strategy=Strategy("fedsvd", svd_period))
+    turned = False
+    for (_, _, ffa), (_, _, svd) in zip(
+        federation.rounds(cfg, frozen, clients), federation.rounds(cfg, refactored, clients)
+    ):
+        for ffa_layer, svd_layer in zip(ffa.layers, svd.layers):
+            err = linalg.rel_frobenius_error(lora.effective_weight(svd_layer), lora.effective_weight(ffa_layer))
+            assert err <= 1e-12
+            turned |= not np.allclose(svd_layer.a, ffa_layer.a)
+    assert turned  # the refactorization ran and moved a
 
 def test_run_experiment_ffa_broadcast_a_never_changes():
     cfg = small_config(strategy="ffa_lora", rounds=3, epsilon=5.0)

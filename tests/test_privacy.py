@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from fedsvd import model, privacy
+from fedsvd import lora, model, privacy
 from helpers import clip_gradient, global_grad_norm, outer_products
 
 
@@ -476,3 +476,44 @@ def test_factored_clipped_sum_matches_per_example_clipping(
         got = -batch * views[k][0]
         assert np.linalg.norm(got - want[k]) <= 1e-12 * np.linalg.norm(want[k])
 
+
+
+class _FixedNormal:
+    """A generator stand-in whose one standard_normal draw is `values`."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def standard_normal(self, size):
+        assert size == self.values.size
+        return self.values.ravel().copy()
+
+
+def test_dp_sgd_step_commutes_with_a_rotation_of_b():
+    # (b R^T, R a) carries the weight of (b, a), its per-example gradients in
+    # b are those of (b, a) times R^T and keep their norms, so one clipped
+    # step with noise z R^T is the step with noise z, rotated: plain DP-SGD
+    # cannot see a refactorization that turns a inside its span
+    rng = np.random.default_rng(11)
+    c, d, r, m = 4, 6, 3, 8
+    w0, a, b = rng.standard_normal((c, d)), rng.standard_normal((r, d)), rng.standard_normal((c, r))
+    rot = np.linalg.qr(rng.standard_normal((r, r)))[0]
+    x, targets = rng.standard_normal((1, m, d)), np.eye(c)[rng.integers(0, c, (1, m))]
+    z = rng.standard_normal((c, r))
+
+    def step(a, b, noise, clip):
+        layer = lora.LoraLayer(w0=w0, a=a, b=b, rank=r, alpha=float(r))
+        theta, views = privacy.flat_buffer({(0, "b"): b}, 1)
+        factors = model.grad_factors([layer], {(0, "a"): a, **views}, x, targets, [(0, "b")])
+        u, v = factors[0, "b"]
+        norms = np.sqrt(np.vecdot(u, u) * np.vecdot(v, v))[0]
+        privacy.dp_sgd_step_flat(theta, views, factors, clip, [0.7], 0.3, [_FixedNormal(noise)], np.array([m]))
+        return views[0, "b"][0], norms
+
+    _, norms = step(a, b, z, np.inf)
+    clip = float(np.median(norms))  # about half the examples are clipped
+    plain, _ = step(a, b, z, clip)
+    turned, turned_norms = step(rot @ a, b @ rot.T, z @ rot.T, clip)
+    np.testing.assert_allclose(turned_norms, norms, rtol=1e-12)
+    assert np.any(norms > clip) and np.any(norms < clip)
+    assert np.linalg.norm(turned - plain @ rot.T) <= 1e-12 * np.linalg.norm(plain)
