@@ -2,9 +2,8 @@
 
 Covers the binary-logistic Hessian conditioning bounds (the Hessian in b is
 a @ m @ a.T for a data-curvature matrix m, so orthonormal rows of `a` make
-its condition number depend only on the data), the gradient-norm identity
-for the adapter factor, and the exact expansion of the post-update noise
-product.
+its condition number depend only on the data) and the exact expansion of
+the post-update noise product.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, model
+from . import linalg
 
 BOUND_REL_TOL = 1e-8
 # Hessians whose spectrum collapses below this (relative) are not rank-r and
@@ -116,7 +115,7 @@ def _rel_margin(lhs: float, rhs: float) -> float:
     return (rhs - lhs) / scale
 
 
-def conditioning_bounds_check(report: HessianReport, tol: float = BOUND_REL_TOL) -> ConditioningCheck:
+def conditioning_bounds_check(report: HessianReport) -> ConditioningCheck:
     """Check the Hessian conditioning bounds for one instance.
 
     (a) lambda_max(h) <= sigma_max(a)^2 lambda_max(m)
@@ -144,47 +143,8 @@ def conditioning_bounds_check(report: HessianReport, tol: float = BOUND_REL_TOL)
     }
     if r.a_orthonormal:
         margins["d_kappa_orthonormal"] = _rel_margin(r.kappa_h, r.bound_orthonormal)
-    status = "pass" if all(v >= -tol for v in margins.values()) else "fail"
+    status = "pass" if all(v >= -BOUND_REL_TOL for v in margins.values()) else "fail"
     return ConditioningCheck(status=status, margins=margins)
-
-
-@dataclass(frozen=True)
-class GradNormReport:
-    lhs: float            # Frobenius norm of the per-example gradient in b
-    rhs_identity: float   # |dl/dz| * |a x|
-    rhs_bound: float      # |dl/dz| * sigma_max(a) * |x|
-    spectral_a: float
-
-
-def grad_norm_identity_check(a, b, w, x, y: int) -> GradNormReport:
-    """Evaluate the gradient-norm identity for one example (x, y).
-
-    The adapter-factor gradient is (dl/dz) (a x)^T, so its Frobenius norm
-    factors exactly into |dl/dz| * |a x|, which the spectral norm of `a`
-    bounds by |dl/dz| * sigma_max(a) * |x|; with orthonormal rows the bound
-    is |dl/dz| * |x|. For one output row (c = 1) the loss is the binary
-    logistic one, with y in {0, 1}; otherwise it is the softmax cross-entropy.
-    """
-    a = linalg.as_matrix(a, "a")
-    b = linalg.as_matrix(b, "b")
-    w = linalg.as_matrix(w, "w")
-    x = np.asarray(x, dtype=np.float64)
-    c = w.shape[0]
-    z = (w + b @ a) @ x
-    if c == 1:
-        dz = np.array([sigmoid(z[0]) - float(y)])
-    else:
-        dz = model.softmax(z)
-        dz[y] -= 1.0
-    grad_b = np.outer(dz, a @ x)
-    spec_a = float(linalg.svd(a).singular_values[0])
-    dz_norm = float(np.linalg.norm(dz))
-    return GradNormReport(
-        lhs=float(np.linalg.norm(grad_b)),
-        rhs_identity=dz_norm * float(np.linalg.norm(a @ x)),
-        rhs_bound=dz_norm * spec_a * float(np.linalg.norm(x)),
-        spectral_a=spec_a,
-    )
 
 
 @dataclass(frozen=True)

@@ -68,12 +68,9 @@ def _weighted(w: list[float], stacked) -> np.ndarray:
     return sum(w_k * m_k for w_k, m_k in zip(w, stacked))
 
 
-def _average_b(layer: LoraLayer, w: list[float], a, b, server: ServerState, idx: int) -> LoraLayer:
-    return layer.with_adapters(b=_weighted(w, b))
-
-
-def _average_ab(layer: LoraLayer, w: list[float], a, b, server: ServerState, idx: int) -> LoraLayer:
-    return layer.with_adapters(a=_weighted(w, a), b=_weighted(w, b))
+def _average(layer: LoraLayer, w: list[float], a, b, server: ServerState, idx: int) -> LoraLayer:
+    """Average what the clients trained: b, and a when the strategy trains it."""
+    return layer.with_adapters(a=_weighted(w, a) if server.strategy.trains_a else None, b=_weighted(w, b))
 
 
 def _fold_restart(layer: LoraLayer, w: list[float], a, b, server: ServerState, idx: int) -> LoraLayer:
@@ -86,7 +83,7 @@ def _fold_restart(layer: LoraLayer, w: list[float], a, b, server: ServerState, i
 
 def _fold_residual(layer: LoraLayer, w: list[float], a, b, server: ServerState, idx: int) -> LoraLayer:
     """FedEx-LoRA: average a and b, absorb what their product misses into w0."""
-    avg = _average_ab(layer, w, a, b, server, idx)
+    avg = _average(layer, w, a, b, server, idx)
     residual = _weighted(w, b @ a) - avg.b @ avg.a
     return replace(avg, w0=layer.w0 + layer.scale * residual)
 
@@ -101,7 +98,8 @@ class Rule:
     merge: (layer, weights, a, b, server, layer index) -> the merged layer.
         a and b are train_clients' (K, ...) stacks, row k holding client k
         with weight n_k / sum n (a frozen a is the layer's own array); every
-        weighted sum adds the clients one by one in that order.
+        weighted sum adds the clients one by one in that order. The default
+        averages what the clients trained.
     reparam: (b, a) -> (b_hat, a_hat) refactorization of the merged
         product, run after rounds r with (r + 1) % period == 0.
     ships_w0: the server broadcasts the refreshed base weights too.
@@ -109,13 +107,13 @@ class Rule:
 
     trains_a: bool = False
     init: Callable[[LoraLayer, np.random.Generator], LoraLayer] | None = None
-    merge: Callable[[LoraLayer, list, np.ndarray, np.ndarray, ServerState, int], LoraLayer] = _average_b
+    merge: Callable[[LoraLayer, list, np.ndarray, np.ndarray, ServerState, int], LoraLayer] = _average
     reparam: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     ships_w0: bool = False
 
 
 STRATEGIES: dict[str, Rule] = {
-    "fedavg": Rule(trains_a=True, merge=_average_ab),
+    "fedavg": Rule(trains_a=True),
     "ffa_lora": Rule(),
     "fedsvd": Rule(reparam=lora.fedsvd_reparam),
     "fedsvd_nonortho": Rule(reparam=lora.nonorthonormal_reparam),

@@ -182,12 +182,13 @@ def verify_gradients(trials: int, seed: int) -> list[MarginRow]:
             worst = np.maximum(worst, np.max(np.abs(g - fd) / denom))
         rows.append(_row("gradients", "finite_difference", t, worst, 1e-6, worst <= 1e-6))
 
-        rep = analysis.grad_norm_identity_check(layer.a, layer.b, layer.w0, x, y)
-        err = abs(rep.lhs - rep.rhs_identity)
+        # b's gradient is outer(u, v), v = a x: |outer(u, v)| = |u| |v| <= |u| sigma_max(a) |x|
+        u, v = (f[0] for f in factors[0, "b"])
+        lhs, u_norm = float(np.linalg.norm(np.outer(u, v))), float(np.linalg.norm(u))
+        err = abs(lhs - u_norm * float(np.linalg.norm(v)))
         rows.append(_row("gradients", "norm_identity", t, err, 1e-10, err <= 1e-10))
-        rows.append(
-            _row("gradients", "norm_bound", t, rep.lhs, rep.rhs_bound + 1e-10, rep.lhs <= rep.rhs_bound + 1e-10)
-        )
+        bound = u_norm * float(linalg.svd(layer.a).singular_values[0]) * float(np.linalg.norm(x)) + 1e-10
+        rows.append(_row("gradients", "norm_bound", t, lhs, bound, lhs <= bound))
 
         xi_b = rng.normal(0.0, 2.0, layer.b.shape)
         xi_a = rng.normal(0.0, 2.0, layer.a.shape)

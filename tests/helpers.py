@@ -2,7 +2,8 @@
 writer, a CSV writer for dataset files, one client's local training, the
 dense data references that the streamed shard build is checked against,
 the independent per-example clipping oracle that the DP-SGD step is
-checked against, the whole-array backbone fit that the
+checked against, the norms of one example's gradient in b that the
+gradient-norm identity relates, the whole-array backbone fit that the
 fit's reused work arrays are checked against, the whole-array relative
 Frobenius error that the in-place error is checked against, and the scalar
 forward and loss of one example that finite-difference gradient checks
@@ -14,9 +15,10 @@ import math
 
 import numpy as np
 
-from fedsvd import config, data, federation, model
+from fedsvd import config, data, federation, linalg, model
 from fedsvd.config import RunConfig
 from fedsvd.data import Dataset
+from fedsvd.lora import LoraLayer
 
 
 def small_config(**kw):
@@ -150,6 +152,21 @@ def clip_gradient(grad, clip_norm: float):
     if isinstance(grad, dict):
         return {k: factor * g for k, g in grad.items()}
     return factor * np.asarray(grad, dtype=np.float64)
+
+
+def b_gradient_norms(a, b, w, x, y: int) -> tuple[float, float, float, float]:
+    """(|g|, |u| |v|, |u| sigma_max(a) |x|, sigma_max(a)) for the gradient
+    g = outer(u, v) in b that model.grad_factors gives DP-SGD for one example
+    (x, y) of the one-layer classifier w + b a (scale 1: alpha = rank)."""
+    layer = LoraLayer(w0=w, a=a, b=b, rank=a.shape[0], alpha=float(a.shape[0]))
+    targets = np.eye(w.shape[0])[[y]]
+    factors = model.grad_factors([layer], model.adapter_params([layer]), x[None], targets, {(0, "b")})
+    u, v = (f[0] for f in factors[0, "b"])
+    u_norm, spectral_a = float(np.linalg.norm(u)), float(linalg.svd(a).singular_values[0])
+    return (
+        float(np.linalg.norm(np.outer(u, v))), u_norm * float(np.linalg.norm(v)),
+        u_norm * spectral_a * float(np.linalg.norm(x)), spectral_a,
+    )
 
 
 def reference_fit(x, y, dims, class_count, steps, lr, seed):

@@ -629,6 +629,57 @@ def test_run_experiment_ffa_broadcast_a_never_changes():
         assert server.layers[0].a.tobytes() == a0
 
 
+@st.composite
+def run_configs(draw):
+    """small_config over every strategy, svd_period 1-3, 1-2 layers, rank 1-4,
+    2-5 clients with 1..clients participants, and privacy by epsilon, by
+    noise_multiplier or not at all."""
+    clients = draw(st.integers(2, 5))
+    return small_config(
+        strategy=draw(st.sampled_from(tuple(federation.STRATEGIES))),
+        svd_period=draw(st.integers(1, 3)),
+        layers=draw(st.sampled_from([1, 2])),
+        hidden_dim=5,
+        rank=draw(st.integers(1, 4)),
+        clients=clients,
+        participants=draw(st.integers(1, clients)),
+        **draw(st.sampled_from([{}, {"epsilon": 6.0}, {"noise_multiplier": 1.0}])),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=run_configs(), seed=st.integers(0, 3))
+def test_run_invariants_hold_every_round_of_generated_configs(cfg, seed):
+    # each round against the weighted means formed here from the sampled
+    # clients' shard sizes, not by calling aggregate
+    server, clients, _ = federation.start(cfg, seed)
+    kind, rule = server.strategy.kind, server.strategy.rule
+    firsts = sent = [layer.a.tobytes() for layer in server.layers]
+    for sampled, adapters, after in federation.rounds(cfg, server, clients):
+        sizes = [len(clients[cid].table) for cid in sampled]
+        weights = [n / sum(sizes) for n in sizes]
+        for idx, (old, new) in enumerate(zip(server.layers, after.layers)):
+            a, b = adapters[idx, "a"], adapters[idx, "b"]
+            got = lora.effective_weight(new)
+            if rule.reparam is not None:  # the refactorization keeps the plain b average's value
+                want = old.w0 + old.scale * (sum(w * b_k for w, b_k in zip(weights, b)) @ old.a)
+                assert linalg.rel_frobenius_error(got, want) <= 1e-10
+            if kind == "fedsvd" and after.round_index >= cfg.svd_period:  # refactorized at least once
+                assert np.max(np.abs(new.a @ new.a.T - np.eye(new.rank))) <= 1e-10
+            if not rule.trains_a:  # clients return the broadcast a untouched
+                assert a.tobytes() == sent[idx]
+            if kind.startswith("ffa"):
+                assert new.a.tobytes() == firsts[idx]
+            if kind in ("flora", "fedex_lora"):  # w0 absorbs s times the mean product
+                want = old.w0 + old.scale * sum(w * (b_k @ a_k) for w, a_k, b_k in zip(weights, a, b))
+                assert linalg.rel_frobenius_error(got, want) <= 1e-10
+        server, sent = after, [layer.a.tobytes() for layer in after.layers]
+    eps = federation._epsilon_column(clients, cfg.local_steps, cfg.rounds, cfg.delta)
+    if cfg.private:  # the epsilon column never falls, nor passes a calibrated target
+        assert all(x <= y for x, y in zip(eps, eps[1:]))
+        assert cfg.epsilon is None or eps[-1] <= cfg.epsilon
+
+
 def test_strategy_validation_and_labels():
     with pytest.raises(ValueError):
         Strategy("bogus")

@@ -2,7 +2,7 @@
 package has a reader in the package besides its own definition, so code that
 only tests call lives in tests/, not in src/; every field of a package
 dataclass is read somewhere, so no record stores a value nobody reads; and
-model.py has one forward/backward pass."""
+model.py has one forward/backward pass, which no other module repeats."""
 
 import ast
 from pathlib import Path
@@ -103,3 +103,18 @@ def test_model_has_one_forward_backward_pass():
     assert readers(path, "tanh") == {"_forward"}
     assert readers(path, "softmax") == {"_backward"}
     assert readers(path, "exp") == {"_shifted_exp"}
+
+
+def test_no_module_but_model_runs_the_classifier():
+    # the tanh and the softmax belong to model's one pass: a module that reads
+    # either computes the classifier's forward or gradient a second time
+    modules = {
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "model"
+        and any(
+            getattr(node, "id", getattr(node, "attr", None)) in {"softmax", "tanh"}
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    }
+    assert modules == set()
