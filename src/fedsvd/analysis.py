@@ -1,9 +1,8 @@
-"""Numerical verification of the spectral and algebraic properties.
+"""Numerical verification of the Hessian conditioning bounds.
 
-Covers the binary-logistic Hessian conditioning bounds (the Hessian in b is
-a @ m @ a.T for a data-curvature matrix m, so orthonormal rows of `a` make
-its condition number depend only on the data) and the exact expansion of
-the post-update noise product.
+Covers binary-logistic regression in b: the Hessian in b is a @ m @ a.T for
+a data-curvature matrix m, so orthonormal rows of `a` make its condition
+number depend only on the data.
 """
 
 from __future__ import annotations
@@ -146,28 +145,3 @@ def conditioning_bounds_check(report: HessianReport) -> ConditioningCheck:
     status = "pass" if all(v >= -BOUND_REL_TOL for v in margins.values()) else "fail"
     return ConditioningCheck(status=status, margins=margins)
 
-
-@dataclass(frozen=True)
-class NoiseExpansion:
-    norms: dict  # Frobenius norm of each term: signal, noise_b, noise_a, quadratic
-    residual: float  # max |(b + xi_b)(a + xi_a) - (sum of the four terms)|
-
-
-def noise_amplification_terms(b, a, xi_b, xi_a) -> NoiseExpansion:
-    """Exact expansion of the perturbed adapter product.
-
-    (b + xi_b)(a + xi_a) = b a + xi_b a + b xi_a + xi_b xi_a; returns the
-    Frobenius norm of each term, for amplification measurements, and the
-    largest absolute residual of the recomposition, for the caller to judge
-    (it grows with the scale of the inputs).
-    """
-    b = linalg.as_matrix(b, "b")
-    a = linalg.as_matrix(a, "a")
-    xi_b = linalg.as_matrix(xi_b, "xi_b")
-    xi_a = linalg.as_matrix(xi_a, "xi_a")
-    if xi_b.shape != b.shape or xi_a.shape != a.shape:
-        raise ValueError("noise shapes must match the adapter shapes")
-
-    terms = {"signal": b @ a, "noise_b": xi_b @ a, "noise_a": b @ xi_a, "quadratic": xi_b @ xi_a}
-    residual = float(np.max(np.abs((b + xi_b) @ (a + xi_a) - sum(terms.values()))))
-    return NoiseExpansion(norms={k: linalg.frobenius(t) for k, t in terms.items()}, residual=residual)

@@ -189,13 +189,6 @@ def verify_gradients(trials: int, seed: int) -> list[MarginRow]:
         rows.append(_row("gradients", "norm_identity", t, err, 1e-10, err <= 1e-10))
         bound = u_norm * float(linalg.svd(layer.a).singular_values[0]) * float(np.linalg.norm(x)) + 1e-10
         rows.append(_row("gradients", "norm_bound", t, lhs, bound, lhs <= bound))
-
-        xi_b = rng.normal(0.0, 2.0, layer.b.shape)
-        xi_a = rng.normal(0.0, 2.0, layer.a.shape)
-        exp = analysis.noise_amplification_terms(layer.b, layer.a, xi_b, xi_a)
-        rows.append(
-            _row("gradients", "noise_expansion", t, exp.residual, 1e-12, exp.residual <= 1e-12)
-        )
     return rows
 
 

@@ -3,7 +3,8 @@ writer, a CSV writer for dataset files, one client's local training, the
 dense data references that the streamed shard build is checked against,
 the independent per-example clipping oracle that the DP-SGD step is
 checked against, the norms of one example's gradient in b that the
-gradient-norm identity relates, the whole-array backbone fit that the
+gradient-norm identity relates, the residual of the four-term expansion
+of a noisy adapter product, the whole-array backbone fit that the
 fit's reused work arrays are checked against, the whole-array relative
 Frobenius error that the in-place error is checked against, and the scalar
 forward and loss of one example that finite-difference gradient checks
@@ -167,6 +168,13 @@ def b_gradient_norms(a, b, w, x, y: int) -> tuple[float, float, float, float]:
         float(np.linalg.norm(np.outer(u, v))), u_norm * float(np.linalg.norm(v)),
         u_norm * spectral_a * float(np.linalg.norm(x)), spectral_a,
     )
+
+
+def expansion_residual(b, a, xi_b, xi_a) -> float:
+    """max |(b + xi_b)(a + xi_a) - (b a + xi_b a + b xi_a + xi_b xi_a)|, the
+    four products added left to right."""
+    terms = b @ a + xi_b @ a + b @ xi_a + xi_b @ xi_a
+    return float(np.max(np.abs((b + xi_b) @ (a + xi_a) - terms)))
 
 
 def reference_fit(x, y, dims, class_count, steps, lr, seed):

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line,
+and the pinned final numbers of the headline runs that the criteria read.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings. The comparative-run criterion executes 30 federated
@@ -11,7 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from helpers import b_gradient_norms, forward, loss
+from helpers import b_gradient_norms, expansion_residual, forward, loss
 
 from fedsvd import analysis, federation, linalg, lora, metrics, model, privacy
 from fedsvd.config import RunConfig
@@ -192,8 +193,7 @@ def test_criterion_4_noise_expansion_identity():
             scale = sigma_c if trial % 2 == 0 else float(rng.uniform(0.01, 3.0))
             xi_b = rng.normal(0.0, scale, b.shape)
             xi_a = rng.normal(0.0, scale, a.shape)
-            exp = analysis.noise_amplification_terms(b, a, xi_b, xi_a)
-            assert exp.residual <= 1e-12
+            assert expansion_residual(b, a, xi_b, xi_a) <= 1e-12
 
 
 def test_criterion_5_accountant():
@@ -236,7 +236,8 @@ def test_criterion_5_accountant():
 
 @pytest.fixture(scope="module")
 def comparative_results():
-    """All criterion-6 runs: strategy label -> list of per-seed final accuracies."""
+    """All criterion-6 runs: strategy label -> list of per-seed final
+    accuracies; "_final_rows" holds each label's per-seed final MetricsRow."""
     t0 = time.perf_counter()
     configs = {
         "fedsvd_p1": headline_config("fedsvd", 1),
@@ -246,12 +247,11 @@ def comparative_results():
         "ffa_lora": headline_config("ffa_lora"),
         "fedavg": headline_config("fedavg"),
     }
-    finals = {}
+    finals, rows = {}, {}
     for label, cfg in configs.items():
-        finals[label] = [
-            federation.run_experiment(cfg, seed, record_timing=False)[-1].eval_accuracy
-            for seed in cfg.seeds
-        ]
+        rows[label] = [federation.run_experiment(cfg, seed, record_timing=False)[-1] for seed in cfg.seeds]
+        finals[label] = [row.eval_accuracy for row in rows[label]]
+    finals["_final_rows"] = rows
     finals["_elapsed"] = time.perf_counter() - t0
     return finals
 
@@ -277,6 +277,52 @@ def test_criterion_6_desk_scale_comparative_run(comparative_results):
         spread = max(period_means) - min(period_means)
         assert spread <= 0.03, f"period spread {spread:.4f} exceeds 3 points"
         assert finals["_elapsed"] < 300.0, f"runtime {finals['_elapsed']:.0f}s exceeds 5 minutes"
+
+
+# Final correct counts (of the 1,500 held-out examples) of the criterion-6
+# runs at seeds 0-4, and the final epsilon of each seed, which every
+# strategy of the seed shares.
+PINNED_COUNTS = {
+    "fedsvd_p1": (1301, 1299, 1299, 1309, 1312),
+    "fedsvd_p2": (1291, 1299, 1301, 1308, 1306),
+    "fedsvd_p5": (1298, 1298, 1291, 1310, 1310),
+    "fedsvd_p10": (1292, 1298, 1293, 1307, 1318),
+    "ffa_lora": (1296, 1299, 1239, 1319, 1163),
+    "fedavg": (1251, 1249, 1261, 1272, 1290),
+}
+PINNED_EPSILONS = (5.999488882824663, 5.999752320593575, 5.998104643580483, 5.999580783724332, 5.999740892233899)
+# (correct count, final held-out loss) of a 10-round headline run at seed
+# 0 of each remaining strategy; each ends at epsilon 5.996809950701527.
+PINNED_SHORT_RUNS = {
+    "flora": (1284, 0.3764108552899555),
+    "fedex_lora": (1296, 0.39622844457507606),
+    "fedsvd_nonortho": (1286, 0.435844358399437),
+    "ffa_orthonormal": (1312, 0.348758840552578),
+    "ffa_pissa": (1310, 0.34139686548063763),
+}
+
+
+def _check_pin(label, seed, what, old, new, rel=None):
+    same = new == old if rel is None else abs(new - old) <= rel * abs(old)
+    assert same, f"{label} seed {seed}: {what} was {old!r}, now {new!r}"
+
+
+# A count moves only when a prediction flips. A change to the numbers on
+# purpose copies the old and new values that a failure names into CHANGES.md.
+def test_pinned_numbers_of_the_criterion_6_runs(comparative_results):
+    for label, rows in comparative_results["_final_rows"].items():
+        for seed, (row, count, eps) in enumerate(zip(rows, PINNED_COUNTS[label], PINNED_EPSILONS)):
+            _check_pin(label, seed, "correct count", count, round(row.eval_accuracy * 1500))
+            _check_pin(label, seed, "final epsilon", eps, row.epsilon_spent, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SHORT_RUNS))
+def test_pinned_numbers_of_a_short_headline_run(kind):
+    count, final_loss = PINNED_SHORT_RUNS[kind]
+    row = federation.run_experiment(headline_config(kind, rounds=10), 0, record_timing=False)[-1]
+    _check_pin(kind, 0, "10-round correct count", count, round(row.eval_accuracy * 1500))
+    _check_pin(kind, 0, "10-round loss", final_loss, row.eval_loss, rel=1e-12)
+    _check_pin(kind, 0, "10-round epsilon", 5.996809950701527, row.epsilon_spent, rel=1e-12)
 
 
 def test_criterion_7_determinism(tmp_path):
