@@ -67,8 +67,8 @@ class RunConfig:
         if self.strategy not in STRATEGIES:
             problems.append(f"strategy must be one of {tuple(STRATEGIES)}, got {self.strategy!r}")
         for key in _INT_KEYS:
-            if getattr(self, key) < (0 if key in ("rounds", "pretrain_steps") else 1):
-                problems.append(f"{key} must be positive, got {getattr(self, key)}")
+            if getattr(self, key) < (floor := 0 if key in ("rounds", "pretrain_steps") else 1):
+                problems.append(f"{key} must be {'positive' if floor else '>= 0'}, got {getattr(self, key)}")
         if self.participants > self.clients:
             problems.append(f"participants ({self.participants}) exceeds clients ({self.clients})")
         if self.layers not in (1, 2):

@@ -155,14 +155,13 @@ class ClientHandle:
     """One client: its shard as a table of [features | one-hot labels] rows,
     (n_k, d + classes), so that a step gathers a batch's inputs and targets
     in one take (the data memo's, one copy per seed: see _data), and n_k is
-    its row count; its Poisson rate and noise multiplier sigma (None: no
-    privacy). With privacy, `steps` steps spend steps * rdp_per_step (at
-    privacy.DEFAULT_ORDERS). The run sets the clip norm and the step count."""
+    its row count; its Poisson rate q and noise multiplier sigma (None: no
+    privacy). With privacy, `steps` steps spend steps times the RDP of one,
+    privacy.rdp_subsampled_gaussian(q, sigma). The run sets clip and steps."""
 
     table: np.ndarray
     sample_rate: float
     sigma: float | None
-    rdp_per_step: np.ndarray | None
 
 
 @dataclass
@@ -173,7 +172,7 @@ class ServerState:
     master_seed: int
 
     def classifier(self) -> Classifier:
-        return Classifier(layers=list(self.layers), class_count=self.layers[-1].d_out)
+        return Classifier(list(self.layers))
 
 
 def sample_clients(total: int, count: int, rng: np.random.Generator) -> list[int]:
@@ -408,11 +407,11 @@ def _epsilon_column(clients: list[ClientHandle], steps: int, rounds: int, delta:
     participation pattern. The value is the max over clients of
     privacy.epsilon_from_rdp, converted for all rounds at once.
     """
-    private = [c for c in clients if c.rdp_per_step is not None]
-    if not private:
+    rdps = [privacy.rdp_subsampled_gaussian(c.sample_rate, c.sigma) for c in clients if c.sigma is not None]
+    if not rdps:
         return [None] * (rounds + 1)
     done = np.arange(rounds + 1)[:, None]
-    eps = [privacy.epsilon_from_rdp(privacy.DEFAULT_ORDERS, done * steps * c.rdp_per_step, delta)[0] for c in private]
+    eps = [privacy.epsilon_from_rdp(privacy.DEFAULT_ORDERS, done * steps * rdp, delta)[0] for rdp in rdps]
     return [0.0, *np.max(eps, axis=0)[1:].tolist()]
 
 
@@ -427,7 +426,7 @@ def build_clients(cfg: RunConfig, tables: Sequence[np.ndarray]) -> list[ClientHa
     clients = []
     for k, table in enumerate(tables):
         q = sampling_rate(cfg, table)
-        sigma = rdp = None
+        sigma = None
         if cfg.private:
             if cfg.noise_multiplier is not None:
                 sigma = cfg.noise_multiplier
@@ -438,8 +437,7 @@ def build_clients(cfg: RunConfig, tables: Sequence[np.ndarray]) -> list[ClientHa
                     raise privacy.CalibrationError(
                         f"client {k} (shard of {len(table)} examples, q={q}): {exc}"
                     ) from exc
-            rdp = privacy.rdp_subsampled_gaussian(q, sigma)
-        clients.append(ClientHandle(table=table, sample_rate=q, sigma=sigma, rdp_per_step=rdp))
+        clients.append(ClientHandle(table=table, sample_rate=q, sigma=sigma))
     return clients
 
 

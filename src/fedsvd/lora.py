@@ -1,7 +1,7 @@
 """LoRA adapter representation, initialization, and reparameterization.
 
 A layer carries a frozen dense weight w0 plus a trainable low-rank pair
-(a, b); the effective update is scale * b @ a with scale = alpha / rank.
+(a, b) and the scale s of its update s * b @ a (set by model.build_classifier).
 The reparameterization operators refactor b @ a_prev through its SVD so the
 new `a` has orthonormal rows while the product value is preserved exactly.
 """
@@ -21,13 +21,12 @@ DEGENERATE_SIGMA_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LoraLayer:
-    """Frozen base weight plus trainable low-rank adapter pair."""
+    """Frozen base weight plus trainable low-rank adapter pair; its rank is a's row count."""
 
     w0: np.ndarray      # d_out x d_in, never touched by training
     a: np.ndarray       # rank x d_in
     b: np.ndarray       # d_out x rank
-    rank: int
-    alpha: float
+    scale: float        # of the update b @ a
 
     def __post_init__(self):
         d_out, d_in = self.w0.shape
@@ -44,6 +43,10 @@ class LoraLayer:
             raise ValueError(f"b has shape {self.b.shape}, expected {(d_out, self.rank)}")
 
     @property
+    def rank(self) -> int:
+        return self.a.shape[0]
+
+    @property
     def d_out(self) -> int:
         return self.w0.shape[0]
 
@@ -51,12 +54,11 @@ class LoraLayer:
     def d_in(self) -> int:
         return self.w0.shape[1]
 
-    @property
-    def scale(self) -> float:
-        return self.alpha / self.rank
-
     def with_adapters(self, a: np.ndarray | None = None, b: np.ndarray | None = None) -> "LoraLayer":
-        return replace(self, a=self.a if a is None else a, b=self.b if b is None else b)
+        new = replace(self, a=self.a if a is None else a, b=self.b if b is None else b)
+        if new.rank != self.rank:
+            raise ValueError(f"adapters of rank {new.rank} cannot replace rank {self.rank}")
+        return new
 
 
 def init_adapter(d_out: int, d_in: int, r: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -132,6 +134,7 @@ def pissa_init(w0, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, residual
 
 
-def effective_weight(layer: LoraLayer) -> np.ndarray:
-    """w0 + (alpha / rank) * b @ a."""
-    return layer.w0 + layer.scale * (layer.b @ layer.a)
+def effective_weight(layer: LoraLayer, a: np.ndarray | None = None, b: np.ndarray | None = None) -> np.ndarray:
+    """w0 + scale * b @ a, of the layer's own adapters or of the given ones;
+    (K, ...) adapters give the K clients' weights, (K, d_out, d_in)."""
+    return layer.w0 + layer.scale * ((layer.b if b is None else b) @ (layer.a if a is None else a))

@@ -24,7 +24,6 @@ GradKey = tuple[int, str]
 @dataclass
 class Classifier:
     layers: list[LoraLayer]
-    class_count: int
 
     def __post_init__(self):
         if not self.layers:
@@ -36,15 +35,14 @@ class Classifier:
                 raise ValueError(
                     f"layer dimensions do not compose: {prev.d_out} -> {nxt.d_in}"
                 )
-        if self.layers[-1].d_out != self.class_count:
-            raise ValueError(
-                f"final layer emits {self.layers[-1].d_out} logits for "
-                f"{self.class_count} classes"
-            )
 
     @property
     def feature_dim(self) -> int:
         return self.layers[0].d_in
+
+    @property
+    def class_count(self) -> int:
+        return self.layers[-1].d_out
 
 
 def adapter_params(layers: list[LoraLayer]) -> dict[GradKey, np.ndarray]:
@@ -143,10 +141,7 @@ def grad_factors(
     a may stay 2-D), (K, M, d) inputs and (K, M, c) targets, the factors are
     (K, M, .), one slice per client.
     """
-    weights = [
-        layer.w0 + layer.scale * (params[(idx, "b")] @ params[(idx, "a")])
-        for idx, layer in enumerate(layers)
-    ]
+    weights = [effective_weight(layer, params[idx, "a"], params[idx, "b"]) for idx, layer in enumerate(layers)]
     inputs, logits = _forward(weights, x)
     factors = {}
     for idx, delta, h_in in _backward(weights, inputs, logits, targets):
@@ -218,12 +213,17 @@ def build_classifier(
     """Attach fresh adapters (Kaiming a, zero b) to frozen base weights.
 
     The requested rank is clamped per layer to min(d_out, d_in); narrow
-    output layers therefore carry a smaller effective rank.
+    output layers therefore carry a smaller effective rank r, at the scale
+    of the requested one: alpha * r / rank / r. The last layer must emit
+    class_count logits.
     """
     rng = np.random.default_rng(seed)
     layers = []
     for w0 in base_weights:
         r = min(rank, min(w0.shape))
         a, b = lora.init_adapter(w0.shape[0], w0.shape[1], r, rng)
-        layers.append(LoraLayer(w0=w0, a=a, b=b, rank=r, alpha=alpha * r / rank))
-    return Classifier(layers=layers, class_count=class_count)
+        layers.append(LoraLayer(w0=w0, a=a, b=b, scale=alpha * r / rank / r))
+    classifier = Classifier(layers)
+    if classifier.class_count != class_count:
+        raise ValueError(f"final layer emits {classifier.class_count} logits for {class_count} classes")
+    return classifier

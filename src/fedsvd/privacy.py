@@ -5,9 +5,9 @@ per-example gradient, given as the rank-one factors of model.grad_factors,
 is clipped to a global norm bound C across all of that example's trainable
 matrices, the clipped gradients are summed, a single Gaussian draw
 N(0, sigma^2 C^2) per parameter is added, and the result is averaged over
-the batch. One step of this Poisson-subsampled Gaussian mechanism has a
-fixed RDP at each integer order, so `steps` steps spend
-`steps * rdp_per_step`, converted to (epsilon, delta) by epsilon_from_rdp.
+the batch. One step of this Poisson-subsampled Gaussian mechanism has a fixed
+RDP at each integer order, rdp_subsampled_gaussian(q, sigma), so `steps` steps
+spend `steps` times it, converted to (epsilon, delta) by epsilon_from_rdp.
 The binomial coefficients of that RDP are exact integers at integer
 orders: their logarithms come from math.comb, once per order list, so the
 module needs numpy alone.

@@ -147,8 +147,7 @@ def _central_differences(layer: lora.LoraLayer, name: str, x: np.ndarray, y: int
     stack[entry, entry] += h
     stack[n + entry, entry] -= h
     stack = stack.reshape(2 * n, *base.shape)
-    a, b = (stack, layer.b) if name == "a" else (layer.a, stack)
-    logits = model._forward([layer.w0 + layer.scale * (b @ a)], x[None, None, :])[1][:, 0]
+    logits = model._forward([lora.effective_weight(layer, **{name: stack})], x[None, None, :])[1][:, 0]
     if not np.isfinite(logits).all():
         raise ValueError("logits contain non-finite entries")
     losses = model._batch_losses(logits, np.full(2 * n, y))
@@ -166,8 +165,7 @@ def verify_gradients(trials: int, seed: int) -> list[MarginRow]:
             w0=rng.standard_normal((c, d_x)) * 0.4,
             a=rng.standard_normal((r, d_x)) * 0.6,
             b=rng.standard_normal((c, r)) * 0.6,
-            rank=r,
-            alpha=float(r),
+            scale=1.0,
         )
         x = rng.standard_normal(d_x)
         y = int(rng.integers(0, c))

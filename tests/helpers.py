@@ -158,8 +158,8 @@ def clip_gradient(grad, clip_norm: float):
 def b_gradient_norms(a, b, w, x, y: int) -> tuple[float, float, float, float]:
     """(|g|, |u| |v|, |u| sigma_max(a) |x|, sigma_max(a)) for the gradient
     g = outer(u, v) in b that model.grad_factors gives DP-SGD for one example
-    (x, y) of the one-layer classifier w + b a (scale 1: alpha = rank)."""
-    layer = LoraLayer(w0=w, a=a, b=b, rank=a.shape[0], alpha=float(a.shape[0]))
+    (x, y) of the one-layer classifier w + b a (scale 1)."""
+    layer = LoraLayer(w0=w, a=a, b=b, scale=1.0)
     targets = np.eye(w.shape[0])[[y]]
     factors = model.grad_factors([layer], model.adapter_params([layer]), x[None], targets, {(0, "b")})
     u, v = (f[0] for f in factors[0, "b"])

@@ -190,6 +190,9 @@ def test_cmd_run_config_error_exit_code(tmp_path):
         # seed 0 twice: its rows twice and a "CI over 2 seeds" of one run
         ("seeds=0,0", "seeds must not repeat, got 0,0"),
         ("seeds=3,1,3", "seeds must not repeat, got 3,1,3"),
+        # zero rounds and zero pretrain steps run, so "positive" misstated the bound
+        ("rounds=-1", "rounds must be >= 0, got -1"),
+        ("pretrain_steps=-1", "pretrain_steps must be >= 0, got -1"),
     ],
 )
 def test_cmd_run_rejects_a_bad_mechanism(tmp_path, capsys, override, message):

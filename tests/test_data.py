@@ -60,8 +60,7 @@ def test_gen_synthetic_zero_margin_is_chance_level():
         fine.features, fine.labels, [8], 4, steps=150, lr=0.1, seed=0
     )
     clf = model.Classifier(
-        layers=[LoraLayer(w0=weights[0], a=np.zeros((1, 8)), b=np.zeros((4, 1)), rank=1, alpha=1.0)],
-        class_count=4,
+        layers=[LoraLayer(w0=weights[0], a=np.zeros((1, 8)), b=np.zeros((4, 1)), scale=1.0)],
     )
     acc, _ = model.evaluate(clf, heldout)
     assert abs(acc - 0.25) < 0.05
@@ -75,8 +74,7 @@ def test_gen_synthetic_large_margin_separable():
     from fedsvd.lora import LoraLayer
 
     clf = model.Classifier(
-        layers=[LoraLayer(w0=weights[0], a=np.zeros((1, 8)), b=np.zeros((3, 1)), rank=1, alpha=1.0)],
-        class_count=3,
+        layers=[LoraLayer(w0=weights[0], a=np.zeros((1, 8)), b=np.zeros((3, 1)), scale=1.0)],
     )
     acc, _ = model.evaluate(clf, heldout)
     assert acc > 0.99

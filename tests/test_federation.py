@@ -31,15 +31,14 @@ def make_client(n=40, seed=0, private=False, q=0.5, d=6):
         labels=rng.permutation(np.arange(n) % 3),
         class_count=3,
     )
-    rdp = privacy.rdp_subsampled_gaussian(q, 1.0) if private else None
-    return ClientHandle(table=shard_table(ds), sample_rate=q, sigma=1.0 if private else None, rdp_per_step=rdp)
+    return ClientHandle(table=shard_table(ds), sample_rate=q, sigma=1.0 if private else None)
 
 
 def make_layers(seed=0, d=6, c=3, r=2):
     rng = np.random.default_rng(seed)
     w0 = rng.standard_normal((c, d)) * 0.3
     a, b = lora.init_adapter(c, d, r, rng)
-    return [lora.LoraLayer(w0=w0, a=a, b=b, rank=r, alpha=float(r))]
+    return [lora.LoraLayer(w0=w0, a=a, b=b, scale=1.0)]
 
 
 def test_sample_clients_all_when_full():
@@ -83,8 +82,7 @@ def test_local_train_empty_draws_leave_adapters_unchanged():
 
 def client_state(client):
     return (
-        client.sample_rate, client.sigma,
-        client.rdp_per_step.tobytes(), client.table.tobytes(), client.table.shape,
+        client.sample_rate, client.sigma, client.table.tobytes(), client.table.shape,
     )
 
 
@@ -133,7 +131,10 @@ def test_epsilon_column_equals_per_round_accounting(privacy_kw, seed):
     assert len(column) == cfg.rounds + 1 and column[0] == 0.0
     for r in range(1, cfg.rounds + 1):
         assert column[r] == max(
-            privacy.epsilon_from_rdp(privacy.DEFAULT_ORDERS, r * cfg.local_steps * c.rdp_per_step, cfg.delta)[0]
+            privacy.epsilon_from_rdp(
+                privacy.DEFAULT_ORDERS,
+                r * cfg.local_steps * privacy.rdp_subsampled_gaussian(c.sample_rate, c.sigma), cfg.delta,
+            )[0]
             for c in clients
         )
 
@@ -159,12 +160,12 @@ def test_local_train_loss_nonincreasing_convex_case():
         labels=labels,
         class_count=3,
     )
-    client = ClientHandle(table=shard_table(ds), sample_rate=1.0, sigma=None, rdp_per_step=None)
+    client = ClientHandle(table=shard_table(ds), sample_rate=1.0, sigma=None)
     layers = make_layers(seed=1, d=3, c=3, r=2)
     losses = []
     current = layers
     for step in range(10):
-        clf = model.Classifier(layers=list(current), class_count=3)
+        clf = model.Classifier(layers=list(current))
         losses.append(model.evaluate(clf, ds)[1])
         update = solo_train(
             client, current, False, lr=0.05, rng=np.random.default_rng(100 + step), steps=1, clip=np.inf
@@ -186,7 +187,7 @@ def reference_local_train(client, layers, trains_a, lr, rng, steps, clip):
     sigma 0 or without privacy) -> divide by the realized batch size.
     Returns the final layers and the number of empty Poisson draws.
     """
-    clf = model.Classifier(list(layers), layers[-1].d_out)
+    clf = model.Classifier(list(layers))
     trainable = trainable_keys(layers, trains_a)
     noise = 0.0 if client.sigma is None else client.sigma * clip
     table, d = client.table, layers[0].d_in  # [features | one-hot labels] rows
@@ -212,7 +213,7 @@ def reference_local_train(client, layers, trains_a, lr, rng, steps, clip):
                 noisy = noisy + rng.normal(0.0, noise, size=noisy.shape)
             old = getattr(new_layers[idx], name)
             new_layers[idx] = new_layers[idx].with_adapters(**{name: old - lr * (noisy / m)})
-        clf = model.Classifier(new_layers, clf.class_count)
+        clf = model.Classifier(new_layers)
     return clf.layers, empty
 
 
@@ -1191,8 +1192,7 @@ def stack_client(n, q, sigma, seed, d=5, scale=1.0, classes=3):
         features=scale * rng.standard_normal((n, d)), labels=rng.integers(0, classes, n),
         class_count=classes,
     )
-    rdp = privacy.rdp_subsampled_gaussian(q, sigma) if sigma else None
-    return ClientHandle(table=shard_table(ds), sample_rate=q, sigma=sigma, rdp_per_step=rdp)
+    return ClientHandle(table=shard_table(ds), sample_rate=q, sigma=sigma)
 
 
 def stack_layers(layers, rank, seed, d=5, classes=3):

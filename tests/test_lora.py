@@ -166,9 +166,9 @@ def test_effective_weight():
     w0 = rng.standard_normal((4, 5))
     a = rng.standard_normal((2, 5))
     b = rng.standard_normal((4, 2))
-    layer = lora.LoraLayer(w0=w0, a=a, b=np.zeros((4, 2)), rank=2, alpha=2.0)
+    layer = lora.LoraLayer(w0=w0, a=a, b=np.zeros((4, 2)), scale=1.0)
     np.testing.assert_array_equal(lora.effective_weight(layer), w0)
-    layer = lora.LoraLayer(w0=w0, a=a, b=b, rank=2, alpha=2.0)  # alpha = rank
+    layer = lora.LoraLayer(w0=w0, a=a, b=b, scale=1.0)
     np.testing.assert_allclose(lora.effective_weight(layer), w0 + b @ a, atol=1e-14)
 
 
@@ -177,7 +177,7 @@ def test_effective_weight_invariant_under_reparam():
     w0 = rng.standard_normal((6, 10))
     a = rng.standard_normal((3, 10))
     b = rng.standard_normal((6, 3))
-    layer = lora.LoraLayer(w0=w0, a=a, b=b, rank=3, alpha=6.0)
+    layer = lora.LoraLayer(w0=w0, a=a, b=b, scale=2.0)
     before = lora.effective_weight(layer)
     b_hat, a_hat = lora.fedsvd_reparam(b, a)
     after = lora.effective_weight(layer.with_adapters(a=a_hat, b=b_hat))
@@ -187,9 +187,9 @@ def test_effective_weight_invariant_under_reparam():
 def test_lora_layer_validation():
     w0 = np.zeros((3, 4))
     with pytest.raises(ValueError):
-        lora.LoraLayer(w0=w0, a=np.zeros((4, 4)), b=np.zeros((3, 4)), rank=4, alpha=4.0)
+        lora.LoraLayer(w0=w0, a=np.zeros((4, 4)), b=np.zeros((3, 4)), scale=1.0)
     with pytest.raises(ValueError):
-        lora.LoraLayer(w0=w0, a=np.zeros((2, 3)), b=np.zeros((3, 2)), rank=2, alpha=2.0)
+        lora.LoraLayer(w0=w0, a=np.zeros((2, 3)), b=np.zeros((3, 2)), scale=1.0)
 
 
 def test_orthonormal_init():

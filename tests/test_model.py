@@ -25,8 +25,8 @@ def make_model(rng, d_x=5, c=3, r=2, layers=1, hidden=4, zero_b=False):
         a = rng.standard_normal((rr, d_in)) * 0.5
         b = np.zeros((d_out, rr)) if zero_b else rng.standard_normal((d_out, rr)) * 0.5
         w0 = rng.standard_normal((d_out, d_in)) * 0.5
-        lls.append(LoraLayer(w0=w0, a=a, b=b, rank=rr, alpha=float(rr)))
-    return model.Classifier(layers=lls, class_count=c)
+        lls.append(LoraLayer(w0=w0, a=a, b=b, scale=1.0))
+    return model.Classifier(layers=lls)
 
 
 def flatten_params(m):
@@ -41,7 +41,7 @@ def model_with_param(m, key, value):
     idx, name = key
     layers = list(m.layers)
     layers[idx] = layers[idx].with_adapters(**{name: value})
-    return model.Classifier(layers=layers, class_count=m.class_count)
+    return model.Classifier(layers=layers)
 
 
 def example_grads(m, x, y):
@@ -82,8 +82,8 @@ def test_forward_identity_adapter():
     w0 = np.zeros((n, n))
     a = np.eye(n)
     b = np.eye(n)
-    layer = LoraLayer(w0=w0, a=a, b=b, rank=n, alpha=float(n))
-    m = model.Classifier(layers=[layer], class_count=n)
+    layer = LoraLayer(w0=w0, a=a, b=b, scale=1.0)
+    m = model.Classifier(layers=[layer])
     x = np.random.default_rng(1).standard_normal(n)
     np.testing.assert_allclose(forward(m, x), x, atol=1e-14)
 
@@ -142,8 +142,8 @@ def test_per_sample_grads_zero_loss_limit():
     layers = [m.layers[0].with_adapters(b=np.zeros_like(m.layers[0].b))]
     w0 = np.zeros((3, 5))
     w0[1] = 100.0
-    layers[0] = LoraLayer(w0=w0, a=m.layers[0].a, b=m.layers[0].b, rank=2, alpha=2.0)
-    m2 = model.Classifier(layers=layers, class_count=3)
+    layers[0] = LoraLayer(w0=w0, a=m.layers[0].a, b=m.layers[0].b, scale=1.0)
+    m2 = model.Classifier(layers=layers)
     x = np.abs(rng.standard_normal(5)) + 0.5
     grads = example_grads(m2, x, 1)
     for g in grads.values():
@@ -255,10 +255,9 @@ def test_verify_central_differences_equal_the_scalar_loop_bit_for_bit(c, d_x, da
         w0=rng.standard_normal((c, d_x)) * scale,
         a=rng.standard_normal((r, d_x)) * scale,
         b=rng.standard_normal((c, r)) * scale,
-        rank=r,
-        alpha=float(data.draw(st.integers(1, 8), label="alpha")),
+        scale=float(data.draw(st.integers(1, 8), label="alpha")) / r,
     )
-    m = model.Classifier(layers=[layer], class_count=c)
+    m = model.Classifier(layers=[layer])
     x = rng.standard_normal(d_x)
     y = data.draw(st.integers(0, c - 1), label="y")
     for name in "ab":
@@ -274,14 +273,14 @@ def test_verify_central_differences_reject_non_finite_logits(bad):
     rng = np.random.default_rng(11)
     m = make_model(rng, d_x=4, c=3, r=2)
     layer = m.layers[0]
-    layer = LoraLayer(w0=layer.w0.copy(), a=layer.a, b=layer.b, rank=2, alpha=2.0)
+    layer = LoraLayer(w0=layer.w0.copy(), a=layer.a, b=layer.b, scale=1.0)
     layer.w0[1, 2] = bad
     x = rng.standard_normal(4)
     for name in "ab":
         with pytest.raises(ValueError, match="logits contain non-finite entries"):
             verify._central_differences(layer, name, x, 0)
         with pytest.raises(ValueError, match="logits contain non-finite entries"):
-            fd_gradient(model.Classifier([layer], 3), (0, name), x, 0)
+            fd_gradient(model.Classifier([layer]), (0, name), x, 0)
 
 
 def test_gradient_norm_identity_orthonormal_a():
@@ -292,8 +291,8 @@ def test_gradient_norm_identity_orthonormal_a():
         a = q.T
         b = rng.standard_normal((4, 3))
         w0 = rng.standard_normal((4, 8))
-        layer = LoraLayer(w0=w0, a=a, b=b, rank=3, alpha=3.0)
-        m = model.Classifier(layers=[layer], class_count=4)
+        layer = LoraLayer(w0=w0, a=a, b=b, scale=1.0)
+        m = model.Classifier(layers=[layer])
         x = rng.standard_normal(8)
         y = int(rng.integers(0, 4))
         z = forward(m, x)
@@ -309,8 +308,8 @@ def test_gradient_norm_identity_orthonormal_a():
 def test_evaluate_constant_predictor():
     w0 = np.zeros((2, 3))
     w0[1] = 5.0  # always predicts class 1
-    layer = LoraLayer(w0=w0, a=np.zeros((1, 3)), b=np.zeros((2, 1)), rank=1, alpha=1.0)
-    m = model.Classifier(layers=[layer], class_count=2)
+    layer = LoraLayer(w0=w0, a=np.zeros((1, 3)), b=np.zeros((2, 1)), scale=1.0)
+    m = model.Classifier(layers=[layer])
     xs = np.abs(np.random.default_rng(1).standard_normal((20, 3))) + 0.1
     acc, _ = model.evaluate(m, Dataset(xs, np.ones(len(xs)), 2))
     assert acc == 1.0
@@ -322,10 +321,9 @@ def test_evaluate_random_labels_near_chance():
         w0=rng.standard_normal((2, 6)),
         a=np.zeros((1, 6)),
         b=np.zeros((2, 1)),
-        rank=1,
-        alpha=1.0,
+        scale=1.0,
     )
-    m = model.Classifier(layers=[layer], class_count=2)
+    m = model.Classifier(layers=[layer])
     n = 10**4
     xs = rng.standard_normal((n, 6))
     ys = rng.integers(0, 2, n)
@@ -335,9 +333,9 @@ def test_evaluate_random_labels_near_chance():
 
 def test_evaluate_uniform_predictor_loss():
     layer = LoraLayer(
-        w0=np.zeros((3, 4)), a=np.zeros((1, 4)), b=np.zeros((3, 1)), rank=1, alpha=1.0
+        w0=np.zeros((3, 4)), a=np.zeros((1, 4)), b=np.zeros((3, 1)), scale=1.0
     )
-    m = model.Classifier(layers=[layer], class_count=3)
+    m = model.Classifier(layers=[layer])
     rng = np.random.default_rng(11)
     xs, ys = zip(*[(rng.standard_normal(4), int(rng.integers(0, 3))) for _ in range(50)])
     _, mean_loss = model.evaluate(m, Dataset(np.array(xs), ys, 3))
@@ -357,9 +355,9 @@ def test_fit_dense_weights_learns_separable_problem():
     x = means[y] + rng.standard_normal((400, 2))
     weights = model.fit_dense_weights(x, y, [2], 2, steps=200, lr=0.1, seed=0)
     layer = LoraLayer(
-        w0=weights[0], a=np.zeros((1, 2)), b=np.zeros((2, 1)), rank=1, alpha=1.0
+        w0=weights[0], a=np.zeros((1, 2)), b=np.zeros((2, 1)), scale=1.0
     )
-    m = model.Classifier(layers=[layer], class_count=2)
+    m = model.Classifier(layers=[layer])
     acc, _ = model.evaluate(m, Dataset(x, y, 2))
     assert acc > 0.95
 
@@ -428,6 +426,27 @@ def test_build_classifier_clamps_rank():
     assert abs(m.layers[0].scale - 1.0) < 1e-15  # alpha/rank ratio preserved
 
 
+@pytest.mark.parametrize("lora_alpha", [0.1, 5.0, 16.0])
+def test_build_classifier_scale_is_alpha_over_rank_bit_for_bit(lora_alpha):
+    # layers of 5 and 3 outputs, so every rank above 3 clamps one of them;
+    # alpha / rank alone differs by an ulp at some of these (alpha, rank, r)
+    weights = model.random_dense_weights([64, 5], 3, 0)
+    for rank in range(1, 17):
+        for layer in model.build_classifier(weights, rank, lora_alpha, 0, 3).layers:
+            r = min(rank, *layer.w0.shape)
+            assert layer.rank == r
+            assert layer.scale == lora_alpha * r / rank / r, (rank, r)
+
+
+def test_classifier_class_count_is_its_last_layer_width():
+    weights = model.random_dense_weights([6, 4], 3, 0)
+    assert model.build_classifier(weights, 2, 2.0, 0, 3).class_count == 3
+    with pytest.raises(ValueError, match="final layer emits 3 logits for 4 classes"):
+        model.build_classifier(weights, 2, 2.0, 0, 4)
+    with pytest.raises(ValueError, match="class_count must be >= 2, got 1"):
+        model.build_classifier(model.random_dense_weights([6], 1, 0), 1, 1.0, 0, 1)
+
+
 # --- reductions over the class axis ---
 
 
@@ -494,9 +513,9 @@ def test_class_reductions_close_from_8_classes(classes):
 def test_evaluate_predicts_the_argmax_ties_to_the_lowest_class(classes):
     # logits = x exactly: identity backbone, zero adapters
     layer = LoraLayer(
-        w0=np.eye(classes), a=np.zeros((1, classes)), b=np.zeros((classes, 1)), rank=1, alpha=1.0
+        w0=np.eye(classes), a=np.zeros((1, classes)), b=np.zeros((classes, 1)), scale=1.0
     )
-    m = model.Classifier(layers=[layer], class_count=classes)
+    m = model.Classifier(layers=[layer])
     rng = np.random.default_rng(classes)
     x = np.where(rng.random((500, classes)) < 0.1, 1e300, rng.integers(-2, 3, (500, classes)))
     assert np.array_equal(model.forward_batch(m, x), x)

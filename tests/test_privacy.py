@@ -448,9 +448,7 @@ def test_factored_clipped_sum_matches_per_example_clipping(
     dims = [d] if layers == 1 else [d, 5]
     clf = model.build_classifier(model.random_dense_weights(dims, classes, rng), rank, 4.0, rng, classes)
     # non-zero b, so the gradients of a do not vanish
-    clf = model.Classifier(
-        [layer.with_adapters(b=rng.standard_normal(layer.b.shape)) for layer in clf.layers], classes
-    )
+    clf = model.Classifier([layer.with_adapters(b=rng.standard_normal(layer.b.shape)) for layer in clf.layers])
     x = rng.standard_normal((batch, d))
     if zero_example:
         x[0] = 0.0  # every adapter gradient of this example is zero
@@ -502,7 +500,7 @@ def test_dp_sgd_step_commutes_with_a_rotation_of_b():
     z = rng.standard_normal((c, r))
 
     def step(a, b, noise, clip):
-        layer = lora.LoraLayer(w0=w0, a=a, b=b, rank=r, alpha=float(r))
+        layer = lora.LoraLayer(w0=w0, a=a, b=b, scale=1.0)
         theta, views = privacy.flat_buffer({(0, "b"): b}, 1)
         factors = model.grad_factors([layer], {(0, "a"): a, **views}, x, targets, [(0, "b")])
         u, v = factors[0, "b"]

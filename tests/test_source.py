@@ -2,10 +2,15 @@
 package has a reader in the package besides its own definition, so code that
 only tests call lives in tests/, not in src/; every field of a package
 dataclass is read somewhere, so no record stores a value nobody reads; and
-model.py has one forward/backward pass, which no other module repeats."""
+model.py has one forward/backward pass, which no other module repeats; and
+the benchmark's operations (perfbench/worker.py) still run on the package."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "fedsvd"
@@ -118,3 +123,21 @@ def test_no_module_but_model_runs_the_classifier():
         )
     }
     assert modules == set()
+
+
+@pytest.mark.parametrize("workload", ["headline_sweep", "wide_adapter", "verify_all"])
+def test_benchmark_operations_run_and_pass_their_checks(workload, monkeypatch):
+    # every call the benchmark makes into the package, at its tiny sizes: a
+    # renamed function or a changed signature fails here, not as a failed run
+    path = TESTS.parent / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the worker puts src/ first
+    monkeypatch.setitem(sys.modules, spec.name, worker)  # its dataclass looks the module up
+    spec.loader.exec_module(worker)
+    ops = worker.verify_ops(0, True) if workload == "verify_all" else worker.training_ops(workload, 0, True)
+    assert ops
+    for op in ops:
+        out = op.run()
+        assert op.check(out) == []
+        assert isinstance(op.digest(out), str)
