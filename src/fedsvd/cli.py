@@ -1,6 +1,6 @@
 """Command-line interface: run / verify / calibrate / partition-stats.
 
-Exit codes: 0 success, 1 invariant violation, 2 configuration error,
+Exit codes: 0 success, 1 invariant violation, 2 configuration or path error,
 3 training diverged (a non-finite model state; the rows of the seeds that
 finished before it stay in the metrics CSV).
 """
@@ -140,15 +140,15 @@ def cmd_calibrate(args) -> int:
 def cmd_partition_stats(args) -> int:
     cfg = _load_config(args)
     seed = cfg.seeds[0]
-    parts, _ = federation.datasets(cfg, seed)
-    classes = parts[0].class_count
+    tables, heldout = federation.shards(cfg, seed)
+    classes = heldout.class_count
     print(f"seed {seed}, alpha {cfg.dirichlet_alpha}, {cfg.clients} clients, "
-          f"{sum(map(len, parts))} examples, {classes} classes")
+          f"{sum(map(len, tables))} examples, {classes} classes")
     print("client,n,q," + ",".join(f"class_{c}" for c in range(classes)))
-    for k, part in enumerate(parts):
-        hist = np.bincount(part.labels, minlength=classes)
-        q = federation.sampling_rate(cfg, part)
-        print(f"{k},{len(part)},{q:.4f}," + ",".join(str(int(h)) for h in hist))
+    for k, table in enumerate(tables):
+        hist = table[:, heldout.feature_dim:].sum(axis=0)  # the one-hot label columns
+        q = federation.sampling_rate(cfg, table)
+        print(f"{k},{len(table)},{q:.4f}," + ",".join(str(int(h)) for h in hist))
     return EXIT_OK
 
 
@@ -199,7 +199,7 @@ def main(argv=None) -> int:
     except federation.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValueError, FileNotFoundError, privacy.CalibrationError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, privacy.CalibrationError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

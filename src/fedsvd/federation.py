@@ -154,7 +154,7 @@ class Strategy:
 class ClientHandle:
     """One client: its shard as a table of [features | one-hot labels] rows,
     (n_k, d + classes), so that a step gathers a batch's inputs and targets
-    in one take (the data memo's, one copy per seed: see _data), and n_k is
+    in one take (the memoized one, one copy per seed: see _inputs), and n_k is
     its row count; its Poisson rate q and noise multiplier sigma (None: no
     privacy). With privacy, `steps` steps spend steps times the RDP of one,
     privacy.rdp_subsampled_gaussian(q, sigma). The run sets clip and steps."""
@@ -282,18 +282,17 @@ def schedule(cfg: RunConfig, seed: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _source(cfg: RunConfig, seed: int) -> tuple[tuple, data_mod.Dataset | None, int, int]:
-    """(key, table, classes, feature_dim) of the data of (cfg, seed). The key,
-    (splits, dirichlet_alpha, clients), holds everything the data build
-    reads; splits, all that _split reads, is the synthetic settings or a
-    sha256 of the parsed CSV table (so a rewritten file reads as new data),
-    then the seed. The table is the parsed one."""
-    tail = (cfg.dirichlet_alpha, cfg.clients)
+    """(key, table, classes, feature_dim) of the data of (cfg, seed). The key
+    holds everything shards reads: the synthetic settings or a sha256 of the
+    parsed CSV table (so a rewritten file reads as new data), the seed,
+    dirichlet_alpha and clients. The table is the parsed one (None: synthetic)."""
+    tail = (seed, cfg.dirichlet_alpha, cfg.clients)
     if cfg.source != "csv":
-        return (("synthetic", cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, seed), *tail), None, cfg.classes, cfg.feature_dim
+        return ("synthetic", cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, *tail), None, cfg.classes, cfg.feature_dim
     full = data_mod.load_csv(cfg.csv_path)
     digest = hashlib.sha256(np.ascontiguousarray(full.features))
     digest.update(np.ascontiguousarray(full.labels))
-    return (("csv", digest.hexdigest(), seed), *tail), full, full.class_count, full.feature_dim
+    return ("csv", digest.hexdigest(), *tail), full, full.class_count, full.feature_dim
 
 
 def _split(cfg: RunConfig, full: data_mod.Dataset | None, seed: int, split: int):
@@ -307,70 +306,55 @@ def _split(cfg: RunConfig, full: data_mod.Dataset | None, seed: int, split: int)
     return full.labels[idx], [(0, full.features[idx])]
 
 
-# Fitted backbones, keyed by everything the fit reads (see _backbone).
-_BACKBONES: dict[tuple, list[np.ndarray]] = {}
+def shards(cfg: RunConfig, seed: int, source: tuple | None = None) -> tuple[list[np.ndarray], data_mod.Dataset]:
+    """(tables, heldout) of (cfg, seed), built anew on every call: the
+    clients' Dirichlet partition of the finetune split, one [features |
+    one-hot labels] table per client (see data.shard_tables), and the
+    held-out split. `source` is _source(cfg, seed), parsed here when None.
+    The finetune split's labels are partitioned first, then its features
+    drawn straight into the tables, so the split is never whole."""
+    _, full, classes, dim = source or _source(cfg, seed)
+    labels, rows = _split(cfg, full, seed, 1)
+    cells = data_mod.partition_cells(labels, classes, data_mod.PartitionSpec(cfg.dirichlet_alpha, cfg.clients, seed))
+    tables = data_mod.shard_tables(labels, rows, cells, classes, dim)
+    return tables, data_mod.split_dataset(*_split(cfg, full, seed, 2), classes, dim)
 
 
-def _backbone(cfg: RunConfig, source: tuple, dims: list[int]) -> list[np.ndarray]:
-    """The pre-trained backbone of `source`, fitted once per process.
+# The last run inputs built, keyed by everything the build reads (see _inputs).
+_INPUTS: dict[tuple, tuple] = {}
 
-    A fit draws the pretrain split and drops it when done: nothing else
-    holds it. The key holds what the fit reads: the source key's splits
-    (see _source), which end with the seed (a rewritten CSV source is
-    refitted, a new dirichlet_alpha or client count is not), dims,
-    pretrain_steps and pretrain_lr. The cached weights are read-only and
-    shared by every strategy of the seed.
+
+def _inputs(cfg: RunConfig, seed: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], data_mod.Dataset]:
+    """(base weights, tables, heldout) of (cfg, seed), built once per key.
+
+    The key holds what the build reads: the source key (see _source), the
+    layer dims, pretrain_backbone, pretrain_steps and pretrain_lr. Only the
+    last build is kept, and it goes before the next one is drawn: the
+    strategies of a seed share one build, and a run over many seeds holds
+    one. The backbone is fitted (or drawn) first, and its pretrain split is
+    gone before the shards are built. Every array held is read-only.
     """
-    (splits, _, _), full, classes, dim = source
-    seed = splits[-1]
-    key = (splits, tuple(dims), cfg.pretrain_steps, cfg.pretrain_lr)
-    if key not in _BACKBONES:
-        pretrain = data_mod.split_dataset(*_split(cfg, full, seed, 0), classes, dim)
-        weights = model.fit_dense_weights(
-            pretrain.features, pretrain.labels, dims, classes,
-            steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=stream(seed, _TAG_BACKBONE),
-        )
-        for w in weights:
-            w.flags.writeable = False
-        _BACKBONES[key] = weights
-    return list(_BACKBONES[key])
-
-
-# The last data build, keyed by everything it reads (see _data).
-_DATA: dict[tuple, tuple] = {}
-
-
-def _data(cfg: RunConfig, seed: int, source: tuple) -> tuple:
-    """(parts, heldout, tables) of (cfg, seed), built once per key of
-    `source` (see _source).
-
-    Only the last build is kept: a sweep reuses it across the
-    strategies of one seed, and a run over many seeds holds one build. Its
-    arrays are read-only. The finetune split's labels are partitioned first,
-    then its features drawn straight into the shard_tables; tables[k] is the
-    shard's only copy: parts[k].features is a view of its first d columns.
-    """
-    key, full, classes, dim = source
-    if key not in _DATA:
-        _DATA.clear()  # before the build, so two builds are never held at once
-        labels, rows = _split(cfg, full, seed, 1)
-        spec = data_mod.PartitionSpec(alpha=cfg.dirichlet_alpha, clients=cfg.clients, seed=seed)
-        cells = data_mod.partition_cells(labels, classes, spec)
-        tables = data_mod.shard_tables(labels, rows, cells, classes, dim)
-        heldout = data_mod.split_dataset(*_split(cfg, full, seed, 2), classes, dim)
-        parts = [data_mod.Dataset(t[:, :dim], labels[cell], classes) for t, cell in zip(tables, cells)]
-        for arr in (*tables, *(a for ds in (heldout, *parts) for a in (ds.features, ds.labels))):
+    source = _source(cfg, seed)
+    data_key, full, classes, dim = source
+    dims = [dim] if cfg.layers == 1 else [dim, cfg.hidden_dim]
+    key = (data_key, tuple(dims), cfg.pretrain_backbone, cfg.pretrain_steps, cfg.pretrain_lr)
+    if key not in _INPUTS:
+        _INPUTS.clear()
+        rng = stream(seed, _TAG_BACKBONE)
+        if cfg.pretrain_backbone:
+            pretrain = data_mod.split_dataset(*_split(cfg, full, seed, 0), classes, dim)
+            base = model.fit_dense_weights(
+                pretrain.features, pretrain.labels, dims, classes,
+                steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=rng,
+            )
+            del pretrain
+        else:
+            base = model.random_dense_weights(dims, classes, rng)
+        tables, heldout = shards(cfg, seed, source)
+        for arr in (*base, *tables, heldout.features, heldout.labels):
             arr.flags.writeable = False
-        _DATA[key] = (tuple(parts), heldout, tuple(tables))
-    return _DATA[key]
-
-
-def datasets(cfg: RunConfig, seed: int) -> tuple[list[data_mod.Dataset], data_mod.Dataset]:
-    """(parts, heldout) of (cfg, seed): the clients' Dirichlet partition of
-    the finetune split and the held-out split (see _split). Memoized by
-    _data: read-only arrays, each shard's features a view of its table."""
-    parts, heldout, _ = _data(cfg, seed, _source(cfg, seed))
-    return list(parts), heldout
+        _INPUTS[key] = (tuple(base), tuple(tables), heldout)
+    return _INPUTS[key]
 
 
 def init_server(cfg: RunConfig, strategy: Strategy, base_weights: list[np.ndarray], seed: int) -> ServerState:
@@ -415,10 +399,10 @@ def _epsilon_column(clients: list[ClientHandle], steps: int, rounds: int, delta:
     return [0.0, *np.max(eps, axis=0)[1:].tolist()]
 
 
-def sampling_rate(cfg: RunConfig, shard: data_mod.Dataset | np.ndarray) -> float:
-    """Poisson sampling rate q = batch_size / n_k of a client's shard (or its
-    table: n_k is its length), at most 1."""
-    return min(1.0, cfg.batch_size / len(shard))
+def sampling_rate(cfg: RunConfig, table: np.ndarray) -> float:
+    """Poisson sampling rate q = batch_size / n_k of a client's shard table
+    (n_k is its length), at most 1."""
+    return min(1.0, cfg.batch_size / len(table))
 
 
 def build_clients(cfg: RunConfig, tables: Sequence[np.ndarray]) -> list[ClientHandle]:
@@ -442,25 +426,12 @@ def build_clients(cfg: RunConfig, tables: Sequence[np.ndarray]) -> list[ClientHa
 
 
 def start(cfg: RunConfig, seed: int) -> tuple[ServerState, list[ClientHandle], data_mod.Dataset]:
-    """(server, clients, heldout) of a seeded run before its first round.
-
-    A CSV source is parsed once per call. The backbone comes first, so a
-    fit's pretrain split is gone before the shards are built. It depends on
-    the data and the seed, not on the strategy: a process fits each seed's
-    backbone once and reuses it across strategies (see _backbone).
-    """
+    """(server, clients, heldout) of a seeded run before its first round,
+    on the seed's memoized backbone, shard tables and held-out split (see
+    _inputs), which every strategy of the seed shares."""
     cfg.validate()
-    source = _source(cfg, seed)
-    if source[0] not in _DATA:
-        _DATA.clear()  # a stale build goes before the fit, never beside a pretrain split
-    _, _, class_count, d_in = source
-    dims = [d_in] if cfg.layers == 1 else [d_in, cfg.hidden_dim]
-    if cfg.pretrain_backbone:
-        base = _backbone(cfg, source, dims)
-    else:
-        base = model.random_dense_weights(dims, class_count, stream(seed, _TAG_BACKBONE))
-    server = init_server(cfg, Strategy(cfg.strategy, cfg.svd_period), base, seed)
-    _, heldout, tables = _data(cfg, seed, source)
+    base, tables, heldout = _inputs(cfg, seed)
+    server = init_server(cfg, Strategy(cfg.strategy, cfg.svd_period), list(base), seed)
     return server, build_clients(cfg, tables), heldout
 
 

@@ -246,10 +246,11 @@ def comparative_results():
         "ffa_lora": headline_config("ffa_lora"),
         "fedavg": headline_config("fedavg"),
     }
-    finals, rows = {}, {}
-    for label, cfg in configs.items():
-        rows[label] = [federation.run_experiment(cfg, seed, record_timing=False)[-1] for seed in cfg.seeds]
-        finals[label] = [row.eval_accuracy for row in rows[label]]
+    rows = {label: [] for label in configs}
+    for seed in configs["fedsvd_p1"].seeds:  # seeds outermost: a seed's strategies share one memoized build
+        for label, cfg in configs.items():
+            rows[label].append(federation.run_experiment(cfg, seed, record_timing=False)[-1])
+    finals = {label: [row.eval_accuracy for row in label_rows] for label, label_rows in rows.items()}
     finals["_final_rows"] = rows
     finals["_elapsed"] = time.perf_counter() - t0
     return finals
@@ -360,14 +361,16 @@ def test_b_only_training_loses_when_the_head_is_wider_than_its_rank():
 def test_criterion_7_determinism(tmp_path):
     with criterion(7, "byte-identical metrics across reruns and thread counts"):
         cfg = headline_config("fedsvd", rounds=5, seeds=(0, 1), record_timing=False)
+        runs = {"a.csv": 1, "b.csv": 1, "c.csv": 4}
+        rows = {name: [] for name in runs}
+        for seed in cfg.seeds:  # seeds outermost: one memoized build per seed
+            for name, threads in runs.items():
+                run_cfg = dataclasses.replace(cfg, threads=threads)
+                rows[name].extend(federation.run_experiment(run_cfg, seed, record_timing=False))
         paths = []
-        for name, threads in [("a.csv", 1), ("b.csv", 1), ("c.csv", 4)]:
-            run_cfg = dataclasses.replace(cfg, threads=threads)
-            rows = []
-            for seed in cfg.seeds:
-                rows.extend(federation.run_experiment(run_cfg, seed, record_timing=False))
+        for name, run_rows in rows.items():
             path = tmp_path / name
-            metrics.write_csv(path, rows)
+            metrics.write_csv(path, run_rows)
             paths.append(path)
         base = paths[0].read_bytes()
         assert paths[1].read_bytes() == base, "rerun differs"

@@ -657,3 +657,21 @@ def test_closed_stdout_exits_quietly(argv, unbuffered):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, b"")
+
+
+@pytest.mark.parametrize("case", ["run_output", "config", "csv_path", "verify_output"])
+def test_path_errors_exit_as_configuration_errors(tmp_path, capsys, monkeypatch, case):
+    # a directory where a file is read or written: an OSError, named on
+    # stderr with exit code 2, no traceback
+    monkeypatch.chdir(tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {
+        "run_output": ["--output", str(folder), "run", write_cfg(tmp_path)],
+        "config": ["run", str(folder)],
+        "csv_path": ["run", write_cfg(tmp_path), "source=csv", f"csv_path={folder}"],
+        "verify_output": ["--output", str(folder), "verify", "--scope", "linalg", "--trials", "1"],
+    }[case]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(folder) in err and "Traceback" not in err

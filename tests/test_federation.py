@@ -15,7 +15,7 @@ from helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedsvd import config, data, federation, linalg, lora, model, privacy
+from fedsvd import cli, config, data, federation, linalg, lora, model, privacy
 from fedsvd.data import Dataset
 from fedsvd.federation import ClientHandle, ServerState, Strategy
 
@@ -99,8 +99,8 @@ def test_local_train_leaves_client_unchanged():
 def test_epsilon_spent_is_worst_client_schedule_every_round(privacy_kw):
     cfg = small_config(strategy="fedsvd", rounds=3, **privacy_kw)
     rows = federation.run_experiment(cfg, 0, record_timing=False)
-    parts, _ = federation.datasets(cfg, 0)
-    qs = [min(1.0, cfg.batch_size / len(part)) for part in parts]
+    tables, _ = federation.shards(cfg, 0)
+    qs = [min(1.0, cfg.batch_size / len(table)) for table in tables]
     if cfg.epsilon is None:
         sigmas = [cfg.noise_multiplier] * len(qs)
     else:
@@ -122,7 +122,7 @@ def test_epsilon_spent_is_worst_client_schedule_every_round(privacy_kw):
 @pytest.mark.parametrize("privacy_kw", [{"epsilon": 6.0}, {"noise_multiplier": 1.3}, {}])
 def test_epsilon_column_equals_per_round_accounting(privacy_kw, seed):
     cfg = small_config(local_steps=3, rounds=37, **privacy_kw)
-    _, _, tables = federation._data(cfg, seed, federation._source(cfg, seed))
+    tables, _ = federation.shards(cfg, seed)
     clients = federation.build_clients(cfg, tables)
     column = federation._epsilon_column(clients, cfg.local_steps, cfg.rounds, cfg.delta)
     if not privacy_kw:
@@ -798,16 +798,14 @@ def test_every_strategy_entry_flags_labels_and_round_zero_state():
             assert linalg.rel_frobenius_error(lora.effective_weight(layer), w0) <= 1e-12, kind
 
 
-# --- the per-process backbone and data memos ---
+# --- the per-process memo of a seed's run inputs ---
 
 
 @pytest.fixture(autouse=True)
-def empty_backbone_memo():
-    federation._BACKBONES.clear()
-    federation._DATA.clear()
+def empty_inputs_memo():
+    federation._INPUTS.clear()
     yield
-    federation._BACKBONES.clear()
-    federation._DATA.clear()
+    federation._INPUTS.clear()
 
 
 @pytest.fixture
@@ -829,14 +827,15 @@ def test_memoized_backbone_rows_equal_a_direct_fit(monkeypatch):
     cold = federation.run_experiment(cfg, seed=3, record_timing=False)
     warm = federation.run_experiment(cfg, seed=3, record_timing=False)
 
-    def direct(cfg, source, dims):  # the fit of seed 3, the run's
+    def direct(cfg, seed):  # the fit of seed 3, the run's, on the whole pretrain split
         pretrain = gen_synthetic(cfg.classes, cfg.feature_dim, cfg.train_size, cfg.margin, 3)[0]
-        return model.fit_dense_weights(
-            pretrain.features, pretrain.labels, dims, cfg.classes,
+        weights = model.fit_dense_weights(
+            pretrain.features, pretrain.labels, [cfg.feature_dim, cfg.hidden_dim], cfg.classes,
             steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=federation.stream(3, federation._TAG_BACKBONE),
         )
+        return (weights, *federation.shards(cfg, seed))
 
-    monkeypatch.setattr(federation, "_backbone", direct)
+    monkeypatch.setattr(federation, "_inputs", direct)
     fresh = federation.run_experiment(cfg, seed=3, record_timing=False)
     assert cold == warm == fresh
 
@@ -845,40 +844,64 @@ def test_backbone_fitted_once_per_seed_across_strategies(count_fits):
     for kind in ("fedsvd", "ffa_lora", "fedavg"):
         federation.run_experiment(small_config(strategy=kind, rounds=1), seed=0, record_timing=False)
     assert len(count_fits) == 1
-    # settings the fit does not read share it, the partition's among them
+    # settings the build does not read share its fit
     federation.run_experiment(small_config(rounds=2, svd_period=2, epsilon=3.0), seed=0, record_timing=False)
+    federation._inputs(small_config(), 0)
+    assert len(count_fits) == 1
+    # each field the build reads refits: the seed, the partition's
+    # dirichlet_alpha and clients, pretrain_steps, pretrain_lr and hidden_dim
+    federation._inputs(small_config(), 1)
+    assert len(count_fits) == 2
     for alpha, clients in ((0.9, 3), (0.1, 3), (0.5, 4)):
         federation.run_experiment(
             small_config(rounds=1, dirichlet_alpha=alpha, clients=clients), seed=0, record_timing=False
         )
-    assert len(count_fits) == 1
-    # each field the fit reads refits: the seed (the source's, on the same cfg),
-    # pretrain_steps, pretrain_lr and hidden_dim
-    cfg = small_config()
-    source = federation._source(cfg, 0)
-    federation._backbone(cfg, source, [cfg.feature_dim])
-    assert len(count_fits) == 1
-    federation._backbone(cfg, federation._source(cfg, 1), [cfg.feature_dim])
-    assert len(count_fits) == 2
+    assert len(count_fits) == 5
     federation.run_experiment(small_config(rounds=1, pretrain_steps=30), seed=0, record_timing=False)
-    assert len(count_fits) == 3
+    assert len(count_fits) == 6
     federation.run_experiment(small_config(rounds=1, pretrain_lr=0.2), seed=0, record_timing=False)
-    assert len(count_fits) == 4
+    assert len(count_fits) == 7
     federation.run_experiment(small_config(rounds=1, layers=2, hidden_dim=4), seed=0, record_timing=False)
     federation.run_experiment(small_config(rounds=1, layers=2, hidden_dim=5), seed=0, record_timing=False)
     assert count_fits[-2:] == [[8, 4], [8, 5]]
 
 
 def test_cached_backbone_is_read_only():
-    cfg = small_config()
-    source = federation._source(cfg, 0)
-    weights = federation._backbone(cfg, source, [cfg.feature_dim])
-    again = federation._backbone(cfg, source, [cfg.feature_dim])
-    assert all(w is v for w, v in zip(weights, again))
-    with pytest.raises(ValueError):
-        weights[0][0, 0] = 1.0
-    with pytest.raises(ValueError):
-        weights[0] += 1.0
+    for cfg in (small_config(), small_config(pretrain_backbone=False)):
+        weights = federation._inputs(cfg, 0)[0]
+        again = federation._inputs(cfg, 0)[0]
+        assert all(w is v for w, v in zip(weights, again, strict=True))
+        with pytest.raises(ValueError):
+            weights[0][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            weights[0] += 1.0
+
+
+def test_memo_holds_one_build_and_shards_fit_nothing(count_fits, count_builds, monkeypatch, capsys):
+    cfg = small_config(rounds=1)
+    for seed in range(5):
+        federation.run_experiment(cfg, seed, record_timing=False)
+    assert len(federation._INPUTS) == 1 and len(count_fits) == 5
+    federation.run_experiment(cfg, 4, record_timing=False)
+    assert len(count_fits) == 5
+    federation.run_experiment(cfg, 0, record_timing=False)  # seed 0's backbone was dropped
+    assert len(count_fits) == 6
+    # a seed-outer sweep fits each seed's backbone and builds its shards once
+    del count_fits[:], count_builds[:]
+    for seed in (1, 2):
+        for kind, period in (("fedsvd", 1), ("fedsvd", 2), ("fedsvd", 5), ("fedsvd", 10), ("ffa_lora", 1), ("fedavg", 1)):
+            federation.run_experiment(small_config(rounds=1, strategy=kind, svd_period=period), seed, record_timing=False)
+    assert len(count_fits) == 2 and count_builds.count("cells") == 2
+    # shards and partition-stats build anew, fit no backbone, calibrate no
+    # noise and leave the memo alone
+    federation._INPUTS.clear()
+    del count_fits[:]
+    monkeypatch.setattr(privacy, "calibrate_sigma", mock.Mock(side_effect=AssertionError("calibrated")))
+    first, again = federation.shards(cfg, 0), federation.shards(cfg, 0)
+    assert first[1] is not again[1] and all(a is not b for a, b in zip(first[0], again[0], strict=True))
+    assert cli.main(["partition-stats", str(HEADLINE)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("seed 0, alpha 0.5, 6 clients")
+    assert count_fits == [] and federation._INPUTS == {}
 
 
 def test_csv_source_without_a_pretrain_row_is_named(tmp_path, count_fits):
@@ -945,67 +968,70 @@ BUILD = ["split 1", "cells", "split 2"]
 
 def test_datasets_built_once_per_key(count_builds):
     cfg = small_config()
-    parts, heldout = federation.datasets(cfg, seed=0)
+    _, tables, heldout = federation._inputs(cfg, seed=0)
     # settings the build does not read share one build, and its objects
     for other in (
         cfg, small_config(strategy="fedavg"), small_config(rounds=7), small_config(epsilon=2.0),
-        small_config(learning_rate=0.1), small_config(rank=2), small_config(pretrain_steps=9),
+        small_config(learning_rate=0.1), small_config(rank=2),
     ):
-        again = federation.datasets(other, seed=0)
-        assert again[1] is heldout
-        assert all(a is b for a, b in zip(again[0], parts, strict=True))
-    assert count_builds == BUILD
+        again = federation._inputs(other, seed=0)
+        assert again[2] is heldout
+        assert all(a is b for a, b in zip(again[1], tables, strict=True))
+    assert count_builds == ["split 0", *BUILD]
     # each field the build reads builds anew
     for field, value in [
         ("classes", 4), ("feature_dim", 9), ("train_size", 300), ("margin", 2.0),
-        ("dirichlet_alpha", 0.9), ("clients", 4),
+        ("dirichlet_alpha", 0.9), ("clients", 4), ("pretrain_steps", 9), ("pretrain_lr", 0.2),
     ]:
         del count_builds[:]
-        other = federation.datasets(small_config(**{field: value}), seed=0)
-        assert count_builds == BUILD, field
-        assert other[1] is not heldout, field
+        other = federation._inputs(small_config(**{field: value}), seed=0)
+        assert count_builds == ["split 0", *BUILD], field
+        assert other[2] is not heldout, field
     del count_builds[:]
-    federation.datasets(cfg, seed=1)
+    federation._inputs(small_config(pretrain_backbone=False), seed=0)
     assert count_builds == BUILD
+    del count_builds[:]
+    federation._inputs(cfg, seed=1)
+    assert count_builds == ["split 0", *BUILD]
 
 
 def test_cached_datasets_are_read_only():
-    parts, heldout = federation.datasets(small_config(), seed=0)
-    _, _, tables = federation._DATA[next(iter(federation._DATA))]
-    for arr in (*tables, *(a for ds in (heldout, *parts) for a in (ds.features, ds.labels))):
+    base, tables, heldout = federation._inputs(small_config(), seed=0)
+    [held] = federation._INPUTS.values()
+    assert all(x is y for x, y in zip(held, (base, tables, heldout), strict=True))
+    for arr in (*base, *tables, heldout.features, heldout.labels):
         with pytest.raises(ValueError):
             arr[0] = 1
-    # the returned list is the caller's own
-    parts.pop()
-    assert len(federation.datasets(small_config(), seed=0)[0]) == 3
+    # the returned client list is the caller's own
+    federation.start(small_config(), seed=0)[1].pop()
+    assert len(federation.start(small_config(), seed=0)[1]) == 3
 
 
 def test_datasets_memo_keeps_the_last_build_alone(count_builds, monkeypatch):
     held = []  # builds in the memo while the next one is drawn
     counting = data.synthetic_split
-    monkeypatch.setattr(data, "synthetic_split", lambda *a, **k: held.append(len(federation._DATA)) or counting(*a, **k))
+    monkeypatch.setattr(data, "synthetic_split", lambda *a, **k: held.append(len(federation._INPUTS)) or counting(*a, **k))
     cfg = small_config()
-    first = federation.datasets(cfg, seed=0)
-    federation.datasets(cfg, seed=1)
-    assert len(federation._DATA) == 1
+    first = federation._inputs(cfg, seed=0)
+    federation._inputs(cfg, seed=1)
+    assert len(federation._INPUTS) == 1
     del count_builds[:]
-    assert federation.datasets(cfg, seed=1)[1] is federation.datasets(cfg, seed=1)[1]
+    assert federation._inputs(cfg, seed=1)[2] is federation._inputs(cfg, seed=1)[2]
     assert count_builds == []
-    assert federation.datasets(cfg, seed=0)[1] is not first[1]  # seed 0 was dropped
-    assert count_builds == BUILD
-    assert held == [0] * 6  # the old build goes before the new one is drawn
+    assert federation._inputs(cfg, seed=0)[2] is not first[2]  # seed 0 was dropped
+    assert count_builds == ["split 0", *BUILD]
+    assert held == [0] * 9  # the old build goes before the new one is drawn
 
 
 HEADLINE = Path(__file__).resolve().parent.parent / "configs" / "headline.ini"
 
 
 def cold_start(cfg, seed):
-    """start(cfg, seed) on empty data and backbone memos, traced, after a
-    first start filled the process-wide caches (sigma, RDP tables): its
-    result, and the traced bytes (held, peak) when it returned."""
+    """start(cfg, seed) on an empty inputs memo, traced, after a first start
+    filled the process-wide caches (sigma, RDP tables): its result, and the
+    traced bytes (held, peak) when it returned."""
     federation.start(cfg, seed)
-    federation._DATA.clear()
-    federation._BACKBONES.clear()
+    federation._INPUTS.clear()
     tracemalloc.start()
     try:
         started = federation.start(cfg, seed)
@@ -1017,19 +1043,21 @@ def cold_start(cfg, seed):
 def test_start_holds_each_shard_once():
     cfg = config.load(HEADLINE, ["record_timing=false"])
     (_, clients, heldout), (held, _) = cold_start(cfg, seed=0)
-    parts, _, tables = federation._data(cfg, 0, federation._source(cfg, 0))
-    # the memo holds the held-out split, the tables and the shards' labels
-    kept = [heldout.features, heldout.labels, *tables, *(part.labels for part in parts)]
+    base, tables, memo_heldout = federation._inputs(cfg, 0)
+    assert memo_heldout is heldout
+    # the memo holds the backbone, the tables and the held-out split, and
+    # no per-shard Dataset beside them
+    kept = [*base, *tables, heldout.features, heldout.labels]
     assert held <= sum(a.nbytes for a in kept) + 2**18
+    assert all(type(t) is np.ndarray for t in tables)
     # each client is the memo's table, on every start of the seed
     again = federation.start(cfg, seed=0)[1]
     for handles in (clients, again):
         assert all(c.table is t for c, t in zip(handles, tables, strict=True))
-    for c, part in zip(clients, parts, strict=True):
+    for c in clients:
         assert c.sample_rate == min(1.0, cfg.batch_size / len(c.table))
-        assert np.shares_memory(part.features, c.table)
-        assert np.array_equal(c.table[:, : part.feature_dim], part.features)
-    for arr in kept + [part.features for part in parts]:
+        assert c.table.shape[1] == heldout.feature_dim + heldout.class_count
+    for arr in kept:
         assert not arr.flags.writeable
 
 
@@ -1040,8 +1068,7 @@ def test_cold_start_never_holds_the_pretrain_split_with_the_shards():
     pretrain = cfg.train_size * (cfg.feature_dim + 1) * 8  # float64 features, int64 labels
     for seed in (0, 1):
         federation.start(cfg, seed)  # fills the process-wide caches (sigma, RDP tables)
-    federation._DATA.clear()
-    federation._BACKBONES.clear()
+    federation._INPUTS.clear()
     tracemalloc.start()
     try:
         for seed in (0, 1):
@@ -1059,7 +1086,7 @@ def test_only_a_backbone_fit_draws_the_pretrain_split(count_builds, pretrain_bac
     assert count_builds.count("split 0") == pretrain_backbone
     del count_builds[:]
     federation.run_experiment(dataclasses.replace(cfg, strategy="fedavg"), seed=0, record_timing=False)
-    assert count_builds == []  # both memos hit
+    assert count_builds == []  # the memo hits
 
 
 def assert_streamed_build_is_dense(cfg, seed, splits):
@@ -1067,8 +1094,7 @@ def assert_streamed_build_is_dense(cfg, seed, splits):
     (pretrain, finetune, held-out) Datasets: its shard tables equal those of
     the dense partition of the finetune split, its held-out split and the
     split its backbone fit reads equal theirs, bit for bit."""
-    federation._DATA.clear()
-    federation._BACKBONES.clear()
+    federation._INPUTS.clear()
     fits, real = [], model.fit_dense_weights
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "fit_dense_weights", lambda x, y, *a, **k: fits.append((x, y)) or real(x, y, *a, **k))
@@ -1117,11 +1143,11 @@ def test_csv_datasets_keyed_on_the_parsed_table(tmp_path, count_builds):
     cfg = small_config(source="csv", csv_path=str(path))
     table, _, _ = gen_synthetic(3, 8, 240, 3.0, seed=0)
     save_csv(table, path)
-    heldout = federation.datasets(cfg, seed=0)[1]
+    heldout = federation._inputs(cfg, seed=0)[2]
     save_csv(table, path)  # the same table again
-    assert federation.datasets(cfg, seed=0)[1] is heldout
+    assert federation._inputs(cfg, seed=0)[2] is heldout
     save_csv(gen_synthetic(3, 8, 240, 3.0, seed=1)[0], path)
-    assert federation.datasets(cfg, seed=0)[1] is not heldout
+    assert federation._inputs(cfg, seed=0)[2] is not heldout
     assert count_builds.count("cells") == 2
 
 

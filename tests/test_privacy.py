@@ -1,14 +1,17 @@
 import functools
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.fft import next_fast_len
+from scipy.signal import lfilter
+from scipy.special import logsumexp, ndtr
 
-from fedsvd import lora, model, privacy
+from fedsvd import config, federation, lora, model, privacy
 from helpers import clip_gradient, global_grad_norm, outer_products
 
 
@@ -515,3 +518,125 @@ def test_dp_sgd_step_commutes_with_a_rotation_of_b():
     np.testing.assert_allclose(turned_norms, norms, rtol=1e-12)
     assert np.any(norms > clip) and np.any(norms < clip)
     assert np.linalg.norm(turned - plain @ rot.T) <= 1e-12 * np.linalg.norm(plain)
+
+
+# --- an independent accountant: the privacy loss distribution (PLD) ---
+
+
+def _step_loss(q, sigma, x):
+    """One step's privacy loss log((1 - q) + q exp((2x - 1) / 2 sigma^2)) at x:
+    the subsampled Gaussian (1 - q) N(0, sigma^2) + q N(1, sigma^2) against
+    N(0, sigma^2), increasing in x."""
+    return np.logaddexp(math.log1p(-q) if q < 1 else -np.inf, math.log(q) + (2 * x - 1) / (2 * sigma * sigma))
+
+
+def _step_loss_cdf(q, sigma, remove, ell):
+    """P(L <= ell) for one step's loss L in one adjacency direction. Remove:
+    X from the subsampled Gaussian and L = loss(X); add: X from N(0, sigma^2)
+    and L = -loss(X). The loss inverts in closed form."""
+    m = ell if remove else -ell
+    inner = np.expm1(m) + q  # exp(m) - (1 - q), positive where m is a loss value
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x = np.where(inner > 0, sigma * sigma * (np.log(inner) - math.log(q)) + 0.5, -np.inf)
+    if remove:
+        return (1 - q) * ndtr(x / sigma) + q * ndtr((x - 1) / sigma)
+    return ndtr(-x / sigma)
+
+
+def _epsilon_of_pld(losses, pmf, delta, width):
+    """Smallest eps >= 0 with excess(eps) = sum over losses l > eps of
+    p_l (1 - e^(eps - l)) <= delta, for losses on a grid of step `width`.
+    The excess falls as eps grows. At a grid loss l_k it is the mass above
+    l_k less c_k = sum over i > k of p_i e^-(i - k) width, and c_k = e^-width
+    (p_(k+1) + c_(k+1)) is one linear filter over the reversed masses. On
+    [l_(k-1), l_k] the excess is a - e^eps b, a and b the sums of p_i and
+    p_i e^-l_i over i >= k, so eps solves in closed form."""
+    if delta <= 0:
+        return math.inf
+    decay = math.exp(-width)
+    above = np.cumsum(pmf[::-1])[::-1] - pmf
+    damped = lfilter([0.0, decay], [1.0, -decay], pmf[::-1])[::-1]
+    met = (losses >= 0) & (above - damped <= delta)
+    k = int(np.argmax(met))  # the first grid loss >= 0 where the excess is met
+    if k == 0 or losses[k - 1] < 0:
+        return 0.0  # met at eps = 0 already
+    tail, top = pmf[k:], losses[k]
+    return math.log(np.sum(tail) - delta) + top - math.log(np.sum(tail * np.exp(top - losses[k:])))
+
+
+def pld_epsilon(q, sigma, steps, deltas, width, tails=9.5):
+    """{delta: (lower, upper)} bounds on the epsilon of `steps` Poisson-
+    subsampled Gaussian steps at (q, sigma), sensitivity 1, under add/remove
+    adjacency (Koskela, Jalko and Honkela 2020, arXiv:1906.03049; Gopi, Lee
+    and Wutschitz 2021, arXiv:2106.02848). One step's loss distribution is
+    discretized to a grid of width `width`, over x within `tails` deviations
+    of the means, and composed by FFT. Rounding each loss down gives the
+    lower bound, with the mass below the grid dropped; rounding it up gives
+    the upper one, with the mass above the grid at +inf. Each bound is the
+    larger of the two directions."""
+    bounds = {delta: [0.0, 0.0] for delta in deltas}
+    for remove in (True, False):
+        ends = _step_loss(q, sigma, np.array([-tails * sigma, 1 + tails * sigma])) * (1 if remove else -1)
+        first, last = math.floor(ends.min() / width), math.ceil(ends.max() / width)
+        cdf = _step_loss_cdf(q, sigma, remove, np.arange(first, last + 1) * width)
+        size = steps * (last - first) + 1
+        losses = (steps * first + np.arange(size)) * width
+        for side, pmf, above in (
+            (0, np.concatenate([np.diff(cdf), [1 - cdf[-1]]]), 0.0),
+            (1, np.concatenate([[cdf[0]], np.diff(cdf)]), 1 - cdf[-1]),
+        ):
+            fast = next_fast_len(size, real=True)
+            composed = np.fft.irfft(np.fft.rfft(pmf, fast) ** steps, fast)[:size]
+            at_inf = -math.expm1(steps * math.log1p(-above))  # some step's loss above the grid
+            for delta in deltas:
+                bounds[delta][side] = max(bounds[delta][side], _epsilon_of_pld(losses, composed, delta - at_inf, width))
+    return {delta: tuple(pair) for delta, pair in bounds.items()}
+
+
+def analytic_gaussian_epsilon(sigma, steps, delta):
+    """The exact epsilon of `steps` Gaussian steps of noise sigma at
+    sensitivity 1 (Balle and Wang 2018, arXiv:1805.06530, Thm 8), by
+    bisection to the last float."""
+    mu = math.sqrt(steps) / sigma
+    lo, hi = 0.0, 100.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if ndtr(mu / 2 - mid / mu) - math.exp(mid) * ndtr(-mu / 2 - mid / mu) > delta:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def tight_conversion_epsilon(q, sigma, steps, delta):
+    """Epsilon by the tighter RDP conversion of Balle et al. 2020
+    (arXiv:1905.09982, Thm 21): RDP_a + log((a - 1) / a) - (log delta +
+    log a) / (a - 1), minimized over the default orders."""
+    orders = np.asarray(privacy.DEFAULT_ORDERS, dtype=np.float64)
+    rdp = steps * privacy.rdp_subsampled_gaussian(q, sigma)
+    return float(np.min(rdp + np.log((orders - 1) / orders) - (math.log(delta) + np.log(orders)) / (orders - 1)))
+
+
+HEADLINE = Path(__file__).resolve().parent.parent / "configs" / "headline.ini"
+
+
+def test_pld_bracket_holds_the_exact_epsilon_and_lies_below_the_rdp_epsilon():
+    # q = 1 is the Gaussian mechanism: the bracket holds its exact epsilon
+    [(low, high)] = pld_epsilon(1.0, 4.0, 50, [1e-5], 1e-3).values()
+    exact = analytic_gaussian_epsilon(4.0, 50, 1e-5)
+    assert low <= exact <= high and abs(exact - 8.596) < 1e-3
+    # the reference point (q = 0.0357, 100 steps, width 1e-3)
+    [(low, high)] = pld_epsilon(0.0357, 1.2666, 100, [1e-5], 1e-3).values()
+    assert (round(low, 3), round(high, 3)) == (1.503, 1.603)
+    assert round(privacy.spent_epsilon(0.0357, 1.2666, 100, 1e-5), 3) == 2.194
+    # every RDP epsilon, by today's conversion and by the tighter one, is at
+    # least the true epsilon's lower bound; the rates are the six clients'
+    # of the headline seed 0, and q = 1
+    cfg = config.load(HEADLINE)
+    rates = [federation.sampling_rate(cfg, table) for table in federation.shards(cfg, 0)[0]]
+    assert len(rates) == 6
+    for q in [*rates, 1.0]:
+        for sigma, steps in ((0.8, 10), (1.2666, 10), (1.2666, 100), (3.0, 100)):
+            for delta, (low, high) in pld_epsilon(q, sigma, steps, [1e-5, 1e-3], 4e-3).items():
+                assert low <= high
+                rdp = privacy.spent_epsilon(q, sigma, steps, delta)
+                assert min(rdp, tight_conversion_epsilon(q, sigma, steps, delta)) >= low, (q, sigma, steps, delta)

@@ -2,11 +2,14 @@
 package has a reader in the package besides its own definition, so code that
 only tests call lives in tests/, not in src/; every field of a package
 dataclass is read somewhere, so no record stores a value nobody reads; and
-model.py has one forward/backward pass, which no other module repeats; and
-the benchmark's operations (perfbench/worker.py) still run on the package."""
+model.py has one forward/backward pass, which no other module repeats; the
+benchmark's operations (perfbench/worker.py) still run on the package; and
+no per-layer counter of BENCHMARK.json newly names a function that is gone."""
 
 import ast
+import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -141,3 +144,31 @@ def test_benchmark_operations_run_and_pass_their_checks(workload, monkeypatch):
         out = op.run()
         assert op.check(out) == []
         assert isinstance(op.digest(out), str)
+
+
+# Per-layer counters of BENCHMARK.json that name functions deleted or moved
+# to tests/; each reads 0 on every workload until the benchmark is refreshed.
+KNOWN_STALE = {
+    "analysis.grad_norm_identity_check", "analysis.noise_amplification_terms",
+    "data.gen_synthetic", "data.partition_dirichlet",
+    "federation.broadcast_layers", "federation.local_train",
+    "linalg.eig_sym", "linalg.qr_thin", "linalg.spectral_norm",
+    "model.forward", "model.loss", "model.per_sample_grads", "privacy.dp_sgd_step",
+}
+
+
+def test_no_benchmark_counter_newly_names_a_missing_function():
+    # a deleted or renamed function that the benchmark counts fails here, so
+    # the change that removes it says what replaces its counter; a refresh
+    # that drops a stale counter needs no edit (a subset, not an equality)
+    bench = json.loads((TESTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    counted = {
+        metric["name"].rsplit(".", 1)[0]
+        for metric in bench["per_layer"]
+        if metric["name"].rsplit(".", 1)[1] in {"calls", "busy_s", "self_s"}
+    }
+    missing = {
+        name for name in counted
+        if not callable(getattr(importlib.import_module(f"fedsvd.{name.split('.')[0]}"), name.split(".")[1], None))
+    }
+    assert missing <= KNOWN_STALE, sorted(missing - KNOWN_STALE)
